@@ -49,11 +49,12 @@ def sharded_comparison():
     # Budget ~ a quarter of the full mega-batch (but never below the largest
     # single design, so nothing lands in an oversize shard).  Derived through
     # a throwaway service so both measured services start cold.  A 1-byte
-    # budget makes every unique design an oversize singleton, which exposes
-    # the per-design standalone estimates.
+    # budget makes every unique design an oversize singleton step, whose
+    # one-window plan exposes the per-design standalone estimate.
     planner = ReasoningService(gamora)
     total_bytes = planner.plan(circuits, None).peak_shard_bytes
-    standalone = [s.estimated_bytes for s in planner.plan(circuits, 1)]
+    standalone = [step.window_plan.peak_window_bytes
+                  for step in planner.plan(circuits, 1)]
     budget = max(max(standalone), total_bytes // 4)
     plan = planner.plan(circuits, budget)
 
@@ -86,8 +87,8 @@ def test_sharded_memory_stays_under_budget(sharded_comparison, benchmark):
     plan = sharded_comparison["plan"]
     assert len(plan) > 1, "budget must genuinely split this stream"
     assert plan.num_oversize == 0
-    for shard in plan:
-        assert shard.estimated_bytes <= budget
+    for step in plan:
+        assert step.window_plan.peak_window_bytes <= budget
     executed = sharded_comparison["sharded"]
     assert executed.num_shards == len(plan)
     assert 0 < executed.peak_shard_bytes <= budget

@@ -9,8 +9,10 @@ Demonstrates the serving layer added on top of :class:`repro.core.Gamora`:
 * the structural-hash LRU caches — a re-submitted design is served straight
   from the result cache on later batches (the steady state under real
   traffic, where popular designs repeat);
-* memory-bounded sharding — ``max_shard_bytes`` splits the mega-batch so
-  every forward pass fits an explicit inference-memory budget;
+* one planner, one executor — ``ReasoningService.plan`` turns a batch into
+  steps, each a block-diagonal merge plus the window plan that runs it;
+  ``max_shard_bytes`` splits the mega-batch so every forward pass fits an
+  explicit inference-memory budget;
 * parallel post-processing — ``postprocess_workers`` fans the dominant
   per-circuit extraction stage out to worker processes, overlapped with the
   next shard's inference.
@@ -78,6 +80,9 @@ def main() -> None:
     plan = scaled.plan(stream)
     print(f"\nsharded serving (budget {budget / 1024 ** 2:.1f}MiB, "
           f"{workers} workers): {plan.summary()}")
+    for index, step in enumerate(plan):
+        print(f"  step {index}: unique designs {step.indices}, "
+              f"{step.window_plan.summary()}")
     bounded = scaled.reason_many(stream)
     print(f"sharded + parallel:       "
           f"{format_seconds(bounded.stats.total_seconds)}"

@@ -196,14 +196,15 @@ class Gamora:
         """Batched :meth:`reason` over many circuits via the serving layer.
 
         Circuits are deduplicated by structural hash, encoded through an
-        LRU cache, merged into block-diagonal shards (each kept under
-        ``max_shard_bytes`` of estimated inference memory when set; one
-        monolithic pass otherwise; with ``max_window_bytes`` also set, a
-        circuit too large for any shard streams level-window by
-        level-window under that budget instead of running one unbounded
-        pass — labels bit-identical either way), inferred shard by shard, and
-        post-processed per circuit — in ``postprocess_workers`` worker
-        processes overlapped with the next shard's inference when > 0
+        LRU cache, and planned as a list of steps: block-diagonal merges
+        (each kept under ``max_shard_bytes`` of estimated inference memory
+        when set; one merge otherwise), each run through one window plan.
+        A merge runs as a single full-graph window; with
+        ``max_window_bytes`` also set, a circuit too large for any merge
+        streams level-window by level-window under that budget instead of
+        running one unbounded pass — labels bit-identical either way.
+        Every circuit is then post-processed — in ``postprocess_workers``
+        worker processes overlapped with the next step's inference when > 0
         (``None``, the default, auto-sizes from ``os.cpu_count()`` and the
         batch's circuit sizes; small batches stay in-process).
         Returns a :class:`repro.serve.BatchReasoningOutcome` — a sequence
@@ -213,11 +214,7 @@ class Gamora:
         built service (and its caches) persists across calls and is
         dropped on :meth:`fit`.
         """
-        from repro.serve import ReasoningService
-
-        if self._service is None:
-            self._service = ReasoningService(self)
-        return self._service.reason_many(
+        return self._serving().reason_many(
             circuits, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
             max_shard_bytes=max_shard_bytes,
@@ -227,17 +224,20 @@ class Gamora:
         )
 
     def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
-        """Batched :meth:`predict`: one forward pass over all circuits."""
-        from repro.learn.data import batch_graphs, unbatch_predictions
+        """Batched :meth:`predict` through the serving layer's executor.
 
-        graphs = [self.prepare(c, with_labels=False) for c in circuits]
-        if not graphs:
-            return []
-        merged = graphs[0] if len(graphs) == 1 else batch_graphs(graphs)
-        predictions = self.inference_kernel().predict(
-            merged.features, merged.adjacency
-        )
-        return unbatch_predictions(predictions, [g.num_nodes for g in graphs])
+        Same plan and forward passes as :meth:`reason_many`, without the
+        post-processing; one label dict per input circuit, in input order.
+        """
+        return self._serving().predict_many(circuits)
+
+    def _serving(self):
+        """The lazily built :class:`repro.serve.ReasoningService`."""
+        from repro.serve import ReasoningService
+
+        if self._service is None:
+            self._service = ReasoningService(self)
+        return self._service
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:

@@ -103,6 +103,34 @@ class WindowPlan:
             f"(budget {self.max_window_bytes / 1024 ** 2:.1f}MiB)"
         )
 
+    @classmethod
+    def one_window(cls, model, num_nodes: int, num_edges: int,
+                   training: bool = False) -> "WindowPlan":
+        """The degenerate plan whose single window is every node.
+
+        Needs only the graph's size, so a block-diagonal merge can be
+        planned before it is assembled.  Inference plans are priced with
+        :func:`~repro.learn.infer.estimate_inference_memory` (the
+        full-graph pass they run), training plans with the backward-pass
+        window model.  The budget is the window's own cost, so
+        ``within_budget`` holds.
+        """
+        from repro.learn.infer import (
+            estimate_inference_memory,
+            estimate_window_memory,
+        )
+
+        num_hops = model.config.num_layers
+        sizes = [num_nodes] * (num_hops + 1)
+        edges = [num_edges] * num_hops
+        if training:
+            cost = estimate_window_memory(model, sizes, edges, training=True)
+        else:
+            cost = estimate_inference_memory(model, num_nodes, num_edges)
+        window = Window(np.arange(num_nodes, dtype=np.int64), sizes, edges,
+                        int(cost))
+        return cls(num_nodes, num_hops, int(cost), [window])
+
 
 def halo_blocks(adjacency: sp.csr_matrix, targets: np.ndarray,
                 num_hops: int) -> list[np.ndarray]:
@@ -285,24 +313,17 @@ class GraphData:
     def full_window_plan(self, model, training: bool = False) -> WindowPlan:
         """The degenerate one-window plan: the whole graph as one window.
 
-        This is what the trainer runs when no byte budget is set — the
-        full-batch loop expressed as a trivial execution plan, so budgeted
-        and unbudgeted training share one epoch driver.  The budget is set
-        to the window's own estimated cost, so ``within_budget`` holds and
-        ``peak_window_bytes`` reports the full-batch footprint.
+        This is what the trainer runs when no byte budget is set, and what
+        the serving planner gives every packed block-diagonal merge — the
+        full-graph pass expressed as a trivial execution plan, so budgeted
+        and unbudgeted passes share one executor.  ``peak_window_bytes``
+        reports the full-graph footprint (see :meth:`WindowPlan.one_window`).
         """
-        from repro.learn.infer import estimate_window_memory
-
-        num_hops = model.config.num_layers
-        sizes = [self.num_nodes] * (num_hops + 1)
-        edges = [self.num_edges] * num_hops
-        cost = int(estimate_window_memory(model, sizes, edges,
-                                          training=training))
-        window = Window(np.arange(self.num_nodes, dtype=np.int64),
-                        sizes, edges, cost)
+        plan = WindowPlan.one_window(model, self.num_nodes, self.num_edges,
+                                     training=training)
         if training:
-            self._attach_training_slices(window)
-        return WindowPlan(self.num_nodes, num_hops, cost, [window])
+            self._attach_training_slices(plan.windows[0])
+        return plan
 
 
 def adjacency_operator(aig: AIG, direction: str = "in") -> sp.csr_matrix:

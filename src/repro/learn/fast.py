@@ -14,7 +14,9 @@ Two execution modes share the snapshot:
 * :meth:`FastInference.logits_streamed` / :meth:`~FastInference.predict_streamed`
   — the level-windowed pass over a :class:`~repro.learn.data.WindowPlan`:
   each window materializes only its targets plus the K-hop fan-in halo, so
-  peak activation memory follows the window budget instead of circuit size.
+  peak activation memory follows the window budget instead of circuit size;
+  a window covering every node runs the monolithic loop.  The serving
+  layer runs every forward pass this way.
 
 The streamed pass is **bit-identical** to the full-graph pass, which takes
 three invariants: the sub-CSR slice preserves per-row entry order (sparse
@@ -148,6 +150,11 @@ class FastInference:
         self rows gathered by ``searchsorted`` (blocks are sorted and
         nested).  The sub-CSR slice keeps the parent's per-row entry order,
         so every multiply-accumulate happens in the full-graph order.
+
+        A window that covers every node (the one-window plan) is the
+        full-graph pass itself and runs :meth:`logits` directly: its halo
+        is the whole graph, so gathering blocks and slicing sub-CSRs would
+        only copy what is already resident.
         """
         from repro.learn.data import halo_blocks, sub_adjacency
 
@@ -162,6 +169,9 @@ class FastInference:
                 f"features have {features.shape[0]}"
             )
         for window in plan.windows:
+            if window.num_targets == plan.num_nodes:
+                yield window.targets, self.logits(features, adjacency)
+                continue
             blocks = halo_blocks(adjacency, window.targets, len(self._convs))
             hidden = np.ascontiguousarray(features[blocks[0]], dtype=self.dtype)
             for j, (weight, bias, width) in enumerate(self._convs):

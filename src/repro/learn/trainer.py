@@ -39,7 +39,6 @@ from repro.learn.data import (
     GraphData,
     WindowPlan,
     batch_graphs,
-    unbatch_predictions,
 )
 from repro.learn.metrics import multitask_accuracy
 from repro.learn.model import GamoraNet, ModelConfig, encode_single_task
@@ -52,7 +51,6 @@ __all__ = [
     "train_model",
     "evaluate_model",
     "predict_labels",
-    "predict_labels_many",
     "plan_training_windows",
     "epoch_gradients",
     "save_checkpoint",
@@ -349,22 +347,6 @@ def train_model(train_graphs: list[GraphData] | GraphData,
 def predict_labels(model: GamoraNet, data: GraphData) -> dict[str, np.ndarray]:
     """Hard per-task predictions for every node of ``data``."""
     return model.predict(data.features, data.adjacency)
-
-
-def predict_labels_many(model: GamoraNet,
-                        graphs: list[GraphData]) -> list[dict[str, np.ndarray]]:
-    """Predictions for many graphs through one block-diagonal forward pass.
-
-    The graphs are merged block-diagonally, inferred in a single vectorized
-    pass, and the per-node predictions are split back out per graph (same
-    order as the input).  Label-identical to calling :func:`predict_labels`
-    per graph — the equivalence is covered by ``tests/test_serve_batching.py``.
-    """
-    if not graphs:
-        return []
-    merged = graphs[0] if len(graphs) == 1 else batch_graphs(graphs)
-    merged_predictions = predict_labels(model, merged)
-    return unbatch_predictions(merged_predictions, [g.num_nodes for g in graphs])
 
 
 def evaluate_model(model: GamoraNet, data: GraphData,

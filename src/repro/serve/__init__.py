@@ -1,18 +1,19 @@
-"""Serving layer: sharded, parallel, cached reasoning over trained Gamoras.
+"""Serving layer: planned, parallel, cached reasoning over trained Gamoras.
 
-``ReasoningService`` merges many circuits into block-diagonal shards that
-each stay under an explicit inference-memory budget (``max_shard_bytes``,
-planned by :func:`repro.serve.sharding.plan_shards` from the analytic
-memory model), deduplicates structurally identical requests, caches
-encodings and results in structural-hash keyed LRUs, and fans per-circuit
+``ReasoningService`` plans each batch with
+:func:`repro.serve.sharding.plan_shards` — a :class:`BatchPlan` of steps,
+each a block-diagonal merge under an explicit inference-memory budget
+(``max_shard_bytes``) plus the :class:`repro.learn.data.WindowPlan` that
+runs it — and executes every step through one streamed forward pass.  It
+deduplicates structurally identical requests, caches encodings and
+results in structural-hash keyed LRUs, and fans per-circuit
 post-processing out to worker processes (``postprocess_workers``, via
 :class:`repro.serve.workers.PostprocessPool`) overlapped with the next
-shard's forward pass.  Circuits too large for *any* shard are admitted
-anyway when ``max_window_bytes`` is set: their shards carry a
-:class:`repro.learn.data.WindowPlan` and the forward pass streams level
-window by level window — bit-identical labels, peak activation memory
-bounded by the window budget.  See :mod:`repro.serve.service` for the
-pipeline and caching semantics.
+step's forward pass.  Circuits too large for *any* merge are admitted
+anyway when ``max_window_bytes`` is set: their steps stream level window
+by level window — bit-identical labels, peak activation memory bounded
+by the window budget.  See :mod:`repro.serve.service` for the pipeline
+and caching semantics.
 
 On top of the batch service sits the always-on daemon
 (:mod:`repro.serve.daemon`): ``GamoraDaemon`` keeps the caches warm
@@ -55,7 +56,7 @@ from repro.serve.scheduler import (
     SchedulerClosedError,
 )
 from repro.serve.service import BatchReasoningOutcome, BatchStats, ReasoningService
-from repro.serve.sharding import Shard, ShardPlan, plan_shards
+from repro.serve.sharding import BatchPlan, PlanStep, plan_shards
 from repro.serve.workers import PostprocessPool, fork_available, resolve_workers
 
 __all__ = [
@@ -64,8 +65,8 @@ __all__ = [
     "BatchReasoningOutcome",
     "BatchStats",
     "ReasoningService",
-    "Shard",
-    "ShardPlan",
+    "BatchPlan",
+    "PlanStep",
     "plan_shards",
     "PostprocessPool",
     "fork_available",

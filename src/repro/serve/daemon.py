@@ -543,6 +543,12 @@ class DaemonServer:
         self._closing = True
         self._shutdown.set()
         if self._listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the join below is immediate.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -1,4 +1,4 @@
-"""Batched reasoning service: sharded forward passes, parallel extraction.
+"""Batched reasoning service: one planner, one executor, parallel extraction.
 
 :class:`ReasoningService` is the serving layer over a trained
 :class:`~repro.core.api.Gamora`.  A call to :meth:`reason_many` takes N
@@ -11,37 +11,39 @@ independent circuits and
 2. **encodes** the unique circuits to :class:`~repro.learn.data.GraphData`
    through a structural-hash LRU, so re-submitted structures skip feature
    and adjacency construction entirely;
-3. **plans shards** — when ``max_shard_bytes`` is set, the encoded graphs
-   are greedily bin-packed (:func:`repro.serve.sharding.plan_shards`) so
-   every block-diagonal merge stays under the analytic
-   :func:`~repro.learn.infer.estimate_inference_memory` budget; unbounded
-   batches run as one monolithic shard.  With ``max_window_bytes`` also
-   set, a circuit too large for *any* shard is admitted anyway: its
-   oversize shard carries a :class:`~repro.learn.data.WindowPlan` and runs
-   the level-windowed streamed forward pass with peak activation memory
-   bounded by the window budget — labels bit-identical to the full-graph
-   pass;
-4. **streams** each shard through assemble → infer (full-graph or
-   window-by-window), then hands the shard's per-circuit predictions to
-   the post-processing stage;
+3. **plans** the forward passes with :func:`repro.serve.sharding.plan_shards`:
+   a list of steps, each one block-diagonal merge plus one
+   :class:`~repro.learn.data.WindowPlan` over it.  Packed merges stay under
+   ``max_shard_bytes`` of analytic
+   :func:`~repro.learn.infer.estimate_inference_memory` and get the
+   one-window plan; a circuit too large for *any* merge gets a
+   level-windowed plan under ``max_window_bytes`` when that is set;
+4. **executes** every step the same way — assemble the merge, run
+   :meth:`~repro.learn.fast.FastInference.predict_streamed` over its plan
+   (a one-window plan is the full-graph pass, labels bit-identical either
+   way) — and hands the step's per-circuit predictions to post-processing.
+   A step that runs out of memory is re-planned at half its estimate and
+   rerun (:meth:`predict_many` uses the same executor without
+   post-processing);
 5. **post-processes in parallel** — with ``postprocess_workers > 0`` the
    per-circuit :func:`~repro.core.postprocess.extract_from_predictions`
    calls run in a fork-based :class:`~repro.serve.workers.PostprocessPool`
-   *while the next shard's forward pass executes* (pipeline overlap);
+   *while the next step's forward pass executes* (pipeline overlap);
    results are reassembled in input order, and any worker failure falls
    back to an in-process retry (counted in ``BatchStats.postprocess_fallbacks``).
 
 Scaling knobs
 -------------
 ``max_shard_bytes``
-    Peak estimated bytes one shard's inference may use.  ``None``
-    (default) disables sharding.  Circuits whose standalone estimate
-    exceeds the budget still run, each as its own oversize shard.
+    Peak estimated bytes one block-diagonal merge may use.  ``None``
+    (default) runs the whole batch as one step.  Circuits whose
+    standalone estimate exceeds the budget still run, each as its own
+    oversize step.
 ``max_window_bytes``
     Peak estimated bytes one *streaming window* may use.  ``None``
-    (default) keeps oversize shards on the unbounded full-graph pass;
-    set, every oversize shard streams level-window by level-window under
-    this budget (``BatchStats.streamed_graphs`` / ``num_windows`` /
+    (default) runs oversize steps as unbounded full-graph passes; set,
+    every oversize step streams level-window by level-window under this
+    budget (``BatchStats.streamed_graphs`` / ``num_windows`` /
     ``peak_window_bytes`` report what actually ran).
 ``postprocess_workers``
     Worker processes for extraction.  ``None`` (default) auto-sizes per
@@ -82,7 +84,7 @@ retrained model reloads its encodings while a different feature mode or
 direction invalidates them.  ``batch-reason --cache-dir`` wires both up
 (results at the directory root, graphs under ``graphs/``).
 
-The invariant that makes all of this safe — sharded/parallel/batched
+The invariant that makes all of this safe — planned/parallel/batched
 predictions are identical to sequential ones — is enforced by
 ``tests/test_serve_batching.py`` and ``tests/test_serve_sharding.py``.
 """
@@ -102,7 +104,7 @@ from repro.learn.data import GraphData, batch_graphs, build_graph_data, unbatch_
 from repro.reasoning.wordlevel import analyze_adder_trees
 from repro.serve import resilience
 from repro.serve.cache import StructuralHashCache, exact_fingerprint
-from repro.serve.sharding import ShardPlan, plan_shards
+from repro.serve.sharding import BatchPlan, plan_shards
 from repro.serve.workers import PostprocessPool
 from repro.utils.timing import Timer
 
@@ -306,36 +308,98 @@ class ReasoningService:
 
         return self.graph_cache.get_or_build(shash, fingerprint, build)
 
-    # ------------------------------------------------------------------
-    def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
-        """Per-node label predictions for each circuit, one forward pass.
-
-        Structurally identical circuits are encoded and inferred once; the
-        returned list still has one entry per input, in input order.
-        """
-        aigs = [_as_aig(c) for c in circuits]
-        if not aigs:
-            return []
+    def _encode_unique(self, circuits) -> tuple[list[GraphData], list[int]]:
+        """Encode each distinct circuit once; input ``i`` is ``slots[i]``."""
         unique: dict[tuple[str, str], int] = {}
         slots: list[int] = []
         datas: list[GraphData] = []
-        for aig in aigs:
+        for aig in (_as_aig(c) for c in circuits):
             key = _circuit_key(aig)
             if key not in unique:
                 unique[key] = len(datas)
                 datas.append(self._encode(aig, *key))
             slots.append(unique[key])
-        merged = datas[0] if len(datas) == 1 else batch_graphs(datas)
-        predictions = self.gamora.inference_kernel().predict(
-            merged.features, merged.adjacency
-        )
-        per_graph = unbatch_predictions(predictions, [d.num_nodes for d in datas])
-        return [per_graph[slot] for slot in slots]
+        return datas, slots
+
+    # ------------------------------------------------------------------
+    def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
+        """Per-node label predictions for each circuit, without extraction.
+
+        Runs :meth:`reason_many`'s planner and executor under the
+        service-wide budgets.  Structurally identical circuits are encoded
+        and inferred once; the returned list still has one independent
+        entry per input, in input order.
+        """
+        datas, slots = self._encode_unique(circuits)
+        kernel = self.gamora.inference_kernel()
+        plan = plan_shards(kernel, datas, self.max_shard_bytes,
+                           self.max_window_bytes)
+        per_graph: list = [None] * len(datas)
+        for step, step_labels, _, _ in self._run_plan(kernel, datas, plan,
+                                                      BatchStats()):
+            for data_index, labels in zip(step.indices, step_labels):
+                per_graph[data_index] = labels
+        served: set[int] = set()
+        predictions = []
+        for slot in slots:
+            labels = per_graph[slot]
+            if slot in served:  # duplicates get their own arrays
+                labels = {task: array.copy() for task, array in labels.items()}
+            served.add(slot)
+            predictions.append(labels)
+        return predictions
+
+    def _run_plan(self, kernel, datas: list[GraphData], plan: BatchPlan,
+                  stats: BatchStats):
+        """The one executor: run each step, yield its per-graph labels.
+
+        Yields ``(step, labels per member, seconds, degraded)`` in plan order
+        as each step finishes, so a consumer can overlap its own work with
+        the next step's forward pass.  A step that raises
+        :class:`MemoryError` is re-planned at half its estimate and rerun
+        (labels are bit-identical); a step already planned under a window
+        budget has nothing cheaper to fall back to, so its error propagates.
+        """
+        for step in plan:
+            members = [datas[i] for i in step.indices]
+            with Timer() as assemble_timer:
+                merged = members[0] if len(members) == 1 \
+                    else batch_graphs(members)
+            stats.assemble_seconds += assemble_timer.elapsed
+            stats.num_nodes += merged.num_nodes
+            stats.num_edges += merged.num_edges
+
+            window_plan, degraded = step.window_plan, False
+            with Timer() as infer_timer:
+                try:
+                    resilience.fire("infer.forward")  # chaos: OOM here
+                    labels = kernel.predict_streamed(
+                        merged.features, merged.adjacency, window_plan)
+                except MemoryError:
+                    if step.streamed:
+                        raise
+                    half = max(window_plan.peak_window_bytes // 2, 1)
+                    window_plan = plan_shards(
+                        kernel, [merged], half, half).steps[0].window_plan
+                    labels = kernel.predict_streamed(
+                        merged.features, merged.adjacency, window_plan)
+                    degraded = True
+                    stats.degraded_shards += 1
+            stats.inference_seconds += infer_timer.elapsed
+            if step.streamed or degraded:
+                stats.streamed_graphs += len(step)
+                stats.num_windows += window_plan.num_windows
+                stats.peak_window_bytes = max(stats.peak_window_bytes,
+                                              window_plan.peak_window_bytes)
+            yield (step,
+                   unbatch_predictions(labels,
+                                       [d.num_nodes for d in members]),
+                   infer_timer.elapsed, degraded)
 
     # ------------------------------------------------------------------
     def plan(self, circuits, max_shard_bytes=_UNSET,
-             max_window_bytes=_UNSET) -> ShardPlan:
-        """Shard plan for ``circuits`` without running inference.
+             max_window_bytes=_UNSET) -> BatchPlan:
+        """The batch plan for ``circuits`` without running inference.
 
         Encodes through the graph LRU (so planning a batch warms the same
         cache serving it would) and packs the unique structures against the
@@ -349,14 +413,7 @@ class ReasoningService:
             max_shard_bytes = self.max_shard_bytes
         if max_window_bytes is _UNSET:
             max_window_bytes = self.max_window_bytes
-        aigs = [_as_aig(c) for c in circuits]
-        seen: set[tuple[str, str]] = set()
-        datas: list[GraphData] = []
-        for aig in aigs:
-            key = _circuit_key(aig)
-            if key not in seen:
-                seen.add(key)
-                datas.append(self._encode(aig, *key))
+        datas, _ = self._encode_unique(circuits)
         return plan_shards(self.gamora.inference_kernel(), datas,
                            max_shard_bytes, max_window_bytes)
 
@@ -473,7 +530,7 @@ class ReasoningService:
                         postprocess_workers: int | None,
                         engine: str = "fast",
                         with_report: bool = False) -> None:
-        """Encode → plan → stream shards → parallel-extract → reassemble."""
+        """Encode → plan → run steps → parallel-extract → reassemble."""
         graph_hits_before = self.graph_cache.hits
         with Timer() as encode_timer:
             datas = [
@@ -491,15 +548,12 @@ class ReasoningService:
         stats.oversize_shards = plan.num_oversize
 
         # Alignment: pending's insertion order == datas' order; handles,
-        # labels, and inference shares are indexed the same way so results
-        # reassemble in input order no matter how the packer grouped them.
+        # labels, and how each forward pass ran are indexed the same way so
+        # results reassemble in input order however the planner grouped them.
         keys = list(pending)
         handles: list = [None] * len(datas)
         per_labels: list = [None] * len(datas)
-        infer_shares: list[float] = [0.0] * len(datas)
-        shard_of: list[int] = [0] * len(datas)  # shard ordinal per circuit
-        streamed_of: list[bool] = [False] * len(datas)  # ran windowed?
-        degraded_of: list[bool] = [False] * len(datas)  # OOM fallback?
+        ran: list = [None] * len(datas)  # per-circuit outcome fields
 
         # Workload hints for auto-sizing (postprocess_workers=None): one
         # worker per unique circuit, in-process when the batch is tiny.
@@ -509,71 +563,18 @@ class ReasoningService:
         with PostprocessPool(postprocess_workers, num_payloads=len(pending),
                              total_ands=total_ands) as pool:
             stats.postprocess_workers = pool.workers
-            for shard_index, shard in enumerate(plan):
-                shard_datas = [datas[i] for i in shard.indices]
-                with Timer() as assemble_timer:
-                    merged = (
-                        shard_datas[0] if len(shard_datas) == 1
-                        else batch_graphs(shard_datas)
-                    )
-                stats.assemble_seconds += assemble_timer.elapsed
-                stats.num_nodes += merged.num_nodes
-                stats.num_edges += merged.num_edges
-
-                shard_degraded = False
-                window_plan = shard.window_plan
-                with Timer() as infer_timer:
-                    try:
-                        resilience.fire("infer.forward")  # chaos: OOM here
-                        if window_plan is not None:
-                            # Oversize circuit admitted as a streaming job:
-                            # window-by-window pass, bit-identical labels,
-                            # peak activation memory bounded by the plan.
-                            merged_labels = kernel.predict_streamed(
-                                merged.features, merged.adjacency,
-                                window_plan,
-                            )
-                        else:
-                            merged_labels = kernel.predict(
-                                merged.features, merged.adjacency
-                            )
-                    except MemoryError:
-                        if window_plan is not None:
-                            # Already at the bottom of the degradation
-                            # ladder (full -> streamed -> error): the
-                            # windowed pass itself could not fit.
-                            raise
-                        # Degrade, don't die: re-run the same shard
-                        # level-windowed at half its estimated footprint.
-                        # Labels are bit-identical to the full pass.
-                        window_plan = merged.window_plan(
-                            max(shard.estimated_bytes // 2, 1), kernel
-                        )
-                        merged_labels = kernel.predict_streamed(
-                            merged.features, merged.adjacency, window_plan
-                        )
-                        shard_degraded = True
-                        stats.degraded_shards += 1
-                stats.inference_seconds += infer_timer.elapsed
-                if window_plan is not None:
-                    stats.streamed_graphs += len(shard.indices)
-                    stats.num_windows += window_plan.num_windows
-                    stats.peak_window_bytes = max(
-                        stats.peak_window_bytes,
-                        window_plan.peak_window_bytes,
-                    )
-                shard_labels = unbatch_predictions(
-                    merged_labels, [d.num_nodes for d in shard_datas]
-                )
-                share = infer_timer.elapsed / len(shard.indices)
-                # Queue this shard's extractions; with workers they run
-                # while the next shard's forward pass executes above.
-                for data_index, labels in zip(shard.indices, shard_labels):
+            for step_index, (step, step_labels, seconds, degraded) in \
+                    enumerate(self._run_plan(kernel, datas, plan, stats)):
+                # Queue this step's extractions; with workers they run
+                # while the next step's forward pass executes.
+                for data_index, labels in zip(step.indices, step_labels):
                     per_labels[data_index] = labels
-                    infer_shares[data_index] = share
-                    shard_of[data_index] = shard_index
-                    streamed_of[data_index] = window_plan is not None
-                    degraded_of[data_index] = shard_degraded
+                    ran[data_index] = {
+                        "inference_seconds": seconds / len(step),
+                        "shard_index": step_index,
+                        "streamed": step.streamed or degraded,
+                        "degraded": degraded,
+                    }
                     handles[data_index] = pool.submit(
                         aigs[pending[keys[data_index]][0]], labels,
                         root_filter, correct_lsb, lsb_outputs, engine,
@@ -629,12 +630,8 @@ class ReasoningService:
                         outcome_report = copy.deepcopy(report)
                     outcomes[position] = ReasoningOutcome(
                         extraction=outcome_extraction, labels=outcome_labels,
-                        inference_seconds=infer_shares[data_index],
                         postprocess_seconds=post_seconds,
-                        report=outcome_report,
-                        shard_index=shard_of[data_index],
-                        streamed=streamed_of[data_index],
-                        degraded=degraded_of[data_index],
+                        report=outcome_report, **ran[data_index],
                     )
             stats.postprocess_fallbacks = pool.fallbacks
             stats.postprocess_restarts = pool.restarts

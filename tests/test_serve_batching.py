@@ -22,7 +22,12 @@ from repro.generators import (
     multiply_accumulate,
     squarer,
 )
-from repro.learn import TrainConfig, predict_labels_many, unbatch_predictions
+from repro.learn import (
+    TrainConfig,
+    batch_graphs,
+    estimate_batch_memory,
+    unbatch_predictions,
+)
 from repro.serve import ReasoningService
 
 # Small circuits keep per-example reasoning fast; the mix intentionally
@@ -107,6 +112,29 @@ class TestBatchedEquivalence:
             solo = gamora.predict(circuit)
             for task in solo:
                 np.testing.assert_array_equal(predictions[task], solo[task])
+
+    def test_predict_many_streams_and_dedups_like_predict(self, gamora):
+        """Duplicates and a streamed circuit under a service budget: every
+        entry equals per-circuit predict and owns its arrays."""
+        circuits = [csa_multiplier(5), booth_multiplier(3), csa_multiplier(5)]
+        kernel = gamora.inference_kernel()
+        sizes = [estimate_batch_memory(kernel, [gamora.prepare(c, False)])
+                 for c in circuits]
+        gamora._service = ReasoningService(
+            gamora, max_shard_bytes=max(sizes) - 1,
+            max_window_bytes=max(sizes) // 8,
+        )
+        try:
+            assert gamora._service.plan(circuits).num_streamed == 1
+            batched = gamora.predict_many(circuits)
+        finally:
+            gamora._service = None
+        assert len(batched) == len(circuits)
+        for circuit, predictions in zip(circuits, batched):
+            solo = gamora.predict(circuit)
+            for task in solo:
+                np.testing.assert_array_equal(predictions[task], solo[task])
+        assert batched[0]["root"] is not batched[2]["root"]
 
     def test_empty_batch(self, gamora):
         batch = gamora.reason_many([])
@@ -271,7 +299,10 @@ class TestUnbatchPredictions:
             gamora.prepare(c, with_labels=False)
             for c in (csa_multiplier(3), csa_multiplier(4))
         ]
-        split = predict_labels_many(gamora.net, graphs)
+        merged = batch_graphs(graphs)
+        predictions = gamora.inference_kernel().predict(merged.features,
+                                                        merged.adjacency)
+        split = unbatch_predictions(predictions, merged.sizes)
         assert len(split) == 2
         for graph, predictions in zip(graphs, split):
             for task, array in predictions.items():
@@ -282,5 +313,5 @@ class TestUnbatchPredictions:
         with pytest.raises(ValueError):
             unbatch_predictions(predictions, [2, 2])
 
-    def test_empty_graph_list(self, gamora):
-        assert predict_labels_many(gamora.net, []) == []
+    def test_empty_graph_list(self):
+        assert unbatch_predictions({}, []) == []

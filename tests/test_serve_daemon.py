@@ -21,6 +21,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +481,20 @@ class TestSocketProtocol:
             server.close()
             daemon.close()
 
+    def test_idle_server_closes_promptly(self, gamora, tmp_path):
+        """close() must wake the accept thread without a client connecting."""
+        socket_path = tmp_path / "gamora.sock"
+        daemon = GamoraDaemon(gamora, batch_window_ms=1).start()
+        server = DaemonServer(daemon, socket_path).start()
+        try:
+            time.sleep(0.1)  # let the accept thread block in accept()
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 1.0
+            assert not socket_path.exists()
+        finally:
+            daemon.close()
+
     def test_shutdown_op_releases_serve_forever(self, gamora, circuits,
                                                 tmp_path):
         socket_path = tmp_path / "gamora.sock"
@@ -545,6 +560,63 @@ class TestServeCli:
         assert "spilled" in out
         assert (run_dir / "cli-0" / "stats.json").is_file()
         assert (cache_dir / "MODEL.tag").is_file()
+
+    @pytest.mark.slow
+    def test_serve_subprocess_streams_oversize_circuit(self, gamora,
+                                                       tmp_path):
+        """A circuit larger than any shard budget is admitted by a real
+        ``python -m repro serve`` process and streamed under the window
+        budget, with the same answer as sequential ``reason``."""
+        import subprocess
+        import sys
+
+        import repro
+
+        model_path = tmp_path / "model.npz"
+        gamora.save(model_path)
+        socket_path = tmp_path / "gamora.sock"
+        run_dir = tmp_path / "runs"
+        aig = csa_multiplier(12).aig
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(model_path),
+             "--socket", str(socket_path), "--max-shard-bytes", "400000",
+             "--max-window-bytes", "100000", "--run-dir", str(run_dir)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not socket_path.exists() and time.monotonic() < deadline:
+                assert process.poll() is None, process.stdout.read()
+                time.sleep(0.05)
+            with SocketDaemonClient(socket_path, timeout=300) as client:
+                response = client.reason(aig, request_id="stream-0")
+                client.shutdown()
+            assert process.wait(timeout=120) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert response["ok"], response  # admitted despite the budget
+        stats = response["stats"]
+        assert stats["streamed"] is True, stats
+        batch = stats["batch_stats"]
+        assert batch["streamed_graphs"] == 1, batch
+        assert batch["num_windows"] > 1, batch
+        assert 0 < batch["peak_window_bytes"] <= 100000, batch
+        record = json.loads(
+            (run_dir / "stream-0" / "stats.json").read_text())
+        assert record["streamed"] is True, record
+        assert record["batch_stats"]["peak_window_bytes"] <= 100000, record
+        sequential = Gamora.load(model_path).reason(aig)
+        result = response["result"]
+        assert result["num_full_adders"] == sequential.tree.num_full_adders
+        assert result["num_half_adders"] == sequential.tree.num_half_adders
+        assert result["num_mismatches"] == sequential.num_mismatches
 
     def test_serve_unusable_cache_dir_is_clean_error(self, gamora, tmp_path,
                                                      capsys):

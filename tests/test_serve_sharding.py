@@ -81,9 +81,9 @@ class TestShardPlanner:
     def test_no_budget_is_single_shard(self, gamora, zoo_graphs):
         plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=None)
         assert len(plan) == 1
-        assert sorted(plan.shards[0].indices) == list(range(len(zoo_graphs)))
-        assert plan.shards[0].num_nodes == sum(g.num_nodes for g in zoo_graphs)
-        assert not plan.shards[0].oversize
+        assert sorted(plan.steps[0].indices) == list(range(len(zoo_graphs)))
+        assert plan.steps[0].window_plan.num_nodes == sum(g.num_nodes for g in zoo_graphs)
+        assert plan.num_oversize == 0
         assert plan_shards(gamora.net, zoo_graphs, max_shard_bytes=0).max_shard_bytes is None
 
     def test_empty_input(self, gamora):
@@ -94,13 +94,13 @@ class TestShardPlanner:
         budget = max(standalone) + min(standalone) // 2
         plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
         assert len(plan) > 1  # the budget genuinely splits this batch
-        covered = sorted(i for shard in plan for i in shard.indices)
+        covered = sorted(i for step in plan for i in step.indices)
         assert covered == list(range(len(zoo_graphs)))  # exact partition
-        for shard in plan:
-            assert not shard.oversize
-            assert shard.estimated_bytes <= budget
-            assert shard.estimated_bytes == estimate_batch_memory(
-                gamora.net, [zoo_graphs[i] for i in shard.indices]
+        assert plan.num_oversize == 0
+        for step in plan:
+            assert step.window_plan.peak_window_bytes <= budget
+            assert step.window_plan.peak_window_bytes == estimate_batch_memory(
+                gamora.net, [zoo_graphs[i] for i in step.indices]
             )
         assert plan.peak_shard_bytes <= budget
 
@@ -109,7 +109,7 @@ class TestShardPlanner:
         plan = plan_shards(gamora.net, zoo_graphs,
                            max_shard_bytes=min(standalone) - 1)
         assert len(plan) == len(zoo_graphs)
-        assert all(shard.oversize and len(shard) == 1 for shard in plan)
+        assert all(len(step) == 1 for step in plan)
         assert plan.num_oversize == len(zoo_graphs)
         assert "oversize" in plan.summary()
 
@@ -118,12 +118,41 @@ class TestShardPlanner:
         # Budget admits everything but the largest graph.
         budget = sorted(standalone)[-2] + 1
         plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        oversized = [shard for shard in plan if shard.oversize]
+        oversized = [step for step in plan
+                     if step.window_plan.peak_window_bytes > budget]
         assert len(oversized) == 1
+        assert plan.num_oversize == 1
         assert standalone[oversized[0].indices[0]] == max(standalone)
-        for shard in plan:
-            if not shard.oversize:
-                assert shard.estimated_bytes <= budget
+
+    @pytest.mark.parametrize("shard_div,window_div", [(1, 4), (2, 8), (4, 16)])
+    def test_every_step_is_a_bounded_window_plan(self, gamora, zoo_graphs,
+                                                 shard_div, window_div):
+        """Both budgets set: an exact partition into steps, packed steps
+        under the shard budget, streamed steps singletons."""
+        kernel = gamora.inference_kernel()
+        standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
+        shard_budget = max(standalone) // shard_div
+        plan = plan_shards(kernel, zoo_graphs, shard_budget,
+                           max(standalone) // window_div)
+        covered = sorted(i for step in plan for i in step.indices)
+        assert covered == list(range(len(zoo_graphs)))
+        for step in plan:
+            assert step.indices == sorted(step.indices)
+            if step.streamed:
+                assert len(step) == 1
+                assert standalone[step.indices[0]] > shard_budget
+            else:
+                assert step.window_plan.peak_window_bytes <= shard_budget
+        assert plan.num_streamed == sum(s > shard_budget for s in standalone)
+
+    def test_summary_flags_unsatisfiable_window_budget(self, gamora,
+                                                       zoo_graphs):
+        kernel = gamora.inference_kernel()
+        assert "OVER BUDGET" not in plan_shards(kernel, zoo_graphs).summary()
+        plan = plan_shards(kernel, zoo_graphs, max_shard_bytes=1,
+                           max_window_bytes=1)
+        assert plan.num_streamed == len(zoo_graphs)
+        assert plan.summary().endswith(" — OVER BUDGET")
 
     def test_service_plan_uses_configured_budget(self, gamora, zoo_graphs):
         """plan() must predict what reason_many actually executes."""

@@ -128,6 +128,24 @@ class TestBitIdentity:
         assert plan.num_windows == 1
         assert_bit_identical(kernel, data, plan)
 
+    def test_full_window_plan_skips_halo_blocks(self, kernel, monkeypatch):
+        """The one-window plan runs the full-graph loop: no halo gathers."""
+        import repro.learn.data as data_module
+
+        calls = []
+        original = data_module.halo_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(data_module, "halo_blocks", counting)
+        data = build_graph_data(csa_multiplier(6).aig, with_labels=False)
+        plan = data.full_window_plan(kernel)
+        assert plan.peak_window_bytes == full_budget(kernel, data)
+        assert_bit_identical(kernel, data, plan)
+        assert calls == []
+
     def test_degenerate_one_level_graph(self, kernel):
         """All-PI circuit: every node is level 0 and there are no edges."""
         aig = AIG(name="wires")
