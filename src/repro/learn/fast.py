@@ -141,6 +141,25 @@ class FastInference:
             for task, (weight, bias, width) in self._heads.items()
         }
 
+    def _check_plan(self, features: np.ndarray, plan) -> bool:
+        """Reject a plan built for another model or graph.
+
+        Returns whether ``plan`` is the one-window plan (a single window
+        covering every node).
+        """
+        if plan.num_hops != len(self._convs):
+            raise ValueError(
+                f"plan was built for {plan.num_hops} conv layers, "
+                f"kernel has {len(self._convs)}"
+            )
+        if plan.num_nodes != features.shape[0]:
+            raise ValueError(
+                f"plan covers {plan.num_nodes} nodes, "
+                f"features have {features.shape[0]}"
+            )
+        return (plan.num_windows == 1
+                and plan.windows[0].num_targets == plan.num_nodes)
+
     def _window_logits(self, features: np.ndarray, adjacency: sp.spmatrix,
                        plan):
         """Yield ``(targets, head_logits)`` per window of ``plan``.
@@ -158,16 +177,7 @@ class FastInference:
         """
         from repro.learn.data import halo_blocks, sub_adjacency
 
-        if plan.num_hops != len(self._convs):
-            raise ValueError(
-                f"plan was built for {plan.num_hops} conv layers, "
-                f"kernel has {len(self._convs)}"
-            )
-        if plan.num_nodes != features.shape[0]:
-            raise ValueError(
-                f"plan covers {plan.num_nodes} nodes, "
-                f"features have {features.shape[0]}"
-            )
+        self._check_plan(features, plan)
         for window in plan.windows:
             if window.num_targets == plan.num_nodes:
                 yield window.targets, self.logits(features, adjacency)
@@ -224,7 +234,10 @@ class FastInference:
 
         Logits are reduced to labels inside each window, so the resident
         footprint is one window's halo plus the ``N``-length label arrays.
+        The one-window plan is :meth:`predict` itself, with no scatter.
         """
+        if self._check_plan(features, plan):
+            return self.predict(features, adjacency)
         num_nodes = features.shape[0]
         if self.single_task:
             single = np.empty(num_nodes, dtype=np.intp)

@@ -309,11 +309,20 @@ class ReasoningService:
         return self.graph_cache.get_or_build(shash, fingerprint, build)
 
     def _encode_unique(self, circuits) -> tuple[list[GraphData], list[int]]:
-        """Encode each distinct circuit once; input ``i`` is ``slots[i]``."""
+        """Encode each distinct circuit once; input ``i`` is ``slots[i]``.
+
+        A :class:`GraphData` input is already encoded (as
+        :meth:`Gamora.predict` accepts it) and is used as is, without dedup.
+        """
         unique: dict[tuple[str, str], int] = {}
         slots: list[int] = []
         datas: list[GraphData] = []
-        for aig in (_as_aig(c) for c in circuits):
+        for circuit in circuits:
+            if isinstance(circuit, GraphData):
+                slots.append(len(datas))
+                datas.append(circuit)
+                continue
+            aig = _as_aig(circuit)
             key = _circuit_key(aig)
             if key not in unique:
                 unique[key] = len(datas)

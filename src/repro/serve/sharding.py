@@ -143,16 +143,16 @@ def plan_shards(model, graphs: list[GraphData],
         order = sorted(range(len(graphs)), key=lambda i: (-standalone[i], i))
         for index in order:
             graph = graphs[index]
-            if standalone[index] > max_shard_bytes:
-                if max_window_bytes is None:
-                    plan.steps.append(
-                        PlanStep([index], graph.full_window_plan(model)))
-                else:
-                    plan.steps.append(PlanStep(
-                        [index], graph.window_plan(max_window_bytes, model),
-                        streamed=True,
-                    ))
+            if standalone[index] > max_shard_bytes \
+                    and max_window_bytes is not None:
+                plan.steps.append(PlanStep(
+                    [index], graph.window_plan(max_window_bytes, model),
+                    streamed=True,
+                ))
                 continue
+            # An oversize graph without a window budget falls through: the
+            # estimate is monotone, so nothing can join its merge and it
+            # becomes a singleton one-window step.
             for merge in packed:
                 nodes = merge[1] + graph.num_nodes
                 edges = merge[2] + graph.num_edges

@@ -136,6 +136,17 @@ class TestBatchedEquivalence:
                 np.testing.assert_array_equal(predictions[task], solo[task])
         assert batched[0]["root"] is not batched[2]["root"]
 
+    def test_predict_many_accepts_encoded_graphs(self, gamora):
+        """Like predict, predict_many takes already-encoded GraphData,
+        alone or mixed with circuits."""
+        circuit = csa_multiplier(4)
+        encoded = gamora.prepare(circuit, with_labels=False)
+        solo = gamora.predict(circuit)
+        assert len(gamora.predict_many([encoded])) == 1
+        for batched in gamora.predict_many([encoded, circuit, encoded]):
+            for task in solo:
+                np.testing.assert_array_equal(batched[task], solo[task])
+
     def test_empty_batch(self, gamora):
         batch = gamora.reason_many([])
         assert len(batch) == 0
