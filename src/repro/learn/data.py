@@ -108,17 +108,12 @@ class WindowPlan:
                    training: bool = False) -> "WindowPlan":
         """The degenerate plan whose single window is every node.
 
-        Needs only the graph's size, so a block-diagonal merge can be
-        planned before it is assembled.  Inference plans are priced with
-        :func:`~repro.learn.infer.estimate_inference_memory` (the
-        full-graph pass they run), training plans with the backward-pass
-        window model.  The budget is the window's own cost, so
-        ``within_budget`` holds.
+        Needs only the graph's size, so a merge can be planned before it is
+        assembled.  Inference plans are priced as the full-graph pass they
+        run, training plans with the backward-pass window model; the budget
+        is the window's own cost, so ``within_budget`` holds.
         """
-        from repro.learn.infer import (
-            estimate_inference_memory,
-            estimate_window_memory,
-        )
+        from repro.learn.infer import estimate_inference_memory, estimate_window_memory
 
         num_hops = model.config.num_layers
         sizes = [num_nodes] * (num_hops + 1)

@@ -142,11 +142,7 @@ class FastInference:
         }
 
     def _check_plan(self, features: np.ndarray, plan) -> bool:
-        """Reject a plan built for another model or graph.
-
-        Returns whether ``plan`` is the one-window plan (a single window
-        covering every node).
-        """
+        """Reject a foreign plan; True for the one-window (all-node) plan."""
         if plan.num_hops != len(self._convs):
             raise ValueError(
                 f"plan was built for {plan.num_hops} conv layers, "
@@ -170,10 +166,8 @@ class FastInference:
         nested).  The sub-CSR slice keeps the parent's per-row entry order,
         so every multiply-accumulate happens in the full-graph order.
 
-        A window that covers every node (the one-window plan) is the
-        full-graph pass itself and runs :meth:`logits` directly: its halo
-        is the whole graph, so gathering blocks and slicing sub-CSRs would
-        only copy what is already resident.
+        A window covering every node runs :meth:`logits` directly: its halo
+        is the whole graph, so blocks and sub-CSRs would only copy it.
         """
         from repro.learn.data import halo_blocks, sub_adjacency
 

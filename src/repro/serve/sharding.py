@@ -150,9 +150,8 @@ def plan_shards(model, graphs: list[GraphData],
                     streamed=True,
                 ))
                 continue
-            # An oversize graph without a window budget falls through: the
-            # estimate is monotone, so nothing can join its merge and it
-            # becomes a singleton one-window step.
+            # Oversize without a window budget: the estimate is monotone, so
+            # its merge below stays a singleton.
             for merge in packed:
                 nodes = merge[1] + graph.num_nodes
                 edges = merge[2] + graph.num_edges
