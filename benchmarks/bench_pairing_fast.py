@@ -1,12 +1,14 @@
 """Array-shaped FA/HA pairing vs the legacy per-root extraction loop.
 
 PR 3 vectorized cut enumeration and NPN matching, which left
-``extract_adder_tree`` — bipartite matching, per-adder ``_cone_between``
+``extract_adder_tree`` — bipartite matching, per-adder ``cone_between``
 DFS, per-call carry-pool rebuild — as the dominant per-root Python loop on
 the post-processing hot path.  This series isolates exactly that stage:
-both engines receive the *same* precomputed detection (the fast cut sweep,
-bit-identical to legacy), so the timings compare pairing implementations,
-nothing else, on growing CSA multipliers.
+``extract_adder_tree`` and the legacy per-root loop kept in
+``tests/oracles/`` receive the *same* precomputed detection (the fast cut
+sweep, bit-identical to legacy), so the timings compare pairing
+implementations, nothing else, on growing CSA multipliers.  Run from the
+repo root so ``tests`` imports.
 
 Claims asserted:
 
@@ -34,6 +36,7 @@ from common import (
 )
 from repro.reasoning import detect_xor_maj, extract_adder_tree
 from repro.utils.timing import Timer, format_seconds
+from tests import oracles
 
 WIDTHS = (16, 32, 64, 96) if FULL else (16, 32, 64)
 
@@ -51,12 +54,12 @@ def _time_engines(aig, detection, rounds: int = 3):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy = extract_adder_tree(aig, detection, engine="legacy")
+            legacy = oracles.extract_adder_tree(aig, detection)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast = extract_adder_tree(aig, detection, engine="fast")
+            fast = extract_adder_tree(aig, detection)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.adders == legacy.adders
     assert fast.consumed == legacy.consumed
@@ -163,6 +166,6 @@ def test_smoke_fast_pairing_speedup(benchmark):
 def test_pairing_fast_kernel(benchmark):
     aig, detection = _prepared(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: extract_adder_tree(aig, detection, engine="fast"),
+        lambda: extract_adder_tree(aig, detection),
         rounds=3, iterations=1,
     )

@@ -3,10 +3,10 @@
 Post-processing (cut verification + adder-tree extraction) is the ~30:1
 dominant serving cost; PR 2 parallelized it, this PR makes it faster.  The
 series measures :func:`repro.core.postprocess.extract_from_predictions`
-with ``engine="fast"`` (one vectorized whole-graph cut sweep shared by LSB
-repair and candidate verification) against ``engine="legacy"`` (per-node
-``node_cuts`` re-derivation around every flagged candidate), on growing
-CSA multipliers.
+(one vectorized whole-graph cut sweep shared by LSB repair and candidate
+verification) against the legacy baseline kept in ``tests/oracles/``
+(per-node ``node_cuts`` re-derivation around every flagged candidate), on
+growing CSA multipliers.  Run from the repo root so ``tests`` imports.
 
 Labels are the exact ground truth — deterministic, model-free, and on
 multipliers essentially identical to what a trained Gamora predicts — so
@@ -28,6 +28,7 @@ from common import FULL, bench_multiplier, emit, format_table, keep_under_benchm
 from repro.core.postprocess import extract_from_predictions
 from repro.reasoning.adder_tree import ground_truth_labels
 from repro.utils.timing import Timer, format_seconds
+from tests import oracles
 
 WIDTHS = (8, 16, 32, 48) if FULL else (8, 16, 32)
 
@@ -43,12 +44,12 @@ def _time_engines(aig, labels, rounds: int = 2):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy = extract_from_predictions(aig, labels, engine="legacy")
+            legacy = oracles.extract_from_predictions(aig, labels)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast = extract_from_predictions(aig, labels, engine="fast")
+            fast = extract_from_predictions(aig, labels)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.tree.adders == legacy.tree.adders
     assert fast.num_mismatches == legacy.num_mismatches
@@ -132,6 +133,6 @@ def test_smoke_fast_engine_speedup(benchmark):
 def test_postprocess_fast_kernel(benchmark):
     aig, labels = _labels_for(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: extract_from_predictions(aig, labels, engine="fast"),
+        lambda: extract_from_predictions(aig, labels),
         rounds=3, iterations=1,
     )

@@ -5,10 +5,11 @@ path still stitched the stages together through ``XorMajDetection`` dict
 builds and walked the extracted tree with per-adder Python loops to
 produce the word-level report (the paper's Sec. II-B payoff).  This series
 measures the whole post-GNN path — ``extract_from_predictions`` straight
-through ``analyze_adder_tree`` — with ``engine="fast"`` (candidate arrays
-end to end, zero detection dicts, Kahn-wavefront ranks) against
-``engine="legacy"`` (per-node cut re-derivation, dict pairing, per-adder
-report walk), on growing CSA multipliers.
+through ``analyze_adder_tree`` (candidate arrays end to end, zero
+detection dicts, Kahn-wavefront ranks) against the legacy baseline kept in
+``tests/oracles/`` (per-node cut re-derivation, dict pairing, per-adder
+report walk), on growing CSA multipliers.  Run from the repo root so
+``tests`` imports.
 
 Labels are the exact ground truth — deterministic, model-free, and on
 multipliers essentially identical to what a trained Gamora predicts — so
@@ -43,6 +44,7 @@ from repro.core.postprocess import extract_from_predictions
 from repro.reasoning import analyze_adder_tree
 from repro.reasoning.adder_tree import ground_truth_labels
 from repro.utils.timing import Timer, format_seconds
+from tests import oracles
 
 WIDTHS = (16, 32, 64, 96) if FULL else (16, 32, 64)
 
@@ -52,11 +54,10 @@ def _labels_for(width: int):
     return gen.aig, ground_truth_labels(gen.aig)
 
 
-def _run(aig, labels, engine: str):
+def _run(aig, labels, extract, analyze):
     """One reason→report pass: post-processing + word-level analysis."""
-    extraction = extract_from_predictions(aig, labels, engine=engine)
-    report = analyze_adder_tree(aig, extraction.tree, engine=engine)
-    return extraction, report
+    extraction = extract(aig, labels)
+    return extraction, analyze(aig, extraction.tree)
 
 
 def _time_engines(aig, labels, rounds: int = 2):
@@ -65,12 +66,15 @@ def _time_engines(aig, labels, rounds: int = 2):
     legacy_seconds = []
     for _ in range(rounds):
         with Timer() as legacy_timer:
-            legacy, legacy_report = _run(aig, labels, "legacy")
+            legacy, legacy_report = _run(aig, labels,
+                                         oracles.extract_from_predictions,
+                                         oracles.analyze_adder_tree)
         legacy_seconds.append(legacy_timer.elapsed)
     fast_seconds = []
     for _ in range(rounds):
         with Timer() as fast_timer:
-            fast, fast_report = _run(aig, labels, "fast")
+            fast, fast_report = _run(aig, labels, extract_from_predictions,
+                                     analyze_adder_tree)
         fast_seconds.append(fast_timer.elapsed)
     assert fast.tree.adders == legacy.tree.adders
     assert fast_report == legacy_report
@@ -182,6 +186,7 @@ def test_smoke_fast_wordlevel_speedup(benchmark):
 def test_wordlevel_fast_kernel(benchmark):
     aig, labels = _labels_for(WIDTHS[-1])
     benchmark.pedantic(
-        lambda: _run(aig, labels, "fast"),
+        lambda: _run(aig, labels, extract_from_predictions,
+                     analyze_adder_tree),
         rounds=3, iterations=1,
     )

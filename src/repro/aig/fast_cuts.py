@@ -16,20 +16,20 @@ slots per node (the ``+ 1`` is the trivial cut):
 ``leaves`` : ``(N, C, 3) int32``
     Cut leaves, ascending within each slot, padded with ``pad = num_vars``
     (an id no real variable can take).  Slot order is *identical* to the
-    legacy enumerator's list order: non-trivial cuts ranked by
+    Cut-object enumerator's list order: non-trivial cuts ranked by
     ``(size, leaves)``, dominance-filtered, truncated to ``max_cuts``, then
     the trivial cut ``(var,)`` last.
 ``truths`` : ``(N, C) uint8``
     Truth table of the root over the slot's leaves (root positive polarity),
     masked to the cut's ``2**size`` valid bits — numerically equal to the
-    legacy :attr:`Cut.truth` integer.
+    :attr:`Cut.truth` integer.
 ``sizes`` : ``(N, C) int8``
     Number of leaves per slot (0 for unused slots).
 ``counts`` : ``(N,) int32``
     Number of valid slots per node; PIs and the constant node have exactly
     their trivial cut.
 
-Equivalence with the legacy enumerator (same cuts, same truths, same slot
+Equivalence with the Cut-object enumerator (same cuts, same truths, same slot
 order, including truncation and dominance edge cases) is enforced by
 ``tests/test_fast_cuts.py``; the Cut-object API remains the differential
 oracle and the entry point for ``k > 3`` (technology mapping).
@@ -70,7 +70,7 @@ class CutArrays:
         return self.leaves.shape[0]
 
     def cuts_of(self, var: int) -> CutSet:
-        """Legacy ``list[Cut]`` adapter for one variable (slot order kept)."""
+        """``list[Cut]`` adapter for one variable (slot order kept)."""
         out: CutSet = []
         for slot in range(int(self.counts[var])):
             size = int(self.sizes[var, slot])
@@ -83,7 +83,7 @@ class CutArrays:
         return out
 
     def to_cutsets(self) -> list[CutSet]:
-        """Full conversion to the legacy per-variable cut lists."""
+        """Full conversion to Cut-object per-variable cut lists."""
         return [self.cuts_of(var) for var in range(self.num_vars)]
 
     def __repr__(self) -> str:
@@ -103,7 +103,7 @@ def enumerate_cuts_arrays(aig: AIG, k: int = 3, max_cuts: int = 8,
     :func:`repro.aig.cuts.enumerate_cuts` with the same parameters, but as
     :class:`CutArrays` and with all per-level work vectorized.  Only
     ``k ∈ {2, 3}`` is supported — larger cuts do not fit the uint8 truth
-    domain; use the legacy enumerator for those.
+    domain; use the Cut-object enumerator for those.
 
     ``pack_limit`` overrides the int64-packing threshold that triggers
     per-level leaf compaction on huge graphs (testing hook: a small value
@@ -134,8 +134,8 @@ def enumerate_cuts_arrays(aig: AIG, k: int = 3, max_cuts: int = 8,
     sizes = np.zeros((num_vars, slots), dtype=np.int8)
     counts = np.zeros(num_vars, dtype=np.int32)
 
-    # Constant node and PIs carry only their trivial cut (legacy behavior:
-    # the constant is treated as an opaque leaf variable).
+    # Constant node and PIs carry only their trivial cut (as in
+    # repro.aig.cuts: the constant is treated as an opaque leaf variable).
     boundary = np.arange(aig.num_inputs + 1)
     leaves[boundary, 0, 0] = boundary
     truths[boundary, 0] = TRIVIAL_TRUTH
@@ -196,7 +196,7 @@ def classify_cut_arrays(cuts: CutArrays) -> tuple[np.ndarray, np.ndarray]:
 
 def _collect_leaf_sets(cuts: CutArrays,
                        mask: np.ndarray) -> dict[int, list[tuple[int, ...]]]:
-    """Group a slot mask into the legacy ``var -> [leaf tuples]`` mapping."""
+    """Group a slot mask into the ``var -> [leaf tuples]`` detection mapping."""
     rows, slot = np.nonzero(mask)
     out: dict[int, list[tuple[int, ...]]] = {}
     if rows.size == 0:
@@ -211,10 +211,10 @@ def _collect_leaf_sets(cuts: CutArrays,
 def matched_leaf_sets(
     cuts: CutArrays,
 ) -> tuple[dict[int, list[tuple[int, ...]]], dict[int, list[tuple[int, ...]]]]:
-    """XOR- and MAJ-matching cuts of every node, in legacy detection shape.
+    """XOR- and MAJ-matching cuts of every node, in detection-dict shape.
 
     Returns ``(xor_sets, maj_sets)`` where each maps a root variable to its
-    matching leaf tuples in slot (= legacy list) order — the exact payload
+    matching leaf tuples in slot (= Cut-object list) order — the exact payload
     :class:`~repro.reasoning.xor_maj.XorMajDetection` stores.
     """
     is_xor, is_maj = classify_cut_arrays(cuts)

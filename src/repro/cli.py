@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="exact adder-tree extraction")
     extract.add_argument("netlist")
     extract.add_argument("--max-cuts", type=int, default=10)
-    extract.add_argument("--engine", choices=["fast", "legacy"],
-                         default="fast",
-                         help="vectorized sweep + array pairing (fast) or "
-                              "the per-node baseline (legacy)")
     extract.add_argument("--kernel", choices=["auto", "numpy", "numba"],
                          default=None,
                          help="hot-path kernel backend (default: REPRO_KERNEL "
@@ -115,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "after, so restarts keep their hit rate")
     batch.add_argument("--compare-sequential", action="store_true",
                        help="also run per-netlist reason() and report speedup")
-    batch.add_argument("--engine", choices=["fast", "legacy"], default="fast",
-                       help="post-processing engine (results cached per "
-                            "engine)")
     batch.add_argument("--kernel", choices=["auto", "numpy", "numba"],
                        default=None,
                        help="hot-path kernel backend (default: REPRO_KERNEL "
@@ -163,9 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for post-processing (default: "
                             "auto-size per batch; 0 forces in-process)")
-    serve.add_argument("--engine", choices=["fast", "legacy"], default="fast",
-                       help="default post-processing engine for requests "
-                            "that do not choose one")
     serve.add_argument("--no-report", action="store_true",
                        help="skip the batched word-level report (responses "
                             "carry report: null)")
@@ -241,22 +231,16 @@ def _select_kernel(args) -> None:
 
 
 def _cmd_extract(args) -> int:
-    from repro.reasoning import analyze_adder_tree, detect_xor_maj, extract_adder_tree
+    from repro.reasoning import analyze_adder_tree, extract_adder_tree
     from repro.utils.timing import Timer, format_seconds
 
     _select_kernel(args)
     aig = read_aiger(args.netlist)
     with Timer() as timer:
-        if args.engine == "fast":
-            # Dict-free path: one shared sweep feeds the array pairing and
-            # the word-level report directly.
-            tree = extract_adder_tree(aig, max_cuts=args.max_cuts,
-                                      engine="fast")
-        else:
-            detection = detect_xor_maj(aig, max_cuts=args.max_cuts,
-                                       engine=args.engine)
-            tree = extract_adder_tree(aig, detection, engine=args.engine)
-    report = analyze_adder_tree(aig, tree, engine=args.engine)
+        # Dict-free path: one shared sweep feeds the array pairing and the
+        # word-level report directly.
+        tree = extract_adder_tree(aig, max_cuts=args.max_cuts)
+    report = analyze_adder_tree(aig, tree)
     print(report.summary())
     print(f"extraction took {format_seconds(timer.elapsed)}")
     return 0
@@ -399,7 +383,7 @@ def _cmd_batch_reason(args) -> int:
         print(f"result cache: loaded {loaded} entries from {args.cache_dir}")
         graphs_loaded = service.load_graph_cache(Path(args.cache_dir) / "graphs")
         print(f"graph cache: loaded {graphs_loaded} entries")
-    batch = service.reason_many(aigs, engine=args.engine)
+    batch = service.reason_many(aigs)
     for aig, outcome in zip(aigs, batch):
         tree = outcome.tree
         print(
@@ -468,7 +452,6 @@ def _cmd_serve(args) -> int:
         max_shard_bytes=args.max_shard_bytes,
         max_window_bytes=args.max_window_bytes,
         postprocess_workers=args.postprocess_workers,
-        engine=args.engine,
         with_report=not args.no_report,
         default_deadline_ms=args.default_deadline_ms,
         watchdog_timeout_seconds=args.watchdog_timeout_s or None,

@@ -12,52 +12,40 @@ Predicted XOR/MAJ/root labels become an adder tree in three steps:
    exact reasoning re-runs on that small cone and overrides the labels,
    the "easily corrected during post-processing" step.
 
-Engines and the adapter boundary
---------------------------------
-The verification stage has two implementations:
+One engine and the adapter boundary
+-----------------------------------
+One vectorized whole-graph sweep (:mod:`repro.aig.fast_cuts`) computes
+every node's priority cuts, classifies them against the 256-entry XOR/MAJ
+LUTs, and keeps the result as
+:class:`~repro.reasoning.fast_pairing.PairingCandidates` arrays end to
+end: flagged candidates are verified with one sorted-membership pass, LSB
+repair restricts the same rows to the low-output cone, and the filtered
+rows feed the array pairing core directly.  **No ``XorMajDetection`` dict
+is ever materialized on this path** — the dict form stays available as a
+lazy adapter (``extraction.detection`` / ``tree.detection``,
+:meth:`PairingCandidates.to_detection
+<repro.reasoning.fast_pairing.PairingCandidates.to_detection>`) for
+public-API compatibility.  Verification matches the ground-truth
+semantics of :func:`~repro.reasoning.xor_maj.detect_xor_maj` exactly (same
+global priority cuts that generated the training labels).
 
-``engine="fast"`` (default)
-    One vectorized whole-graph sweep (:mod:`repro.aig.fast_cuts`) computes
-    every node's priority cuts, classifies them against the 256-entry
-    XOR/MAJ LUTs, and keeps the result as
-    :class:`~repro.reasoning.fast_pairing.PairingCandidates` arrays end to
-    end: flagged candidates are verified with one sorted-membership pass,
-    LSB repair restricts the same rows to the low-output cone, and the
-    filtered rows feed the array pairing core directly.  **No
-    ``XorMajDetection`` dict is ever materialized on this path** — the
-    dict form stays available as a lazy adapter
-    (``extraction.detection`` / ``tree.detection``,
-    :meth:`PairingCandidates.to_detection
-    <repro.reasoning.fast_pairing.PairingCandidates.to_detection>`) for
-    the legacy oracle and public-API compatibility.  Verification matches
-    the ground-truth semantics of
-    :func:`~repro.reasoning.xor_maj.detect_xor_maj` exactly (same global
-    priority cuts that generated the training labels).
-
-``engine="legacy"``
-    The original per-node path: :func:`~repro.aig.cuts.node_cuts` re-derives
-    a depth-bounded local cone around each flagged node.  Kept as the
-    runtime baseline (``benchmarks/bench_postprocess_fast.py``) and the
-    differential-test oracle.  On depth-limit boundary cases the local cone
-    can truncate cut lists differently from the global enumeration; real
-    adder structures span few levels, so extractions agree in practice
-    (asserted on fixtures and random circuits by ``tests/test_fast_cuts.py``).
+The original per-node pipeline, which re-derives a depth-bounded local
+cone around each flagged node, lives on in ``tests/oracles/`` as the
+differential-test oracle and the runtime baseline of
+``benchmarks/bench_postprocess_fast.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.aig.cuts import node_cuts
 from repro.aig.graph import AIG, lit_var
-from repro.aig.npn import is_maj_truth, is_xor_truth
 from repro.reasoning.adder_tree import (
+    KIND_HA,
     TASK1_LEAF,
-    TASK1_OTHER,
     TASK1_ROOT,
     TASK1_ROOT_LEAF,
     AdderTree,
-    extract_adder_tree,
 )
 from repro.reasoning.fast_pairing import PairingCandidates, pair_candidates
 from repro.reasoning.xor_maj import XorMajDetection
@@ -70,19 +58,15 @@ __all__ = [
     "correct_lsb_region",
 ]
 
-# (xor_sets, maj_sets): per-root matching leaf tuples, the whole graph at once.
-MatchedSets = tuple[dict[int, list[tuple[int, ...]]],
-                    dict[int, list[tuple[int, ...]]]]
-
 
 class PredictedExtraction:
     """Adder tree recovered from predictions, with a mismatch report.
 
-    ``detection`` is a thin adapter view: the fast engine never builds the
+    ``detection`` is a thin adapter view: post-processing never builds the
     dict form, so accessing it materializes the
     :class:`~repro.reasoning.xor_maj.XorMajDetection` from the tree's
-    candidate arrays on first use (legacy-engine extractions attach the
-    dicts they computed directly).
+    candidate arrays on first use (callers holding the dicts already may
+    pass them in).
     """
 
     def __init__(self, tree: AdderTree,
@@ -132,19 +116,6 @@ def _root_flags(labels: dict[str, np.ndarray]) -> np.ndarray:
     return (root == TASK1_ROOT) | (root == TASK1_ROOT_LEAF)
 
 
-def _check_engine(engine: str, matched_sets: MatchedSets | None = None,
-                  candidates: PairingCandidates | None = None) -> None:
-    if engine not in ("fast", "legacy"):
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    if engine == "legacy" and (matched_sets is not None
-                               or candidates is not None):
-        # Precomputed sets come from the fast sweep; silently using them
-        # would turn a requested legacy-oracle run into fast-vs-fast.
-        raise ValueError(
-            "matched_sets/candidates cannot be combined with engine='legacy'"
-        )
-
-
 def _sweep_candidates(aig: AIG, max_cuts: int,
                       restrict_to=None) -> PairingCandidates:
     """One vectorized sweep straight to candidate arrays — no dicts.
@@ -168,10 +139,9 @@ def _verify_candidates(
 ) -> tuple[PairingCandidates, list[int], list[int]]:
     """Vectorized flagged-candidate verification against the shared sweep.
 
-    The array twin of :func:`predictions_to_detection`: flagged roots with
-    a matching cut keep their candidate rows (one sorted-membership pass
-    per task), everything else lands in the rejected lists — same
-    contents, same ascending order, zero dicts.
+    Flagged roots with a matching cut keep their candidate rows (one
+    sorted-membership pass per task); everything else lands in the
+    rejected lists, in ascending order.  Zero dicts.
     """
     is_root = _root_flags(labels)
     xor_flags = np.asarray(labels["xor"]) == 1
@@ -194,7 +164,7 @@ def _verify_candidates(
     # Half-adder carries are plain ANDs: legitimately MAJ-labeled (MAJ3
     # with constant input) but with no 3-leaf MAJ cut.  They participate
     # in pairing through the carry pool, so only equal-fanin ANDs (and
-    # non-AND flags) count as mispredictions — matching the legacy loop.
+    # non-AND flags) count as mispredictions.
     fanin0, fanin1 = aig.fanin_arrays()
     same_fanin = ((fanin0[maj_candidates] >> 1)
                   == (fanin1[maj_candidates] >> 1))
@@ -207,130 +177,30 @@ def _verify_candidates(
     return filtered, rejected_xor, rejected_maj
 
 
-def _compute_matched_sets(aig: AIG, max_cuts: int,
-                          restrict_to=None) -> MatchedSets:
-    """One vectorized sweep: every node's XOR/MAJ-matching leaf sets.
-
-    ``restrict_to`` narrows the sweep to the given roots' fan-in cones
-    (bit-identical cuts there); outside nodes simply have no entries.
-    """
-    from repro.aig.fast_cuts import enumerate_cuts_arrays, matched_leaf_sets
-
-    return matched_leaf_sets(
-        enumerate_cuts_arrays(aig, k=3, max_cuts=max_cuts,
-                              restrict_to=restrict_to)
-    )
-
-
-def _node_xor_sets(aig: AIG, var: int, max_cuts: int) -> list[tuple[int, ...]]:
-    return [
-        cut.leaves
-        for cut in node_cuts(aig, var, k=3, max_cuts=max_cuts)
-        if (cut.size == 2 and is_xor_truth(cut.truth, 2))
-        or (cut.size == 3 and is_xor_truth(cut.truth, 3))
-    ]
-
-
-def _node_maj_sets(aig: AIG, var: int, max_cuts: int) -> list[tuple[int, ...]]:
-    return [
-        cut.leaves
-        for cut in node_cuts(aig, var, k=3, max_cuts=max_cuts)
-        if cut.size == 3 and is_maj_truth(cut.truth, 3)
-    ]
-
-
-def _node_xor_maj_sets(
-    aig: AIG, var: int, max_cuts: int,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Both classifications from a single cut enumeration (legacy LSB path)."""
-    xor_sets: list[tuple[int, ...]] = []
-    maj_sets: list[tuple[int, ...]] = []
-    for cut in node_cuts(aig, var, k=3, max_cuts=max_cuts):
-        if cut.size == 2 and is_xor_truth(cut.truth, 2):
-            xor_sets.append(cut.leaves)
-        elif cut.size == 3:
-            if is_xor_truth(cut.truth, 3):
-                xor_sets.append(cut.leaves)
-            elif is_maj_truth(cut.truth, 3):
-                maj_sets.append(cut.leaves)
-    return xor_sets, maj_sets
-
-
 def predictions_to_detection(
     aig: AIG,
     labels: dict[str, np.ndarray],
     root_filter: bool = True,
     max_cuts: int = 10,
-    engine: str = "fast",
-    matched_sets: MatchedSets | None = None,
 ) -> tuple[XorMajDetection, list[int], list[int]]:
     """Turn predicted labels into a cut-verified :class:`XorMajDetection`.
 
-    With the fast engine every flagged candidate is verified in one batch
-    against a single whole-graph cut sweep (pass ``matched_sets`` to reuse
-    a sweep computed by the caller); the legacy engine re-derives local
-    cuts per flagged node.  Returns the detection and the lists of
-    flagged-but-unverifiable nodes.
+    Sweeps only the flagged candidates' fan-in cones (bit-identical cuts
+    there), so with sparse predictions the cost stays proportional to the
+    flagged cones, not the whole graph.  Returns the detection and the
+    lists of flagged-but-unverifiable nodes.
     """
-    _check_engine(engine, matched_sets)
     is_root = _root_flags(labels)
-    xor_flags = np.asarray(labels["xor"]) == 1
-    maj_flags = np.asarray(labels["maj"]) == 1
+    flags = (np.asarray(labels["xor"]) == 1) | (np.asarray(labels["maj"]) == 1)
     if root_filter:
-        xor_candidates = np.flatnonzero(xor_flags & is_root)
-        maj_candidates = np.flatnonzero(maj_flags & is_root)
-    else:
-        xor_candidates = np.flatnonzero(xor_flags)
-        maj_candidates = np.flatnonzero(maj_flags)
-    if matched_sets is None and engine == "fast":
-        # Standalone call: sweep only the flagged candidates' fan-in cones
-        # (bit-identical cuts there) — with sparse predictions this stays
-        # proportional to the flagged cones, not the whole graph.  Callers
-        # verifying many nodes (extract_from_predictions) pass a shared
-        # whole-graph sweep instead.
-        flagged = [
-            int(var)
-            for var in np.concatenate([xor_candidates, maj_candidates])
-            if aig.is_and(int(var))
-        ]
-        matched_sets = _compute_matched_sets(aig, max_cuts,
-                                             restrict_to=flagged)
-
-    detection = XorMajDetection()
-    rejected_xor: list[int] = []
-    rejected_maj: list[int] = []
-    for var in xor_candidates:
-        var = int(var)
-        if not aig.is_and(var):
-            rejected_xor.append(var)
-            continue
-        if matched_sets is not None:
-            leaf_sets = matched_sets[0].get(var, [])
-        else:
-            leaf_sets = _node_xor_sets(aig, var, max_cuts)
-        if leaf_sets:
-            detection.xor_roots[var] = leaf_sets
-        else:
-            rejected_xor.append(var)
-    for var in maj_candidates:
-        var = int(var)
-        if not aig.is_and(var):
-            rejected_maj.append(var)
-            continue
-        if matched_sets is not None:
-            leaf_sets = matched_sets[1].get(var, [])
-        else:
-            leaf_sets = _node_maj_sets(aig, var, max_cuts)
-        if leaf_sets:
-            detection.maj_roots[var] = leaf_sets
-        else:
-            # Half-adder carries are plain ANDs: legitimately MAJ-labeled
-            # (MAJ3 with constant input) but with no 3-leaf MAJ cut.  They
-            # participate in pairing through the carry pool, not here.
-            f0, f1 = (aig.fanins(var) if aig.is_and(var) else (0, 0))
-            if lit_var(f0) == lit_var(f1):
-                rejected_maj.append(var)
-    return detection, rejected_xor, rejected_maj
+        flags &= is_root
+    flagged = np.flatnonzero(flags)
+    flagged = flagged[flagged > aig.num_inputs].tolist()
+    cands = _sweep_candidates(aig, max_cuts, restrict_to=flagged)
+    filtered, rejected_xor, rejected_maj = _verify_candidates(
+        aig, cands, labels, root_filter,
+    )
+    return filtered.to_detection(), rejected_xor, rejected_maj
 
 
 def correct_lsb_region(
@@ -338,8 +208,6 @@ def correct_lsb_region(
     labels: dict[str, np.ndarray],
     num_outputs: int = 4,
     max_cuts: int = 10,
-    engine: str = "fast",
-    matched_sets: MatchedSets | None = None,
     candidates: PairingCandidates | None = None,
 ) -> tuple[dict[str, np.ndarray], set[int]]:
     """Overwrite labels in the low-output cone with exact reasoning.
@@ -348,86 +216,40 @@ def correct_lsb_region(
     (O(width) nodes in a multiplier), so exact cut matching there is cheap.
     Returns patched copies of the label arrays and the patched variables.
 
-    The fast engine is array-native: the shared sweep's candidate rows
-    (``candidates``, or a cone-restricted sweep when called standalone)
-    are restricted to the cone, labels are patched with vectorized
-    membership passes, and the local extraction pairs the restricted rows
-    directly — no detection dicts.  ``matched_sets`` keeps the previous
-    dict-based protocol working for callers that still hold one.
+    Array-native: the shared sweep's candidate rows (``candidates``, or a
+    cone-restricted sweep when called standalone) are restricted to the
+    cone, labels are patched with vectorized membership passes, and the
+    local extraction pairs the restricted rows directly — no detection
+    dicts.
     """
-    _check_engine(engine, matched_sets, candidates)
     roots = [lit_var(lit) for lit in aig.outputs[:num_outputs]]
     # Reverse-reach the cone as an array (already sorted); only AND
     # variables carry labels worth patching.
     cone_arr = aig.transitive_fanin_array(roots)
     cone_arr = cone_arr[cone_arr > aig.num_inputs]
-    cone = set(map(int, cone_arr))
-    if not cone:
+    if not len(cone_arr):
         return labels, set()
 
-    if engine == "fast" and matched_sets is None:
-        if candidates is None:
-            # Standalone call: sweep only the LSB cone (cuts there are
-            # identical to a whole-graph sweep) — this keeps the documented
-            # "small cone, cheap repair" cost instead of touching every node.
-            candidates = _sweep_candidates(aig, max_cuts, restrict_to=roots)
-        patched = {task: np.array(arr, copy=True)
-                   for task, arr in labels.items()}
-        patched["xor"][cone_arr] = in_sorted(cone_arr,
-                                             candidates.xor_root_vars())
-        patched["maj"][cone_arr] = in_sorted(cone_arr,
-                                             candidates.maj_root_vars())
-
-        # Re-derive boundary labels inside the cone from a local
-        # extraction over the cone-restricted candidate rows.
-        from repro.reasoning.adder_tree import KIND_HA
-
-        local_tree = pair_candidates(aig, candidates.restrict_roots(cone_arr))
-        core = local_tree.arrays()
-        patched["maj"][core.carry_var[core.kind == KIND_HA]] = 1
-        in_roots = in_sorted(cone_arr, core.root_vars())
-        in_leaves = in_sorted(cone_arr, core.leaf_vars())
-        # OTHER=0, ROOT=1, LEAF=2, ROOT_LEAF=3: the class code is exactly
-        # root + 2*leaf.
-        patched["root"][cone_arr] = (
-            in_roots * TASK1_ROOT + in_leaves * TASK1_LEAF
-        )
-        return patched, cone
-
-    detection = XorMajDetection()
-    for var in sorted(cone):
-        if matched_sets is not None:
-            xor_sets = matched_sets[0].get(var, [])
-            maj_sets = matched_sets[1].get(var, [])
-        else:
-            xor_sets, maj_sets = _node_xor_maj_sets(aig, var, max_cuts)
-        if xor_sets:
-            detection.xor_roots[var] = xor_sets
-        if maj_sets:
-            detection.maj_roots[var] = maj_sets
-
+    if candidates is None:
+        # Standalone call: sweep only the LSB cone (cuts there are
+        # identical to a whole-graph sweep) — this keeps the documented
+        # "small cone, cheap repair" cost instead of touching every node.
+        candidates = _sweep_candidates(aig, max_cuts, restrict_to=roots)
     patched = {task: np.array(arr, copy=True) for task, arr in labels.items()}
-    for var in cone:
-        patched["xor"][var] = 1 if var in detection.xor_roots else 0
-        patched["maj"][var] = 1 if var in detection.maj_roots else 0
+    patched["xor"][cone_arr] = in_sorted(cone_arr, candidates.xor_root_vars())
+    patched["maj"][cone_arr] = in_sorted(cone_arr, candidates.maj_root_vars())
 
-    # Re-derive boundary labels inside the cone from a local extraction.
-    local_tree = extract_adder_tree(aig, detection, engine=engine)
-    local_roots = local_tree.root_vars()
-    local_leaves = local_tree.leaf_vars()
-    for adder in local_tree.adders:
-        if adder.kind == "HA":
-            patched["maj"][adder.carry_var] = 1
-    for var in cone:
-        if var in local_roots and var in local_leaves:
-            patched["root"][var] = TASK1_ROOT_LEAF
-        elif var in local_roots:
-            patched["root"][var] = TASK1_ROOT
-        elif var in local_leaves:
-            patched["root"][var] = TASK1_LEAF
-        else:
-            patched["root"][var] = TASK1_OTHER
-    return patched, cone
+    # Re-derive boundary labels inside the cone from a local extraction
+    # over the cone-restricted candidate rows.
+    local_tree = pair_candidates(aig, candidates.restrict_roots(cone_arr))
+    core = local_tree.arrays()
+    patched["maj"][core.carry_var[core.kind == KIND_HA]] = 1
+    in_roots = in_sorted(cone_arr, core.root_vars())
+    in_leaves = in_sorted(cone_arr, core.leaf_vars())
+    # OTHER=0, ROOT=1, LEAF=2, ROOT_LEAF=3: the class code is exactly
+    # root + 2*leaf.
+    patched["root"][cone_arr] = in_roots * TASK1_ROOT + in_leaves * TASK1_LEAF
+    return patched, set(cone_arr.tolist())
 
 
 def extract_from_predictions(
@@ -437,52 +259,27 @@ def extract_from_predictions(
     correct_lsb: bool = True,
     lsb_outputs: int = 4,
     max_cuts: int = 10,
-    engine: str = "fast",
 ) -> PredictedExtraction:
     """Full post-processing pipeline: repair, verify, pair.
 
-    The fast engine runs the vectorized cut sweep *once*, keeps the result
-    as candidate arrays shared between LSB repair and flagged-candidate
-    verification (one sorted-membership mask pass), and feeds the filtered
-    rows straight to the array pairing core of
-    :mod:`repro.reasoning.fast_pairing` — end to end, no
-    :class:`~repro.reasoning.xor_maj.XorMajDetection` dict is ever built
-    (``extraction.detection`` adapts lazily when asked for).  The legacy
-    engine keeps the per-node cut re-derivation *and* the per-root pairing
-    loop, as one coherent baseline.
+    Runs the vectorized cut sweep *once*, keeps the result as candidate
+    arrays shared between LSB repair and flagged-candidate verification
+    (one sorted-membership mask pass), and feeds the filtered rows straight
+    to the array pairing core of :mod:`repro.reasoning.fast_pairing` — end
+    to end, no :class:`~repro.reasoning.xor_maj.XorMajDetection` dict is
+    ever built (``extraction.detection`` adapts lazily when asked for).
     """
-    _check_engine(engine)
-    if engine == "fast":
-        cands = _sweep_candidates(aig, max_cuts)
-        corrected: set[int] = set()
-        if correct_lsb:
-            labels, corrected = correct_lsb_region(
-                aig, labels, lsb_outputs, max_cuts,
-                engine=engine, candidates=cands,
-            )
-        filtered, rejected_xor, rejected_maj = _verify_candidates(
-            aig, cands, labels, root_filter,
-        )
-        tree = pair_candidates(aig, filtered)
-        return PredictedExtraction(
-            tree=tree,
-            rejected_xor=rejected_xor,
-            rejected_maj=rejected_maj,
-            corrected_vars=corrected,
-        )
-    corrected = set()
+    cands = _sweep_candidates(aig, max_cuts)
+    corrected: set[int] = set()
     if correct_lsb:
         labels, corrected = correct_lsb_region(
-            aig, labels, lsb_outputs, max_cuts, engine=engine,
+            aig, labels, lsb_outputs, max_cuts, candidates=cands,
         )
-    detection, rejected_xor, rejected_maj = predictions_to_detection(
-        aig, labels, root_filter=root_filter, max_cuts=max_cuts,
-        engine=engine,
+    filtered, rejected_xor, rejected_maj = _verify_candidates(
+        aig, cands, labels, root_filter,
     )
-    tree = extract_adder_tree(aig, detection, engine=engine)
     return PredictedExtraction(
-        tree=tree,
-        detection=detection,
+        tree=pair_candidates(aig, filtered),
         rejected_xor=rejected_xor,
         rejected_maj=rejected_maj,
         corrected_vars=corrected,

@@ -252,7 +252,7 @@ def _merge_chunk(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
              & _WIDTH_MASK[size])
 
     # Flatten the candidate grid and rank per node by (size, leaves) — the
-    # legacy sort key — as a single packed int64 key per candidate.
+    # Cut-object enumerator's sort key — as one packed int64 key per candidate.
     grid = C0 * C1
     cand_size = size.reshape(m, grid)
     vp = np.int64(pad + 1)
@@ -267,8 +267,8 @@ def _merge_chunk(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
     cand_ok = cand_size <= k
 
     # Dedup: merge paths reproducing the same leaf set produce the same
-    # root function, so keeping the first occurrence matches the legacy
-    # ``setdefault`` exactly.
+    # root function, so keeping the first occurrence matches the Cut-object
+    # enumerator's ``setdefault`` exactly.
     live = cand_ok.copy()
     if grid > 1:
         live[:, 1:] &= packed[:, 1:] != packed[:, :-1]
@@ -312,7 +312,7 @@ def _dominated(cand_leaves: np.ndarray, cand_size: np.ndarray,
     """Which live candidates are dominated by a smaller live candidate.
 
     Exactness note: testing against *all* live smaller cuts (not just the
-    ones the legacy loop had kept so far) is equivalent — dominance is
+    ones the sequential loop had kept so far) is equivalent — dominance is
     transitive, the sort is by size, and a dominating cut always precedes
     its victim — so this reproduces the sequential filter bit for bit.
     """

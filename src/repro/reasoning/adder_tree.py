@@ -20,9 +20,9 @@ passes instead of per-adder Python walks.  The original object views are
 preserved as thin accessors: ``tree.adders`` (a list of
 :class:`ExtractedAdder`), ``tree.consumed`` (a set), and
 ``tree.detection`` (an :class:`~repro.reasoning.xor_maj.XorMajDetection`)
-are materialized lazily from the arrays on first access, so legacy callers
-and the differential test oracle keep working unchanged while the fast
-path never pays for them.
+are materialized lazily from the arrays on first access, so object-view
+callers and the differential test oracle (``tests/oracles/``) keep
+working unchanged while the array path never pays for them.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.aig.graph import AIG, lit_var
-from repro.reasoning.matching import maximum_bipartite_matching
-from repro.reasoning.xor_maj import (
-    XorMajDetection,
-    detect_xor_maj,
-    ha_carry_candidates,
-)
+from repro.aig.graph import AIG
+from repro.reasoning.xor_maj import XorMajDetection, detect_xor_maj
 from repro.utils.arrays import sorted_unique
 
 __all__ = [
@@ -85,13 +80,13 @@ class ExtractedAdder:
 class AdderTreeArrays:
     """Struct-of-arrays core of an :class:`AdderTree`.
 
-    One row per matched slice, in emission order (identical to the legacy
+    One row per matched slice, in emission order (identical to the
     ``adders`` list order):
 
     * ``kind`` — ``(A,)`` uint8, :data:`KIND_FA` / :data:`KIND_HA`;
     * ``sum_var`` / ``carry_var`` — ``(A,)`` int32 root variables;
     * ``leaves`` — ``(A, W)`` int32 leaf variables, padded with ``-1``
-      (``W`` is 3 for engine-built trees);
+      (``W`` is 3 for extracted trees);
     * ``leaf_count`` — ``(A,)`` int8 live leaves per row.
 
     Derived indexes are built lazily and cached: the link edge list /
@@ -139,7 +134,7 @@ class AdderTreeArrays:
 
     @classmethod
     def from_adders(cls, adders: list[ExtractedAdder]) -> "AdderTreeArrays":
-        """Column form of an object-view adder list (the legacy builder)."""
+        """Column form of an object-view adder list."""
         count = len(adders)
         if count == 0:
             return cls.empty()
@@ -204,7 +199,7 @@ class AdderTreeArrays:
     def link_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Adder-DAG edges ``(producer_row, consumer_row)``, deduplicated.
 
-        Semantics of the legacy ``AdderTree.links()``: one edge per
+        Semantics of ``AdderTree.links()``: one edge per
         ``(producer, consumer)`` pair even when the consumer reads both the
         sum and the carry of the same producer, in first-occurrence order
         over the consumers' leaf lists — computed by one vectorized
@@ -268,7 +263,7 @@ class AdderTree:
 
     The canonical storage is the array core (:meth:`arrays`); ``adders``,
     ``consumed`` and ``detection`` are thin object views materialized on
-    first access.  Trees may equally be built the legacy way — appending
+    first access.  Trees may equally be built from a list — appending
     :class:`ExtractedAdder` objects to ``adders`` — in which case the array
     core is derived (and re-derived if the list grew since).
     """
@@ -283,7 +278,7 @@ class AdderTree:
             raise ValueError("pass either adders or core, not both")
         self._core = core
         self._core_from_len = len(core) if core is not None else None
-        # Core-built trees (the engine path) keep their cached core; trees
+        # Core-built trees (the extraction path) keep their cached core; trees
         # built from a list re-derive it per arrays() call, because the
         # list is freely mutable and a stale core would silently poison
         # every array consumer.
@@ -341,7 +336,7 @@ class AdderTree:
     def arrays(self) -> AdderTreeArrays:
         """The struct-of-arrays core (built from ``adders`` if needed).
 
-        Engine-built trees return their cached core (its derived indexes —
+        Core-built trees return their cached core (its derived indexes —
         link CSR, root-pair keys — survive across calls; the materialized
         ``adders`` view is read-only by contract, though appends are still
         detected).  List-built trees re-derive the core on every call:
@@ -420,32 +415,6 @@ class AdderTree:
         )
 
 
-def _cone_between(aig: AIG, root: int, leaves: set[int]) -> set[int]:
-    """AND variables strictly inside the cone of ``root`` above ``leaves``."""
-    inside: set[int] = set()
-    stack = [root]
-    while stack:
-        var = stack.pop()
-        if var in inside or var in leaves or not aig.is_and(var):
-            continue
-        inside.add(var)
-        f0, f1 = aig.fanins(var)
-        stack.append(lit_var(f0))
-        stack.append(lit_var(f1))
-    return inside
-
-
-def _sorted_leaf_sets(leaf_sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Candidate leaf sets in canonical ``(size, leaves)`` order.
-
-    Engine-produced detections already list cuts this way (the enumerators
-    rank by size then leaves), so this is a no-op there — it exists so
-    hand-built or shuffled detections extract identically: pairing must be
-    a function of the candidate *set*, never of list or dict order.
-    """
-    return sorted(leaf_sets, key=lambda leaves: (len(leaves), leaves))
-
-
 def extract_adder_tree(aig: AIG, detection: XorMajDetection | None = None,
                        max_cuts: int = 10, engine: str = "fast") -> AdderTree:
     """Pair XOR and MAJ roots with identical inputs into FAs and HAs.
@@ -454,104 +423,26 @@ def extract_adder_tree(aig: AIG, detection: XorMajDetection | None = None,
     of each matched adder is consumed so its private XOR/AND sub-structures
     (the shared propagate XOR, the generate AND) cannot be re-extracted as
     spurious half adders — mirroring how exact rewriting consumes matched
-    slices.
+    slices.  Runs the array-shaped pairing of
+    :mod:`repro.reasoning.fast_pairing`: sort-based candidate grouping,
+    vectorized matching, batched cone consumption.  It is deterministic
+    (candidates in sorted order), so shuffled detections extract the same
+    tree.
 
-    ``engine="fast"`` (default) runs the array-shaped pairing of
-    :mod:`repro.reasoning.fast_pairing` — sort-based candidate grouping,
-    vectorized matching, batched cone consumption; ``engine="legacy"``
-    keeps the per-root loop below as the differential oracle and runtime
-    baseline.  Both are deterministic (candidates in sorted order, one
-    shared matching algorithm) and produce bit-identical trees.
+    ``engine`` accepts only ``"fast"`` and is kept for callers that still
+    pass it; any other value raises :class:`ValueError`.
     """
-    if engine == "fast":
-        from repro.reasoning.fast_pairing import fast_extract_adder_tree
+    if engine != "fast":
+        raise ValueError(f"engine must be 'fast', got {engine!r}")
+    from repro.reasoning.fast_pairing import fast_extract_adder_tree
 
-        return fast_extract_adder_tree(aig, detection=detection,
-                                       max_cuts=max_cuts)
-    if engine != "legacy":
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    if detection is None:
-        detection = detect_xor_maj(aig, max_cuts=max_cuts)
-
-    xor_by_leaves: dict[tuple[int, ...], list[int]] = {}
-    for var in sorted(detection.xor_roots):
-        for leaves in _sorted_leaf_sets(detection.xor_roots[var]):
-            xor_by_leaves.setdefault(leaves, []).append(var)
-
-    tree = AdderTree(detection=detection)
-    consumed = tree.consumed
-
-    # --- Full adders: MAJ3 root + XOR3 root over the same leaves ---------
-    # Maximum bipartite matching between MAJ and XOR roots sharing a leaf
-    # set: greedy pairing can starve a later MAJ of its only partner on
-    # Booth netlists, where XOR roots admit several coincident leaf sets.
-    # The matcher's traversal order is pinned (ascending roots, sorted
-    # adjacency), so the chosen matching is independent of detection
-    # insertion order — and identical to the fast engine's.
-    pair_leaves: dict[tuple[int, int], tuple[int, ...]] = {}
-    adjacency: dict[int, list[int]] = {}
-    for maj_var in sorted(detection.maj_roots):
-        for leaves in _sorted_leaf_sets(detection.maj_roots[maj_var]):
-            if len(leaves) != 3:  # an FA slice is 3-leaf by definition
-                continue
-            for xor_var in xor_by_leaves.get(leaves, ()):
-                if xor_var == maj_var:
-                    continue
-                pair_leaves.setdefault((maj_var, xor_var), leaves)
-                adjacency.setdefault(maj_var, []).append(xor_var)
-    matching = maximum_bipartite_matching(adjacency)
-    for maj_var in sorted(adjacency):
-        xor_var = matching.get(maj_var)
-        if xor_var is None:
-            continue
-        if maj_var in consumed or xor_var in consumed:
-            continue
-        leaves = pair_leaves[(maj_var, xor_var)]
-        leaf_set = set(leaves)
-        interior = _cone_between(aig, xor_var, leaf_set)
-        interior |= _cone_between(aig, maj_var, leaf_set)
-        tree.adders.append(ExtractedAdder("FA", xor_var, maj_var, leaves))
-        consumed |= interior
-        consumed.add(xor_var)
-        consumed.add(maj_var)
-
-    # --- Half adders: XOR2 root + an AND over the same variable pair ------
-    # The AND may have any fan-in polarities (complemented slice operands
-    # are common at folded boundaries), but must not be one of the XOR's
-    # own interior nodes, which share the same leaf pair.
-    carry_pool = ha_carry_candidates(aig)
-    for xor_var in sorted(detection.xor_roots):
-        if xor_var in consumed:
-            continue
-        for leaves in _sorted_leaf_sets(detection.xor_roots[xor_var]):
-            if len(leaves) != 2:
-                continue
-            pair = (leaves[0], leaves[1])
-            leaf_set = set(leaves)
-            interior = _cone_between(aig, xor_var, leaf_set)
-            carry_var = next(
-                (
-                    c
-                    for c in carry_pool.get(pair, ())
-                    if c not in consumed and c not in interior
-                ),
-                None,
-            )
-            if carry_var is None:
-                continue
-            tree.adders.append(ExtractedAdder("HA", xor_var, carry_var, pair))
-            consumed |= interior
-            consumed.add(xor_var)
-            consumed.add(carry_var)
-            break
-
-    return tree
+    return fast_extract_adder_tree(aig, detection=detection,
+                                   max_cuts=max_cuts)
 
 
 def ground_truth_labels(aig: AIG, detection: XorMajDetection | None = None,
                         tree: AdderTree | None = None,
-                        max_cuts: int = 10,
-                        engine: str = "fast") -> dict[str, np.ndarray]:
+                        max_cuts: int = 10) -> dict[str, np.ndarray]:
     """Multi-task node labels over all variables (constant + PIs + ANDs).
 
     Returns arrays of length ``aig.num_vars``:
@@ -559,14 +450,11 @@ def ground_truth_labels(aig: AIG, detection: XorMajDetection | None = None,
     * ``"root"`` — Task 1 classes (other/root/leaf/root+leaf);
     * ``"xor"`` — Task 2 binary XOR-root labels;
     * ``"maj"`` — Task 3 binary MAJ-root labels.
-
-    ``engine`` selects the detection sweep and pairing implementation
-    (``"fast"``/``"legacy"``); the labels are identical either way.
     """
     if detection is None:
-        detection = detect_xor_maj(aig, max_cuts=max_cuts, engine=engine)
+        detection = detect_xor_maj(aig, max_cuts=max_cuts)
     if tree is None:
-        tree = extract_adder_tree(aig, detection, engine=engine)
+        tree = extract_adder_tree(aig, detection)
 
     num_vars = aig.num_vars
     xor_label = np.zeros(num_vars, dtype=np.int64)

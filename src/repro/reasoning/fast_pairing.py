@@ -3,7 +3,8 @@
 This is to :func:`repro.reasoning.adder_tree.extract_adder_tree` what
 :mod:`repro.aig.fast_cuts` is to the Cut-object enumerator: the same
 result, produced by whole-graph array passes instead of per-root Python
-loops.  The stages map one-to-one onto the legacy extractor:
+loops.  The stages map one-to-one onto the per-root extractor kept as the
+test oracle (``tests/oracles/``):
 
 * **candidate grouping** — XOR/MAJ roots and their matching leaf sets are
   flattened into struct-of-arrays form (:class:`PairingCandidates`), either
@@ -44,8 +45,8 @@ Matched slices are emitted straight into the tree's struct-of-arrays core
 (:class:`~repro.reasoning.adder_tree.AdderTreeArrays`) — the
 ``ExtractedAdder`` objects, the ``consumed`` set and the detection dicts
 exist only as lazy views on the result.  Bit-for-bit equivalence with
-``engine="legacy"`` — same adders, same order, same ``consumed`` set — is
-enforced by ``tests/test_fast_pairing.py``.
+that oracle — same adders, same order, same ``consumed`` set — is enforced
+by ``tests/test_fast_pairing.py``.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _canonical_rows(vars_: list[int] | np.ndarray,
 
     This is the determinism anchor: whatever order the detection inserted
     roots or listed leaf sets, candidates come out in one canonical order
-    (the order the legacy loop sees after its own sort).  ``leaves`` may be
+    (the order the per-root loop sees after its own sort).  ``leaves`` may be
     a flat sequence of ``len(vars_) * width`` ints.
     """
     if len(vars_) == 0:
@@ -235,14 +236,13 @@ class PairingCandidates:
         return self.select_roots(allowed, allowed)
 
     def to_detection(self) -> XorMajDetection:
-        """Dict-form adapter for the legacy oracle and the public API.
+        """Dict-form adapter for the public API and the test oracle.
 
         Reconstructs exactly the mapping
         :func:`~repro.aig.fast_cuts.matched_leaf_sets` would have produced
         for these rows: per variable, 2-leaf cuts before 3-leaf cuts, each
         group in ascending leaf order — the enumerators' slot order.  Only
-        adapter/compat paths call this; ``engine="fast"`` extraction never
-        does.
+        adapter/compat paths call this; extraction itself never does.
         """
         xor_roots: dict[int, list[tuple[int, ...]]] = {}
         for var, row in zip(self.xor2_var.tolist(),
@@ -301,10 +301,10 @@ def _full_adder_edges(cands: PairingCandidates
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate ``(maj, xor)`` pairs with their canonical shared leaves.
 
-    One sort-based join on the packed leaf-triple key replaces the legacy
-    per-root dict probing; parallel edges (a pair sharing several leaf
+    One sort-based join on the packed leaf-triple key replaces per-root
+    dict probing; parallel edges (a pair sharing several leaf
     sets) collapse to the smallest leaf triple, matching the determinized
-    legacy loop's first-in-sorted-order choice.
+    per-root loop's first-in-sorted-order choice.
     """
     if not len(cands.maj_var) or not len(cands.xor3_var):
         return (np.zeros(0, dtype=np.int64),) * 2 + (
@@ -396,7 +396,7 @@ def _emit_full_adders(aig: AIG, consumed: np.ndarray,
     interiors in two array stores.  That is exactly the sequential result
     unless some pair's root lies inside another pair's cone (or doubles as
     the other side of a second pair) — detected vectorized; only then does
-    the legacy consume-as-you-go loop run, over interiors that were still
+    the sequential consume-as-you-go loop run, over interiors that were still
     computed in one batched sweep.
     """
     count = len(fa_maj)
@@ -454,7 +454,7 @@ def _emit_half_adders(aig: AIG, consumed: np.ndarray,
     HA rows.  Everything order-dependent is precomputed in array form — the
     carry pool slice per candidate (own-interior ANDs already filtered out
     by one vectorized membership pass) and the per-candidate interior node
-    lists — so the remaining scan is the legacy selection semantics at O(1)
+    lists — so the remaining scan is the per-root selection semantics at O(1)
     Python work per candidate: first non-consumed carry wins, its cone is
     consumed, later candidates of the same root are skipped.
     """
@@ -590,17 +590,17 @@ def fast_extract_adder_tree(aig: AIG,
                             max_cuts: int = 10,
                             candidates: PairingCandidates | None = None,
                             ) -> AdderTree:
-    """Array-shaped equivalent of ``extract_adder_tree(engine="legacy")``.
+    """The array-shaped FA/HA pairing behind ``extract_adder_tree``.
 
     With ``candidates`` the caller already holds the flattened rows (the
     array-native post-processing path) and pairing runs directly on them;
-    with ``detection`` the dict form is flattened first (legacy-oracle and
-    public-API compatibility); with neither, the whole pipeline — cut
+    with ``detection`` the dict form is flattened first (public-API
+    compatibility); with neither, the whole pipeline — cut
     sweep, classification, pairing — shares one
     :class:`~repro.aig.fast_cuts.CutArrays` pass and the candidate arrays
     are built straight from the classification masks.  Every route is
-    bit-identical to the legacy loop: same adders in the same order, same
-    ``consumed`` set.
+    bit-identical to the per-root oracle loop: same adders in the same
+    order, same ``consumed`` set.
     """
     if candidates is not None:
         cands = candidates

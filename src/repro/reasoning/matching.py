@@ -8,11 +8,11 @@ order, which made the extracted :class:`~repro.reasoning.adder_tree.AdderTree`
 a function of dict-insertion order inside the detection.  This module pins
 the traversal completely: left vertices are processed in ascending order
 and each adjacency list is sorted, so the matching — and everything
-downstream of it — is a pure function of the edge *set*.  Both the legacy
-per-root pairing loop and the vectorized
-:mod:`~repro.reasoning.fast_pairing` engine resolve their ambiguous
-components through this one implementation, which is what makes them
-bit-identical.
+downstream of it — is a pure function of the edge *set*.  Both the
+vectorized :mod:`~repro.reasoning.fast_pairing` engine and the per-root
+pairing loop of the test oracle (``tests/oracles/``) resolve their
+ambiguous components through this one implementation, which is what makes
+them bit-identical.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import AIG
-from repro.aig.npn import is_maj_truth, is_xor_truth
 
 __all__ = ["XorMajDetection", "detect_xor_maj", "ha_carry_candidates"]
 
@@ -30,10 +28,9 @@ class XorMajDetection:
     tuples (cuts) under which its function is NPN-XOR / NPN-MAJ.
 
     ``constructions`` counts every instance ever built (process-wide).
-    The serving path is required to stay dict-free — ``engine="fast"``
-    post-processing keeps candidates in array form end to end and only
-    adapts to this class lazily — and the counter is what the tests
-    assert that with.
+    The serving path is required to stay dict-free — post-processing
+    keeps candidates in array form end to end and only adapts to this
+    class lazily — and the counter is what the tests assert that with.
     """
 
     xor_roots: LeafSets = field(default_factory=dict)
@@ -59,46 +56,21 @@ class XorMajDetection:
         return var in self.maj_roots
 
 
-def detect_xor_maj(aig: AIG, max_cuts: int = 10,
-                   engine: str = "fast") -> XorMajDetection:
+def detect_xor_maj(aig: AIG, max_cuts: int = 10) -> XorMajDetection:
     """Detect all XOR2/XOR3 and MAJ3 roots by exact cut-function matching.
 
     Every AND node's 2- and 3-feasible cuts are checked against the NPN
     classes of XOR and MAJ.  Negation-permutation-negation equivalents count
     (paper Sec. III-B2), so complemented roots (XNOR, minority) and
-    complemented leaves are all detected.
-
-    ``engine="fast"`` (default) runs the vectorized array sweep of
-    :mod:`repro.aig.fast_cuts` — same cuts, same classification, same
-    result; ``engine="legacy"`` keeps the original per-node Cut-object loop
-    as the differential oracle and runtime baseline.
+    complemented leaves are all detected.  The cuts come from one
+    vectorized array sweep (:mod:`repro.aig.fast_cuts`).
     """
-    if engine == "fast":
-        from repro.aig.fast_cuts import enumerate_cuts_arrays, matched_leaf_sets
+    from repro.aig.fast_cuts import enumerate_cuts_arrays, matched_leaf_sets
 
-        arrays = enumerate_cuts_arrays(aig, k=3, max_cuts=max_cuts)
-        xor_sets, maj_sets = matched_leaf_sets(arrays)
-        return XorMajDetection(xor_roots=xor_sets, maj_roots=maj_sets)
-    if engine != "legacy":
-        raise ValueError(f"engine must be 'fast' or 'legacy', got {engine!r}")
-    detection = XorMajDetection()
-    all_cuts = enumerate_cuts(aig, k=3, max_cuts=max_cuts)
-    for var in aig.and_vars():
-        xor_cuts: list[tuple[int, ...]] = []
-        maj_cuts: list[tuple[int, ...]] = []
-        for cut in all_cuts[var]:
-            if cut.size == 2 and is_xor_truth(cut.truth, 2):
-                xor_cuts.append(cut.leaves)
-            elif cut.size == 3:
-                if is_xor_truth(cut.truth, 3):
-                    xor_cuts.append(cut.leaves)
-                elif is_maj_truth(cut.truth, 3):
-                    maj_cuts.append(cut.leaves)
-        if xor_cuts:
-            detection.xor_roots[var] = xor_cuts
-        if maj_cuts:
-            detection.maj_roots[var] = maj_cuts
-    return detection
+    xor_sets, maj_sets = matched_leaf_sets(
+        enumerate_cuts_arrays(aig, k=3, max_cuts=max_cuts)
+    )
+    return XorMajDetection(xor_roots=xor_sets, maj_roots=maj_sets)
 
 
 def ha_carry_candidates(aig: AIG) -> dict[tuple[int, int], list[int]]:

@@ -29,7 +29,7 @@ Wire protocol (one JSON object per ``\\n``-terminated line)::
     {"op": "reason", "id": "req-1", "netlist": "<AIGER ascii>",
      "deadline_ms": 5000,
      "options": {"root_filter": false, "correct_lsb": true,
-                 "lsb_outputs": 4, "engine": "fast"}}
+                 "lsb_outputs": 4}}
     {"op": "stats"}
     {"op": "ping"}
     {"op": "shutdown"}
@@ -37,6 +37,10 @@ Wire protocol (one JSON object per ``\\n``-terminated line)::
 Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error":
 {"type": ..., "retriable": ..., "message": ...}}``; a full queue maps to
 ``type="queue_full", retriable=true`` so clients can back off and retry.
+Unknown options, and option values of the wrong type (``root_filter`` and
+``correct_lsb`` must be JSON booleans, ``lsb_outputs`` a non-negative
+integer), are rejected with a non-retriable ``bad_request`` before the
+request is queued.
 ``deadline_ms`` (optional, or the daemon's ``--default-deadline-ms``) is
 the caller's total patience: a request still queued past it is dropped at
 dequeue — its forward pass never runs — and answered with the retriable
@@ -86,11 +90,10 @@ GRAPHS_SUBDIR = "graphs"
 class GamoraDaemon:
     """One trained Gamora behind a micro-batching scheduler, serving forever.
 
-    ``engine`` is the default post-processing engine for requests that do
-    not pick one themselves.  ``with_report=True`` (default) attaches the
-    word-level report to every outcome — computed once per micro-batch by
-    the concatenated ``analyze_adder_trees`` pass and stored in the result
-    cache, so repeat structures get theirs for free.  Use as a context
+    ``with_report=True`` (default) attaches the word-level report to every
+    outcome — computed once per micro-batch by the concatenated
+    ``analyze_adder_trees`` pass and stored in the result cache, so repeat
+    structures get theirs for free.  Use as a context
     manager, or pair :meth:`start`/:meth:`close` explicitly.
     """
 
@@ -102,7 +105,7 @@ class GamoraDaemon:
                  max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None,
-                 engine: str = "fast", with_report: bool = True,
+                 with_report: bool = True,
                  default_deadline_ms: float | None = None,
                  watchdog_timeout_seconds: float | None = 300.0,
                  fault_plan: FaultPlan | None = None) -> None:
@@ -119,7 +122,6 @@ class GamoraDaemon:
             run_dir=run_dir, with_report=with_report,
         )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.default_engine = engine
         self.default_deadline_ms = (float(default_deadline_ms)
                                     if default_deadline_ms is not None
                                     else None)
@@ -278,7 +280,6 @@ class GamoraDaemon:
     def submit_async(self, circuit, request_id: str | None = None,
                      **options) -> RequestTicket:
         """Enqueue one circuit (see :meth:`MicroBatchScheduler.submit_async`)."""
-        options.setdefault("engine", self.default_engine)
         return self.scheduler.submit_async(circuit, request_id, **options)
 
     def submit(self, circuit, request_id: str | None = None,
@@ -352,11 +353,26 @@ class GamoraDaemon:
             return _error_response(request_id, "bad_request",
                                    "'options' must be an object")
         unknown = set(options) - {"root_filter", "correct_lsb",
-                                  "lsb_outputs", "engine"}
+                                  "lsb_outputs"}
         if unknown:
             return _error_response(
                 request_id, "bad_request",
                 f"unknown options: {sorted(unknown)}",
+            )
+        for name in ("root_filter", "correct_lsb"):
+            if name in options and not isinstance(options[name], bool):
+                return _error_response(
+                    request_id, "bad_request",
+                    f"option {name!r} must be a boolean, "
+                    f"got {options[name]!r}",
+                )
+        lsb_outputs = options.get("lsb_outputs", 0)
+        if (isinstance(lsb_outputs, bool) or not isinstance(lsb_outputs, int)
+                or lsb_outputs < 0):
+            return _error_response(
+                request_id, "bad_request",
+                f"option 'lsb_outputs' must be a non-negative integer, "
+                f"got {lsb_outputs!r}",
             )
         deadline_ms = message.get("deadline_ms", self.default_deadline_ms)
         if deadline_ms is not None:

@@ -49,7 +49,7 @@ from repro.core.api import ReasoningOutcome, _as_aig
 from repro.kernels.registry import active_backend
 from repro.serve import resilience
 from repro.serve.resilience import DeadlineExceededError
-from repro.serve.service import ReasoningService
+from repro.serve.service import ReasoningService, _normalize_options
 from repro.utils.timing import Timer
 
 __all__ = [
@@ -305,7 +305,7 @@ class MicroBatchScheduler:
 
     def submit_async(self, circuit, request_id: str | None = None, *,
                      root_filter: bool = False, correct_lsb: bool = True,
-                     lsb_outputs: int = 4, engine: str = "fast",
+                     lsb_outputs: int = 4,
                      deadline_ms: float | None = None) -> RequestTicket:
         """Enqueue one circuit; returns a :class:`RequestTicket` at once.
 
@@ -325,8 +325,9 @@ class MicroBatchScheduler:
                 raise ValueError(
                     f"deadline_ms must be > 0, got {deadline_ms}"
                 )
-        options = (bool(root_filter), bool(correct_lsb), int(lsb_outputs),
-                   str(engine))
+        # Requests group by the result-cache options key, so calls that
+        # differ only in an ignored field share one reason_many call.
+        options = _normalize_options(root_filter, correct_lsb, lsb_outputs)
         with self._cond:
             if self._stopping:
                 raise SchedulerClosedError("scheduler is stopped")
@@ -437,7 +438,7 @@ class MicroBatchScheduler:
         for request in batch:
             groups.setdefault(request.options, []).append(request)
         for options, group in groups.items():
-            root_filter, correct_lsb, lsb_outputs, engine = options
+            root_filter, correct_lsb, lsb_outputs = options
             try:
                 # Chaos hook: a sleep-kind rule here models a slow batch
                 # stage; a raise-kind one fails the group, not the loop.
@@ -446,7 +447,7 @@ class MicroBatchScheduler:
                     result = self.service.reason_many(
                         [request.aig for request in group],
                         root_filter=root_filter, correct_lsb=correct_lsb,
-                        lsb_outputs=lsb_outputs, engine=engine,
+                        lsb_outputs=lsb_outputs,
                         with_report=self.with_report,
                     )
             except Exception as error:  # keep the daemon alive

@@ -206,16 +206,12 @@ def _circuit_key(aig: AIG) -> tuple[str, str]:
 
 
 def _normalize_options(root_filter: bool, correct_lsb: bool,
-                       lsb_outputs: int,
-                       engine: str = "fast") -> tuple[bool, bool, int, str]:
-    """Canonical result-cache options key.
+                       lsb_outputs: int) -> tuple[bool, bool, int]:
+    """Canonical options key: result cache and scheduler groups alike.
 
     ``lsb_outputs`` only matters when LSB correction is on; collapsing it
-    to 0 otherwise lets semantically identical calls share a cache entry.
-    ``engine`` is part of the key: fast and legacy extractions are
-    bit-identical on the pairing stage, but legacy cut *verification*
-    re-derives depth-bounded local cones that can diverge from the global
-    sweep on boundary cases, so the two must not share entries.
+    to 0 otherwise lets semantically identical calls share a cache entry
+    (and a micro-batch group).
 
     The kernel *backend* (:mod:`repro.kernels` — numpy vs numba) must
     NEVER enter this key: backends are differentially tested bit-identical,
@@ -225,7 +221,7 @@ def _normalize_options(root_filter: bool, correct_lsb: bool,
     """
     correct_lsb = bool(correct_lsb)
     return (bool(root_filter), correct_lsb,
-            int(lsb_outputs) if correct_lsb else 0, str(engine))
+            int(lsb_outputs) if correct_lsb else 0)
 
 
 def _freeze_arrays(value) -> None:
@@ -432,7 +428,6 @@ class ReasoningService:
                     max_shard_bytes=_UNSET,
                     max_window_bytes=_UNSET,
                     postprocess_workers=_UNSET,
-                    engine: str = "fast",
                     with_report: bool = False) -> BatchReasoningOutcome:
         """Batched equivalent of calling :meth:`Gamora.reason` per circuit.
 
@@ -440,10 +435,7 @@ class ReasoningService:
         labels and extractions identical to the sequential path; see the
         module docstring for the pipeline, the scaling knobs, and the
         caching semantics.  ``max_shard_bytes`` and ``postprocess_workers``
-        override the service-wide settings for this call only; ``engine``
-        selects the post-processing implementation (``"fast"`` — the
-        vectorized cut sweep + array-shaped pairing — or ``"legacy"``, the
-        per-node baseline; results are cached per engine).
+        override the service-wide settings for this call only.
 
         ``with_report=True`` additionally fills each outcome's
         ``.report`` with its :class:`~repro.reasoning.wordlevel.WordLevelReport`
@@ -467,7 +459,7 @@ class ReasoningService:
             aigs = [_as_aig(c) for c in circuits]
             stats.batch_size = len(aigs)
             options = _normalize_options(root_filter, correct_lsb,
-                                         lsb_outputs, engine)
+                                         lsb_outputs)
             outcomes: list[ReasoningOutcome | None] = [None] * len(aigs)
             # First occurrence index of each still-uncached structure.
             pending: dict[tuple[str, str], list[int]] = {}
@@ -495,7 +487,7 @@ class ReasoningService:
                     root_filter=root_filter, correct_lsb=correct_lsb,
                     lsb_outputs=lsb_outputs, max_shard_bytes=max_shard_bytes,
                     max_window_bytes=max_window_bytes,
-                    postprocess_workers=postprocess_workers, engine=engine,
+                    postprocess_workers=postprocess_workers,
                     with_report=with_report,
                 )
 
@@ -537,7 +529,6 @@ class ReasoningService:
                         max_shard_bytes: int | None,
                         max_window_bytes: int | None = None,
                         postprocess_workers: int | None,
-                        engine: str = "fast",
                         with_report: bool = False) -> None:
         """Encode → plan → run steps → parallel-extract → reassemble."""
         graph_hits_before = self.graph_cache.hits
@@ -586,7 +577,7 @@ class ReasoningService:
                     }
                     handles[data_index] = pool.submit(
                         aigs[pending[keys[data_index]][0]], labels,
-                        root_filter, correct_lsb, lsb_outputs, engine,
+                        root_filter, correct_lsb, lsb_outputs,
                     )
 
             # Drain every handle first: the batched word-level pass below
@@ -665,7 +656,9 @@ class ReasoningService:
     # v5: labels come from the shared float32 deployment kernel (padded
     #     row-stable GEMMs) instead of the float64 training-path forward —
     #     label bits can differ from v4 entries on argmax-tie nodes.
-    _CACHE_FORMAT = _CACHE_FORMAT_FAMILY + "v5"
+    # v6: the engine field left the options key (one post-processing
+    #     implementation), so keys are (root_filter, correct_lsb, lsb_outputs).
+    _CACHE_FORMAT = _CACHE_FORMAT_FAMILY + "v6"
 
     # The encoded-graph cache persists separately: encodings depend only on
     # the encoding configuration (feature mode / direction), not on the

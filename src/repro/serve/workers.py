@@ -63,17 +63,6 @@ AUTO_MIN_TOTAL_ANDS = 20_000
 # cgroup OOM-killing every fork) must not restart forever either.
 MAX_EXECUTOR_RESTARTS = 3
 
-# Legacy test hook, kept as a shim over the general fault framework: when
-# this environment variable is set (and no ``REPRO_FAULT_PLAN`` is), the
-# *worker-side* task fails before extracting — dying outright (``os._exit``)
-# for the value "exit", raising for any other value — exercising the
-# parent's in-process fallback for both soft and hard worker failures.
-# New code should arm a :class:`~repro.serve.resilience.FaultPlan` with a
-# ``postprocess.worker`` rule instead; only the worker hits the point, so
-# the fallback path (which calls extract_from_predictions directly) is
-# unaffected either way.
-FAULT_ENV = "REPRO_SERVE_POSTPROCESS_FAULT"
-
 
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform."""
@@ -109,25 +98,19 @@ def resolve_workers(workers: int | None, num_payloads: int | None = None,
 
 
 def _run_extraction(payload) -> tuple[PredictedExtraction, float]:
-    aig, labels, root_filter, correct_lsb, lsb_outputs, engine = payload
+    aig, labels, root_filter, correct_lsb, lsb_outputs = payload
     with Timer() as timer:
         extraction = extract_from_predictions(
             aig, labels, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-            engine=engine,
         )
     return extraction, timer.elapsed
 
 
 def _worker_task(payload) -> tuple[PredictedExtraction, float]:
+    # Only the worker hits this point, so the parent's in-process fallback
+    # (which calls _run_extraction directly) is never faulted.
     resilience.fire("postprocess.worker")  # exit kind: OOM-kill / segfault
-    if resilience.active_plan() is None:
-        # Legacy FAULT_ENV shim: honored only when no plan is armed.
-        fault = os.environ.get(FAULT_ENV)
-        if fault == "exit":
-            os._exit(1)  # simulate an OOM-kill / segfault (test hook)
-        if fault:
-            raise RuntimeError("injected post-processing fault (test hook)")
     return _run_extraction(payload)
 
 
@@ -242,9 +225,9 @@ class PostprocessPool:
         return self._executor is not None and not self._broken
 
     def submit(self, aig, labels, root_filter: bool, correct_lsb: bool,
-               lsb_outputs: int, engine: str = "fast") -> PostprocessHandle:
+               lsb_outputs: int) -> PostprocessHandle:
         """Queue one extraction; returns a handle to collect it from."""
-        payload = (aig, labels, root_filter, correct_lsb, lsb_outputs, engine)
+        payload = (aig, labels, root_filter, correct_lsb, lsb_outputs)
         executor = self._healthy_executor()
         if executor is None:
             return PostprocessHandle(self, None, value=_run_extraction(payload))

@@ -11,7 +11,7 @@ def in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Membership of ``values`` in a sorted 1D int64 key array.
 
     One ``searchsorted`` plus a gather — the hash-free membership probe the
-    array-native pipeline uses everywhere a legacy path would build a set.
+    array-native pipeline uses everywhere a per-node loop would build a set.
     """
     if len(sorted_keys) == 0:
         return np.zeros(len(values), dtype=bool)

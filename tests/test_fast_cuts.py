@@ -1,11 +1,11 @@
 """Differential tests: vectorized cut engine vs the legacy Cut-object path.
 
-The fast engine (``repro.aig.fast_cuts``) must agree with the legacy
-enumerator *exactly* — same cuts, same truths, same slot order, including
-dedup/dominance/truncation edge cases — because it replaced the legacy
-path behind label generation, exact detection, and prediction
-post-processing.  The legacy implementation stays in the tree precisely to
-serve as the oracle here.
+The fast engine (``repro.aig.fast_cuts``) must agree with the Cut-object
+enumerator (``repro.aig.cuts``) *exactly* — same cuts, same truths, same
+slot order, including dedup/dominance/truncation edge cases — because it
+replaced that path behind label generation, exact detection, and
+prediction post-processing.  Detection and post-processing are compared
+against the legacy per-node loops kept in ``tests/oracles/``.
 """
 
 from pathlib import Path
@@ -33,6 +33,7 @@ from repro.generators import booth_multiplier, csa_multiplier
 from repro.reasoning import detect_xor_maj
 from repro.reasoning.adder_tree import ground_truth_labels
 from repro.utils.random_circuits import random_aig
+from tests import oracles
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.aag"))
 
@@ -46,8 +47,8 @@ def assert_cutsets_equal(aig: AIG, k: int = 3, max_cuts: int = 8) -> None:
 
 
 def assert_detections_equal(aig: AIG, max_cuts: int = 10) -> None:
-    fast = detect_xor_maj(aig, max_cuts=max_cuts, engine="fast")
-    legacy = detect_xor_maj(aig, max_cuts=max_cuts, engine="legacy")
+    fast = detect_xor_maj(aig, max_cuts=max_cuts)
+    legacy = oracles.detect_xor_maj(aig, max_cuts=max_cuts)
     assert fast.xor_roots == legacy.xor_roots
     assert fast.maj_roots == legacy.maj_roots
 
@@ -207,10 +208,6 @@ class TestDetectionEquivalence:
         assert_detections_equal(csa8.aig)
         assert_detections_equal(booth4.aig)
 
-    def test_engine_validation(self, csa4):
-        with pytest.raises(ValueError):
-            detect_xor_maj(csa4.aig, engine="nope")
-
 
 class TestExtractionEquivalence:
     """Fast and legacy post-processing recover identical adder trees."""
@@ -218,8 +215,8 @@ class TestExtractionEquivalence:
     @staticmethod
     def assert_extractions_equal(aig: AIG) -> None:
         labels = ground_truth_labels(aig)
-        fast = extract_from_predictions(aig, labels, engine="fast")
-        legacy = extract_from_predictions(aig, labels, engine="legacy")
+        fast = extract_from_predictions(aig, labels)
+        legacy = oracles.extract_from_predictions(aig, labels)
         assert fast.tree.adders == legacy.tree.adders
         assert fast.rejected_xor == legacy.rejected_xor
         assert fast.rejected_maj == legacy.rejected_maj
@@ -239,36 +236,14 @@ class TestExtractionEquivalence:
     def test_csa8(self, csa8):
         self.assert_extractions_equal(csa8.aig)
 
-    def test_engine_validation(self, csa4):
-        labels = ground_truth_labels(csa4.aig)
-        with pytest.raises(ValueError):
-            extract_from_predictions(csa4.aig, labels, engine="nope")
-
-    def test_legacy_engine_rejects_precomputed_sets(self, csa4):
-        """matched_sets come from the fast sweep; accepting them under
-        engine='legacy' would silently make the oracle compare fast-vs-fast."""
-        from repro.aig.fast_cuts import enumerate_cuts_arrays, matched_leaf_sets
-        from repro.core.postprocess import correct_lsb_region, predictions_to_detection
-
-        labels = ground_truth_labels(csa4.aig)
-        matched = matched_leaf_sets(enumerate_cuts_arrays(csa4.aig, max_cuts=10))
-        with pytest.raises(ValueError, match="legacy"):
-            predictions_to_detection(csa4.aig, labels, engine="legacy",
-                                     matched_sets=matched)
-        with pytest.raises(ValueError, match="legacy"):
-            correct_lsb_region(csa4.aig, labels, engine="legacy",
-                               matched_sets=matched)
-
 
 class TestLabelGenerationStability:
     """Ground-truth labels (training data) are engine-independent."""
 
     def test_labels_identical(self, csa4):
-        fast = ground_truth_labels(
-            csa4.aig, detect_xor_maj(csa4.aig, engine="fast")
-        )
+        fast = ground_truth_labels(csa4.aig, detect_xor_maj(csa4.aig))
         legacy = ground_truth_labels(
-            csa4.aig, detect_xor_maj(csa4.aig, engine="legacy")
+            csa4.aig, oracles.detect_xor_maj(csa4.aig)
         )
         for task in ("root", "xor", "maj"):
             assert np.array_equal(fast[task], legacy[task])
@@ -295,10 +270,9 @@ class TestConeRestrictedSweep:
         from repro.core.postprocess import correct_lsb_region
 
         labels = ground_truth_labels(csa4.aig)
-        fast_patched, fast_cone = correct_lsb_region(csa4.aig, labels,
-                                                     engine="fast")
-        legacy_patched, legacy_cone = correct_lsb_region(csa4.aig, labels,
-                                                         engine="legacy")
+        fast_patched, fast_cone = correct_lsb_region(csa4.aig, labels)
+        legacy_patched, legacy_cone = oracles.correct_lsb_region(csa4.aig,
+                                                                 labels)
         assert fast_cone == legacy_cone
         for task in ("root", "xor", "maj"):
             assert np.array_equal(fast_patched[task], legacy_patched[task])

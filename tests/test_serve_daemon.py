@@ -17,8 +17,11 @@ Three invariant families the always-on daemon depends on:
   persistent spill.
 """
 
+import contextlib
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -26,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Gamora
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.learn import TrainConfig
@@ -40,7 +44,7 @@ from repro.serve import (
     SocketDaemonClient,
     StructuralHashCache,
 )
-from repro.serve.workers import FAULT_ENV, MAX_EXECUTOR_RESTARTS
+from repro.serve.workers import MAX_EXECUTOR_RESTARTS
 
 from tests.test_serve_batching import assert_outcome_equal, tree_key
 
@@ -70,6 +74,41 @@ def run_threads(count, target):
         thread.start()
     for thread in threads:
         thread.join()
+
+
+@contextlib.contextmanager
+def serve_subprocess(model_path, socket_path, *flags):
+    """A real ``python -m repro serve`` process, yielded once its socket
+    is bound (stdout and stderr merged into one text pipe); killed on the
+    way out if the test did not shut it down."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(model_path),
+         "--socket", str(socket_path), *map(str, flags)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not socket_path.exists() and time.monotonic() < deadline:
+            assert process.poll() is None, process.stdout.read()
+            time.sleep(0.05)
+        assert socket_path.exists(), "daemon never bound its socket"
+        yield process
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+
+
+def shut_down(process) -> str:
+    """Wait for a daemon that was sent ``shutdown``; returns its output."""
+    out, _ = process.communicate(timeout=120)
+    assert process.returncode == 0, out
+    return out
 
 
 class TestCacheThreadSafety:
@@ -164,59 +203,57 @@ class TestExecutorRestart:
         return aig, gamora.predict(aig)
 
     @staticmethod
-    def crash_once(pool, payload, monkeypatch):
+    def crash_once(pool, payload, worker_fault):
         """Submit with a hard-crash fault armed; returns the fallback result."""
         aig, labels = payload
-        monkeypatch.setenv(FAULT_ENV, "exit")
-        handle = pool.submit(aig, labels, False, True, 4, "fast")
-        extraction, _ = handle.get()  # parent fallback, env not consulted
-        monkeypatch.delenv(FAULT_ENV)
+        worker_fault("exit")
+        handle = pool.submit(aig, labels, False, True, 4)
+        extraction, _ = handle.get()  # parent fallback, never faulted
+        worker_fault(None)
         return extraction
 
-    def test_broken_executor_is_replaced(self, payload, monkeypatch,
+    def test_broken_executor_is_replaced(self, payload, worker_fault,
                                          sequential):
         pool = PostprocessPool(workers=1)
         if not pool.parallel:
             pytest.skip("fork unavailable")
         with pool:
-            extraction = self.crash_once(pool, payload, monkeypatch)
+            extraction = self.crash_once(pool, payload, worker_fault)
             assert tree_key(extraction.tree) == tree_key(sequential[0].tree)
             assert pool.fallbacks == 1
             assert not pool.parallel  # the crash broke the executor
             # Next submit replaces the executor and runs in a worker again.
             aig, labels = payload
-            handle = pool.submit(aig, labels, False, True, 4, "fast")
+            handle = pool.submit(aig, labels, False, True, 4)
             extraction, _ = handle.get()
             assert tree_key(extraction.tree) == tree_key(sequential[0].tree)
             assert pool.restarts == 1
             assert pool.parallel
             assert pool.fallbacks == 1  # the healthy submit cost nothing
 
-    def test_restarts_are_bounded(self, payload, monkeypatch, sequential):
+    def test_restarts_are_bounded(self, payload, worker_fault, sequential):
         pool = PostprocessPool(workers=1)
         if not pool.parallel:
             pytest.skip("fork unavailable")
         with pool:
             for _ in range(MAX_EXECUTOR_RESTARTS + 1):
-                self.crash_once(pool, payload, monkeypatch)
+                self.crash_once(pool, payload, worker_fault)
             assert pool.restarts == MAX_EXECUTOR_RESTARTS
             # Budget exhausted: in-process permanently, results still good.
             aig, labels = payload
-            extraction, _ = pool.submit(
-                aig, labels, False, True, 4, "fast"
-            ).get()
+            extraction, _ = pool.submit(aig, labels, False, True, 4).get()
             assert tree_key(extraction.tree) == tree_key(sequential[0].tree)
             assert not pool.parallel
             assert pool.workers == 0
 
     def test_service_surfaces_restart_count(self, gamora, circuits,
-                                            sequential, monkeypatch):
+                                            sequential, worker_fault):
         """An injected soft fault during reason_many loses nothing and the
         stats carry the pool's fallback/restart counters."""
         service = ReasoningService(gamora, result_cache_size=0)
-        monkeypatch.setenv(FAULT_ENV, "1")
+        worker_fault("raise")
         batch = service.reason_many(circuits, postprocess_workers=2)
-        monkeypatch.delenv(FAULT_ENV)
+        worker_fault(None)
         for outcome, expected in zip(batch, sequential):
             assert_outcome_equal(outcome, expected)
         assert batch.stats.postprocess_fallbacks == len(circuits)
@@ -291,6 +328,22 @@ class TestDaemonCoalescing:
             assert stats[0].batch_size == 2
             assert {s.group_size for s in stats} == {1}
 
+    def test_ignored_option_does_not_split_group(self, gamora, circuits):
+        """Without LSB correction ``lsb_outputs`` is ignored, so requests
+        differing only there share one reason_many call: one forward pass
+        for both circuits."""
+        with GamoraDaemon(gamora, batch_window_ms=300) as daemon:
+            tickets = [
+                daemon.submit_async(circuits[0], correct_lsb=False,
+                                    lsb_outputs=4),
+                daemon.submit_async(circuits[1], correct_lsb=False,
+                                    lsb_outputs=2),
+            ]
+            stats = [ticket.stats(timeout=120) for ticket in tickets]
+            assert stats[0].batch_id == stats[1].batch_id
+            assert {s.group_size for s in stats} == {2}
+            assert daemon.scheduler.stats()["num_shards"] == 1
+
 
 class TestBackpressure:
     def test_queue_full_fast_fails_retriable(self, gamora, circuits):
@@ -343,8 +396,8 @@ class TestBackpressure:
 
 class TestDaemonFaultRecovery:
     def test_injected_worker_crash_loses_no_request(self, gamora, circuits,
-                                                    sequential, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "exit")
+                                                    sequential, worker_fault):
+        worker_fault("exit")
         with GamoraDaemon(gamora, batch_window_ms=150, result_cache_size=0,
                           postprocess_workers=2) as daemon:
             client = DaemonClient(daemon)
@@ -465,13 +518,28 @@ class TestSocketProtocol:
                     ({"op": "warp"}, "unknown op"),
                     ({"op": "reason", "netlist": "aag 0 0 0 0 0",
                       "options": {"warp": 9}}, "unknown options"),
+                    # One post-processing engine: no longer an option.
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"engine": "fast"}}, "unknown options"),
+                    # Values are checked, not coerced.
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"correct_lsb": "no"}}, "correct_lsb"),
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"root_filter": 1}}, "root_filter"),
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"lsb_outputs": -3}}, "lsb_outputs"),
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"lsb_outputs": "abc"}}, "lsb_outputs"),
+                    ({"op": "reason", "netlist": "aag 0 0 0 0 0",
+                      "options": {"lsb_outputs": True}}, "lsb_outputs"),
                 ]:
                     response = client.request(message)
                     assert not response["ok"]
-                    assert fragment in response["error"]["message"] or (
-                        response["error"]["type"] == "bad_request"
-                    )
+                    assert response["error"]["type"] == "bad_request"
+                    assert fragment in response["error"]["message"]
                     assert response["error"]["retriable"] is False
+                # Rejected before the queue: nothing was ever scheduled.
+                assert daemon.scheduler.stats()["accepted"] == 0
                 # Malformed JSON doesn't kill the connection.
                 client._sock.sendall(b"{not json}\n")
                 line = client._reader.readline()
@@ -567,40 +635,19 @@ class TestServeCli:
         """A circuit larger than any shard budget is admitted by a real
         ``python -m repro serve`` process and streamed under the window
         budget, with the same answer as sequential ``reason``."""
-        import subprocess
-        import sys
-
-        import repro
-
         model_path = tmp_path / "model.npz"
         gamora.save(model_path)
         socket_path = tmp_path / "gamora.sock"
         run_dir = tmp_path / "runs"
         aig = csa_multiplier(12).aig
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(model_path),
-             "--socket", str(socket_path), "--max-shard-bytes", "400000",
-             "--max-window-bytes", "100000", "--run-dir", str(run_dir)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not socket_path.exists() and time.monotonic() < deadline:
-                assert process.poll() is None, process.stdout.read()
-                time.sleep(0.05)
+        with serve_subprocess(model_path, socket_path,
+                              "--max-shard-bytes", 400000,
+                              "--max-window-bytes", 100000,
+                              "--run-dir", run_dir) as process:
             with SocketDaemonClient(socket_path, timeout=300) as client:
                 response = client.reason(aig, request_id="stream-0")
                 client.shutdown()
-            assert process.wait(timeout=120) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-            process.stdout.close()
+            shut_down(process)
         assert response["ok"], response  # admitted despite the budget
         stats = response["stats"]
         assert stats["streamed"] is True, stats
@@ -617,6 +664,125 @@ class TestServeCli:
         assert result["num_full_adders"] == sequential.tree.num_full_adders
         assert result["num_half_adders"] == sequential.tree.num_half_adders
         assert result["num_mismatches"] == sequential.num_mismatches
+
+    @pytest.mark.slow
+    def test_serve_subprocess_coalesces_spills_and_restarts_warm(
+            self, gamora, tmp_path):
+        """A real daemon process coalesces concurrent socket clients,
+        writes one run-dir record per request, spills its caches on
+        shutdown, and a restarted daemon serves from them."""
+        model_path = tmp_path / "model.npz"
+        gamora.save(model_path)
+        cache_dir = tmp_path / "cache"
+        run_dir = tmp_path / "runs"
+        socket_path = tmp_path / "gamora.sock"
+        circuits = [csa_multiplier(4).aig, csa_multiplier(5).aig]
+        with serve_subprocess(model_path, socket_path,
+                              "--batch-window-ms", 50,
+                              "--cache-dir", cache_dir,
+                              "--run-dir", run_dir) as process:
+            responses = [None] * 6
+            barrier = threading.Barrier(6)
+
+            def fire(index):
+                barrier.wait()
+                with SocketDaemonClient(socket_path, timeout=300) as client:
+                    responses[index] = client.reason(
+                        circuits[index % 2], request_id=f"ci-{index}")
+
+            run_threads(6, fire)
+            assert all(r["ok"] for r in responses), responses
+            with SocketDaemonClient(socket_path) as client:
+                scheduler = client.stats()["stats"]["scheduler"]
+                assert scheduler["completed"] == 6
+                # Coalescing + dedup: 6 requests over 2 structures cost
+                # strictly fewer forward passes and micro-batches.
+                assert scheduler["num_shards"] < 6, scheduler
+                assert scheduler["batches"] < 6, scheduler
+                client.shutdown()
+            out = shut_down(process)
+        for index in range(6):
+            record = json.loads(
+                (run_dir / f"ci-{index}" / "stats.json").read_text())
+            assert record["request_id"] == f"ci-{index}"
+        assert "served 6 requests" in out, out
+        assert "spilled" in out, out
+        assert (cache_dir / "MODEL.tag").is_file()
+
+        socket_path = tmp_path / "gamora2.sock"
+        with serve_subprocess(model_path, socket_path,
+                              "--cache-dir", cache_dir) as process:
+            with SocketDaemonClient(socket_path, timeout=300) as client:
+                response = client.reason(circuits[0])
+                assert response["ok"], response
+                assert response["stats"]["result_hit"], response
+                assert client.stats()["stats"]["loaded_results"] == 2
+                client.shutdown()
+            out = shut_down(process)
+        assert "warm caches: 2 results" in out, out
+
+    @pytest.mark.slow
+    def test_serve_subprocess_survives_fault_plan(self, gamora, tmp_path):
+        """Under a --fault-plan injecting a worker crash, a dropped
+        response and a slow batch, retrying clients still get correct
+        answers; every fault fires and no request fails."""
+        model_path = tmp_path / "model.npz"
+        gamora.save(model_path)
+        run_dir = tmp_path / "runs"
+        socket_path = tmp_path / "gamora.sock"
+        plan_path = tmp_path / "chaos-plan.json"
+        plan_path.write_text(json.dumps({"seed": 11, "faults": [
+            {"point": "postprocess.worker", "kind": "exit", "at": [1]},
+            {"point": "server.send", "kind": "drop", "at": [1]},
+            {"point": "scheduler.execute", "kind": "sleep",
+             "seconds": 0.25, "every": 1, "limit": 1},
+        ]}))
+        circuits = [csa_multiplier(4).aig, csa_multiplier(5).aig]
+        with serve_subprocess(model_path, socket_path,
+                              "--batch-window-ms", 50,
+                              "--postprocess-workers", 2,
+                              "--fault-plan", plan_path,
+                              "--run-dir", run_dir) as process:
+            responses = [None] * 4
+            barrier = threading.Barrier(4)
+
+            def fire(index):
+                barrier.wait()
+                # Default retry policy: the dropped response and any
+                # backpressure are absorbed transparently.
+                with SocketDaemonClient(socket_path, timeout=300) as client:
+                    responses[index] = client.reason(
+                        circuits[index % 2], request_id=f"chaos-{index}")
+
+            run_threads(4, fire)
+            assert all(r["ok"] for r in responses), responses
+            for index, response in enumerate(responses):
+                twin = responses[index % 2]
+                assert (response["result"]["num_full_adders"]
+                        == twin["result"]["num_full_adders"]), responses
+            with SocketDaemonClient(socket_path, timeout=300) as client:
+                follow_up = client.reason(circuits[0],
+                                          request_id="chaos-clean")
+                assert follow_up["ok"], follow_up
+                assert follow_up["stats"]["result_hit"], follow_up
+                stats = client.stats()["stats"]
+                client.shutdown()
+            out = shut_down(process)
+        fires = {rule["point"]: rule["fires"] for rule in stats["faults"]}
+        assert fires["server.send"] == 1, stats["faults"]
+        assert fires["scheduler.execute"] == 1, stats["faults"]
+        # Worker crashes count their hits in the forked workers; the
+        # parent-side evidence is the in-process fallback they caused.
+        fallbacks = [
+            json.loads(path.read_text())["batch_stats"]
+            ["postprocess_fallbacks"]
+            for path in run_dir.glob("*/stats.json")
+        ]
+        assert max(fallbacks) >= 1, fallbacks
+        assert stats["dropped_responses"] == 1, stats
+        assert stats["scheduler"]["failed"] == 0, stats["scheduler"]
+        assert stats["scheduler"]["completed"] >= 5, stats["scheduler"]
+        assert "fault injection armed" in out, out
 
     def test_serve_unusable_cache_dir_is_clean_error(self, gamora, tmp_path,
                                                      capsys):

@@ -19,7 +19,6 @@ from repro.learn import TrainConfig, estimate_batch_memory
 from repro.serve import PostprocessPool, ReasoningService, plan_shards
 from repro.serve.workers import (
     AUTO_MIN_TOTAL_ANDS,
-    FAULT_ENV,
     fork_available,
     resolve_workers,
 )
@@ -276,9 +275,9 @@ class TestParallelPostprocess:
             assert_outcome_equal(outcome, sequential_memo(spec_id))
 
     def test_worker_crash_falls_back_in_process(self, gamora, sequential_memo,
-                                                monkeypatch):
+                                                worker_fault):
         """Injected worker faults: every circuit is recovered in-process."""
-        monkeypatch.setenv(FAULT_ENV, "1")
+        worker_fault("raise")
         service = ReasoningService(gamora, result_cache_size=0,
                                    postprocess_workers=2)
         spec_ids = [0, 3]
@@ -289,11 +288,11 @@ class TestParallelPostprocess:
 
     def test_worker_hard_crash_falls_back_in_process(self, gamora,
                                                      sequential_memo,
-                                                     monkeypatch):
+                                                     worker_fault):
         """A worker that dies outright (simulated OOM-kill) must not hang:
         the broken executor surfaces the loss and every circuit is
         recovered in-process."""
-        monkeypatch.setenv(FAULT_ENV, "exit")
+        worker_fault("exit")
         service = ReasoningService(gamora, result_cache_size=0,
                                    postprocess_workers=2)
         spec_ids = [0, 3]
