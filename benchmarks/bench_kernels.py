@@ -1,4 +1,4 @@
-"""Kernel backends head-to-head: numpy reference vs the numba JIT lane.
+"""Kernel backends head-to-head: numpy reference vs the compiled lanes.
 
 Micro-benchmarks each of the four registered hot-path kernels
 (:mod:`repro.kernels`) in isolation on the 64-bit CSA multiplier — the
@@ -14,6 +14,11 @@ the four kernels must clear a 3x speedup, and the CI smoke guard pins
 >= 2x on the cone sweep alone.  JIT compilation happens before timing
 (one untimed warmup call per kernel), exactly like the serving daemon's
 boot-time warmup.
+
+The C lane needs only a working system C compiler: one smoke test times
+the two kernels the ``c`` backend implements (``merge_level``,
+``kahn_propagate``) on the same inputs, asserts bit-identity with numpy,
+prints the table, and pins >= 5x on ``merge_level``.
 """
 
 from __future__ import annotations
@@ -45,9 +50,15 @@ K, MAX_CUTS = 3, 10
 REPEATS = 3
 MIN_SPEEDUP = 3.0  # full-lane bar, on at least two kernels
 SMOKE_MIN_SPEEDUP = 2.0  # CI smoke bar, on the cone sweep
+C_KERNELS = ("merge_level", "kahn_propagate")  # what the c backend ports
+C_SMOKE_MIN_SPEEDUP = 5.0  # CI smoke bar, on merge_level
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed"
+)
+needs_c = pytest.mark.skipif(
+    not registry._load_backend("c"),
+    reason="C kernel backend unavailable (no working C compiler)",
 )
 
 
@@ -172,13 +183,33 @@ def measure(kernel: str, backend: str, inp) -> tuple[tuple, float]:
     return result, best
 
 
-def assert_identical(kernel: str, ref: tuple, got: tuple) -> None:
+def assert_identical(kernel: str, ref: tuple, got: tuple,
+                     backend: str = "numba") -> None:
     assert len(ref) == len(got), kernel
     for index, (want, have) in enumerate(zip(ref, got)):
         np.testing.assert_array_equal(
             want, have,
-            err_msg=f"{kernel}: numba output {index} diverged from numpy",
+            err_msg=f"{kernel}: {backend} output {index} diverged from numpy",
         )
+
+
+def compare_backend(backend: str, kernels, inputs, numpy_times=None):
+    """Time ``kernels`` under numpy and ``backend``; assert bit-identity.
+
+    Returns ``(table rows, {kernel: speedup})``.
+    """
+    rows, speedups = [], {}
+    for kernel in kernels:
+        if numpy_times is not None:
+            ref, ref_seconds = numpy_times[kernel]
+        else:
+            ref, ref_seconds = measure(kernel, "numpy", inputs)
+        got, seconds = measure(kernel, backend, inputs)
+        assert_identical(kernel, ref, got, backend)
+        speedups[kernel] = ref_seconds / max(seconds, 1e-9)
+        rows.append([kernel, f"{ref_seconds * 1e3:.2f}",
+                     f"{seconds * 1e3:.2f}", f"{speedups[kernel]:.1f}x"])
+    return rows, speedups
 
 
 @pytest.fixture(scope="module")
@@ -210,15 +241,8 @@ def test_kernels_numpy_baseline(benchmark, inputs, numpy_times):
 def test_kernels_numba_speedup(benchmark, inputs, numpy_times):
     """Full numba lane: bit-identical outputs, >= 3x on >= 2 kernels."""
     keep_under_benchmark_only(benchmark)
-    rows, speedups = [], {}
-    for kernel in registry.KERNEL_NAMES:
-        ref, ref_seconds = numpy_times[kernel]
-        got, jit_seconds = measure(kernel, "numba", inputs)
-        assert_identical(kernel, ref, got)
-        speedups[kernel] = ref_seconds / max(jit_seconds, 1e-9)
-        rows.append([kernel, f"{ref_seconds * 1e3:.2f}",
-                     f"{jit_seconds * 1e3:.2f}",
-                     f"{speedups[kernel]:.1f}x"])
+    rows, speedups = compare_backend("numba", registry.KERNEL_NAMES, inputs,
+                                     numpy_times)
     emit("kernels_backends", format_table(
         f"Kernel backends, {WIDTH}-bit CSA (best of {REPEATS})",
         ["kernel", "numpy ms", "numba ms", "speedup"], rows,
@@ -250,4 +274,25 @@ def test_kernels_smoke(benchmark, inputs):
     assert speedup >= SMOKE_MIN_SPEEDUP, (
         f"cone_sweep: {speedup:.2f}x under numba (need >= "
         f"{SMOKE_MIN_SPEEDUP}x)"
+    )
+
+
+@needs_c
+def test_kernels_c_smoke(benchmark, inputs):
+    """CI guard: the C merge must clear 5x, and both C kernels match."""
+    keep_under_benchmark_only(benchmark)
+    rows, speedups = compare_backend("c", C_KERNELS, inputs)
+    emit("kernels_backends_c_smoke", format_table(
+        f"C kernel backend, {WIDTH}-bit CSA (best of {REPEATS})",
+        ["kernel", "numpy ms", "c ms", "speedup"], rows,
+    ))
+    emit_json("BENCH_kernels", {
+        "smoke": True,
+        "width": WIDTH,
+        "backend": "c",
+        "speedups": speedups,
+    })
+    assert speedups["merge_level"] >= C_SMOKE_MIN_SPEEDUP, (
+        f"merge_level: {speedups['merge_level']:.2f}x under c (need >= "
+        f"{C_SMOKE_MIN_SPEEDUP}x)"
     )

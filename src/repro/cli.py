@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.aig import read_aiger, write_aag, write_aig
 from repro.generators import make_multiplier
+from repro.kernels.registry import BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -50,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     extract = sub.add_parser("extract", help="exact adder-tree extraction")
     extract.add_argument("netlist")
     extract.add_argument("--max-cuts", type=int, default=10)
-    extract.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                         default=None,
+    extract.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
                          help="hot-path kernel backend (default: REPRO_KERNEL "
-                              "env var, else auto = numba when installed)")
+                              "env var, else auto = numba, c, numpy in that "
+                              "order)")
 
     train = sub.add_parser("train", help="train a Gamora model")
     train.add_argument("model_out", help="output .npz path")
@@ -111,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "after, so restarts keep their hit rate")
     batch.add_argument("--compare-sequential", action="store_true",
                        help="also run per-netlist reason() and report speedup")
-    batch.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                       default=None,
+    batch.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
                        help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba when installed); "
+                            "env var, else auto = numba, c, numpy in that "
+                            "order); "
                             "backends are bit-identical, so results are "
                             "cached regardless of the choice")
 
@@ -159,12 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-report", action="store_true",
                        help="skip the batched word-level report (responses "
                             "carry report: null)")
-    serve.add_argument("--kernel", choices=["auto", "numpy", "numba"],
-                       default=None,
+    serve.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
                        help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba when installed); the "
-                            "daemon JIT-warms the backend before the socket "
-                            "accepts")
+                            "env var, else auto = numba, c, numpy in that "
+                            "order); the daemon builds and warms the backend "
+                            "before the socket accepts")
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline applied to requests that do not carry "
                             "their own deadline_ms: a request still queued "

@@ -3,9 +3,12 @@
 ``repro.kernels`` dispatches the four post-GNN array kernels — the
 per-level cut merge, the cone frontier sweep, the packed-key FA join and
 the Kahn longest-path wavefront — to a selected backend: the pure-NumPy
-reference (always present, the default) or the optional Numba
-``@njit(cache=True)`` backend.  See :mod:`repro.kernels.registry` for
-selection semantics (``REPRO_KERNEL``, ``set_backend``) and
+reference (always present), the optional Numba ``@njit(cache=True)``
+backend, or the C backend (:mod:`repro.kernels.c_backend`: ``merge_level``
+and ``kahn_propagate`` compiled once with the system C compiler and
+loaded through ``ctypes``).  ``auto``, the default, resolves numba → c →
+numpy.  See :mod:`repro.kernels.registry` for selection semantics
+(``REPRO_KERNEL``, ``set_backend``, :data:`BACKEND_CHOICES`) and
 :mod:`repro.kernels.numpy_backend` for the pinned kernel signatures.
 
 This package import stays light: backend modules load lazily on first
@@ -14,6 +17,7 @@ threshold constant from here) costs nothing extra.
 """
 
 from repro.kernels.registry import (
+    BACKEND_CHOICES,
     BACKEND_ENV,
     KERNEL_NAMES,
     LEVELS_SCALAR_CUTOFF,
@@ -31,6 +35,7 @@ from repro.kernels.registry import (
 )
 
 __all__ = [
+    "BACKEND_CHOICES",
     "BACKEND_ENV",
     "KERNEL_NAMES",
     "LEVELS_SCALAR_CUTOFF",

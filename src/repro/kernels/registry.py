@@ -4,21 +4,29 @@ The post-GNN path runs on four well-defined array contracts (the
 ROADMAP's kernel targets): the per-level cut merge, the cone frontier
 sweep, the packed-key FA join, and the Kahn longest-path wavefront.  Each
 is a *registered kernel*: a name plus a pinned signature, with one
-implementation per *backend*.  The pure-NumPy backend is always present
-and stays the default; a Numba ``@njit(cache=True)`` backend is
-import-gated (``numba`` is optional) and must be bit-identical — the
-differential suite in ``tests/test_kernels.py`` pins that, which is also
-what makes backend choice invisible to the result cache.
+implementation per *backend*.  Three backends ship:
+
+* ``numpy`` — always present, the reference and bit-identity oracle;
+* ``numba`` — ``@njit(cache=True)`` ports of all four kernels, gated on
+  ``numba`` being importable;
+* ``c`` — C ports of ``merge_level`` and ``kahn_propagate``, compiled once
+  with the system C compiler and loaded through ``ctypes``, gated on the
+  build succeeding (:mod:`repro.kernels.c_backend`).
+
+Compiled backends must be bit-identical to numpy — the differential
+suite in ``tests/test_kernels.py`` pins that, which is also what makes
+backend choice invisible to the result cache.
 
 Selection is process-global, not per-call: the ``REPRO_KERNEL`` env var
-(``auto`` | ``numpy`` | ``numba``) picks the default, :func:`set_backend`
-overrides it (the CLI's ``--kernel`` flag lands here).  ``auto`` means
-"numba when importable, else numpy"; an *explicit* ``numba`` request
-without numba installed warns and falls back to numpy — never an
-ImportError on a serving path.  Backends may implement any subset of the
-kernels; missing ones transparently fall back to numpy, which is also how
-test-only backends hook in (:func:`register` accepts arbitrary backend
-names).
+(one of :data:`BACKEND_CHOICES`) picks the default, :func:`set_backend`
+overrides it (the CLI's ``--kernel`` flag lands here).  ``auto`` resolves
+numba → c → numpy, taking the first that loads; an *explicit* ``numba``
+or ``c`` request that cannot load warns and falls back to numpy — never
+an ImportError on a serving path.  A backend that failed to load is not
+retried in the same process (a failed C build is not re-run per
+resolve).  Backends may implement any subset of the kernels; missing
+ones transparently fall back to numpy, which is also how test-only
+backends hook in (:func:`register` accepts arbitrary backend names).
 
 Every dispatch is counted per ``(kernel, backend)`` so the serving daemon
 can surface what actually ran (``stats``/``stats.json``).
@@ -33,6 +41,7 @@ import warnings
 from typing import Callable
 
 __all__ = [
+    "BACKEND_CHOICES",
     "BACKEND_ENV",
     "KERNEL_NAMES",
     "LEVELS_SCALAR_CUTOFF",
@@ -51,6 +60,16 @@ __all__ = [
 
 BACKEND_ENV = "REPRO_KERNEL"
 
+# Accepted values of REPRO_KERNEL and the CLI's --kernel flag.
+BACKEND_CHOICES = ("auto", "numpy", "numba", "c")
+
+# Compiled backends: importing the module registers its kernels, and an
+# ImportError means "unavailable here".
+_BACKEND_MODULES = {
+    "numba": "repro.kernels.numba_backend",
+    "c": "repro.kernels.c_backend",
+}
+
 # The four pinned kernel contracts (see numpy_backend for the reference
 # implementations and the signature documentation).
 KERNEL_NAMES = ("merge_level", "cone_sweep", "fa_join", "kahn_propagate")
@@ -66,6 +85,7 @@ LEVELS_SCALAR_CUTOFF = 4096
 
 _impls: dict[tuple[str, str], Callable] = {}
 _loaded_backends: set[str] = set()
+_unavailable: dict[str, str] = {}  # backend -> why its import failed
 _requested: str | None = None  # explicit set_backend choice (beats the env)
 _active: str | None = None  # cached resolution; invalidated by set_backend
 _counts: dict[tuple[str, str], int] = {}
@@ -101,12 +121,15 @@ def _load_backend(backend: str) -> bool:
     with _lock:
         if backend in _loaded_backends:
             return True
+        if backend in _unavailable:
+            return False
         if backend == "numpy":
             from repro.kernels import numpy_backend  # noqa: F401
-        elif backend == "numba":
+        elif backend in _BACKEND_MODULES:
             try:
-                from repro.kernels import numba_backend  # noqa: F401
-            except ImportError:
+                importlib.import_module(_BACKEND_MODULES[backend])
+            except ImportError as exc:
+                _unavailable[backend] = str(exc)
                 return False
         elif not any(key[1] == backend for key in _impls):
             # Custom backends (tests, experiments) register their kernels
@@ -127,23 +150,27 @@ def requested_backend() -> str:
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested backend name to the one that will serve.
 
-    ``auto`` prefers numba when importable; an explicit ``numba`` request
-    without numba warns and degrades to numpy (a serving process must come
-    up regardless); anything else must be a registered backend name.
+    ``auto`` takes the first of numba → c → numpy that loads (numba only
+    when importable); an explicit ``numba`` or ``c`` request that cannot
+    load warns and degrades to numpy (a serving process must come up
+    regardless); anything else must be a registered backend name.
     """
     name = (name or requested_backend()).strip().lower()
     if name == "auto":
         if numba_available() and _load_backend("numba"):
             return "numba"
+        if _load_backend("c"):
+            return "c"
         return "numpy"
     if name == "numpy":
         _load_backend("numpy")
         return "numpy"
-    if name == "numba":
-        if _load_backend("numba"):
-            return "numba"
+    if name in _BACKEND_MODULES:
+        if _load_backend(name):
+            return name
+        reason = _unavailable.get(name, "not loadable")
         warnings.warn(
-            "kernel backend 'numba' requested but numba is not importable; "
+            f"kernel backend {name!r} requested but unavailable ({reason}); "
             "falling back to the numpy backend",
             RuntimeWarning,
             stacklevel=2,
@@ -152,8 +179,8 @@ def resolve_backend(name: str | None = None) -> str:
     if _load_backend(name):
         return name
     raise ValueError(
-        f"unknown kernel backend {name!r}; expected 'auto', 'numpy', "
-        "'numba', or a registered custom backend"
+        f"unknown kernel backend {name!r}; expected one of "
+        f"{BACKEND_CHOICES} or a registered custom backend"
     )
 
 
@@ -237,7 +264,8 @@ def warmup(backend: str | None = None) -> dict:
     Runs the real pipeline — cut sweep, FA join, cone consumption,
     word-level ranks — over a small CSA multiplier so every registered
     kernel executes at least once (under numba that is what triggers, and
-    with ``cache=True`` persists, JIT compilation).  Small graphs take the
+    with ``cache=True`` persists, JIT compilation; the C backend was
+    already built when it resolved).  Small graphs take the
     scalar ``levels()`` fallback, so the Kahn kernel is additionally
     driven directly on a hand-built CSR.  Dispatch counters are reset
     afterwards: serving stats start at zero, compile cost is paid before

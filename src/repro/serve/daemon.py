@@ -153,8 +153,9 @@ class GamoraDaemon:
 
         The kernel warmup runs the selected backend over a tiny synthetic
         AIG *before* the scheduler spins up (and hence before any socket
-        accepts): under numba that is where JIT compilation happens, so the
-        first real request never pays it.
+        accepts): under numba that is where JIT compilation happens, and
+        under c the one-time build ran when the backend resolved, so the
+        first real request never pays either.
 
         A cache directory that turns out corrupt or unreadable is
         *quarantined* — renamed aside, recorded in ``quarantined``, a

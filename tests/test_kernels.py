@@ -1,6 +1,6 @@
-"""Kernel backend registry semantics and numpy/numba bit-identity.
+"""Kernel backend registry semantics and numpy/compiled bit-identity.
 
-Two invariant families:
+Three invariant families:
 
 * **Registry semantics** — selection precedence (``set_backend`` beats
   ``REPRO_KERNEL`` beats ``auto``), graceful degradation (an explicit
@@ -8,16 +8,28 @@ Two invariant families:
   ImportError on a serving path), custom test backends with per-kernel
   numpy fallback, dispatch counting, and the one shared scalar-levels
   cutoff constant.  These run everywhere.
-* **Differential bit-identity** — with numba installed, every kernel must
+* **Differential bit-identity** — every available compiled backend
+  (numba when installed, c when the system compiler builds it) must
   produce *exactly* the numpy reference's output (same arrays, same
   dtypes-relevant values, same ordering) over the adder-tree circuit
-  families and the degenerate graphs.  Bit-identity is what lets the
-  result cache ignore the backend entirely, which the cache-sharing
-  regression test at the bottom pins structurally.
+  families, the degenerate graphs and random AIGs.  Bit-identity is what
+  lets the result cache ignore the backend entirely, which the
+  cache-sharing regression test at the bottom pins structurally.
+* **C backend failure modes** — no compiler, bad arguments, concurrent
+  callers and truncated cached builds all end in numpy service or a
+  typed error, never in a crash.
 """
+
+import os
+import shutil
+import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig import AIG
 from repro.aig.fast_cuts import enumerate_cuts_arrays
@@ -47,6 +59,21 @@ from repro.utils.random_circuits import random_aig
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed"
 )
+needs_c = pytest.mark.skipif(
+    not registry._load_backend("c"),
+    reason="C kernel backend unavailable (no working C compiler)",
+)
+
+# Every compiled backend and the kernels it implements itself (the rest
+# are served by numpy through the registry's per-kernel fallback).
+COMPILED = {
+    "numba": KERNEL_NAMES,
+    "c": ("merge_level", "kahn_propagate"),
+}
+COMPILED_BACKENDS = [
+    pytest.param("numba", marks=needs_numba),
+    pytest.param("c", marks=needs_c),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -56,11 +83,14 @@ def clean_registry(monkeypatch):
     set_backend(None)
     reset_dispatch_counts()
     saved = dict(registry._impls)
+    saved_unavailable = dict(registry._unavailable)
     yield
     with registry._lock:
         registry._impls.clear()
         registry._impls.update(saved)
-        registry._loaded_backends.intersection_update({"numpy", "numba"})
+        registry._loaded_backends.intersection_update({"numpy", "numba", "c"})
+        registry._unavailable.clear()
+        registry._unavailable.update(saved_unavailable)
     # Teardown runs before the env monkeypatch is undone; resolve quietly.
     import warnings
 
@@ -118,7 +148,7 @@ CIRCUITS = {
 class TestRegistrySelection:
     def test_default_is_auto(self):
         assert requested_backend() == "auto"
-        assert active_backend() in ("numpy", "numba")
+        assert active_backend() in ("numpy", "numba", "c")
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy")
@@ -141,12 +171,13 @@ class TestRegistrySelection:
             register("not_a_kernel", "numpy")
 
     def test_explicit_numba_missing_falls_back_with_warning(self, monkeypatch):
-        # Simulate an environment without numba regardless of this one.
+        # Simulate an environment without any compiled backend regardless
+        # of this one (auto would otherwise pick c).
         monkeypatch.setattr(registry, "numba_available", lambda: False)
         real_load = registry._load_backend
         monkeypatch.setattr(
             registry, "_load_backend",
-            lambda b: False if b == "numba" else real_load(b),
+            lambda b: False if b in ("numba", "c") else real_load(b),
         )
         with pytest.warns(RuntimeWarning, match="falling back"):
             assert set_backend("numba") == "numpy"
@@ -307,7 +338,7 @@ def test_kahn_empty_graph():
 
 
 # ---------------------------------------------------------------------------
-# Differential suite: numba backend must be bit-identical to numpy
+# Differential suite: every compiled backend must be bit-identical to numpy
 # ---------------------------------------------------------------------------
 
 def run_pipeline(aig: AIG, backend: str):
@@ -319,56 +350,284 @@ def run_pipeline(aig: AIG, backend: str):
     return cuts, tree, report
 
 
-@needs_numba
-class TestNumbaBitIdentity:
-    @pytest.fixture(autouse=True)
-    def warm(self):
-        warmup("numba")
+def assert_same_cuts(ref, got) -> None:
+    assert np.array_equal(ref.leaves, got.leaves)
+    assert np.array_equal(ref.truths, got.truths)
+    assert np.array_equal(ref.sizes, got.sizes)
+    assert np.array_equal(ref.counts, got.counts)
+
+
+class TestCompiledBitIdentity:
+    @pytest.fixture(autouse=True, params=COMPILED_BACKENDS)
+    def backend(self, request):
+        warmup(request.param)
+        return request.param
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
-    def test_pipeline_identical(self, name):
+    def test_pipeline_identical(self, name, backend):
         build = CIRCUITS[name]
         ref_cuts, ref_tree, ref_report = run_pipeline(build(), "numpy")
-        got_cuts, got_tree, got_report = run_pipeline(build(), "numba")
-        assert np.array_equal(ref_cuts.leaves, got_cuts.leaves)
-        assert np.array_equal(ref_cuts.truths, got_cuts.truths)
-        assert np.array_equal(ref_cuts.sizes, got_cuts.sizes)
-        assert np.array_equal(ref_cuts.counts, got_cuts.counts)
+        got_cuts, got_tree, got_report = run_pipeline(build(), backend)
+        assert_same_cuts(ref_cuts, got_cuts)
         assert got_tree.adders == ref_tree.adders
         assert got_tree.consumed == ref_tree.consumed
         assert got_report == ref_report
 
     @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
-    def test_levels_identical(self, name, monkeypatch):
+    def test_levels_identical(self, name, backend, monkeypatch):
         monkeypatch.setattr(AIG, "_LEVELS_VECTOR_MIN", 0)
         build = CIRCUITS[name]
         set_backend("numpy")
         ref = np.asarray(build().levels_array())
-        set_backend("numba")
+        set_backend(backend)
         got = np.asarray(build().levels_array())
         assert np.array_equal(ref, got)
 
-    def test_numba_actually_dispatches(self):
-        set_backend("numba")
+    def test_backend_actually_dispatches(self, backend):
+        set_backend(backend)
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
         analyze_adder_tree(aig, fast_extract_adder_tree(aig))
         counts = dispatch_counts()
         for kernel in KERNEL_NAMES:
-            backends = counts.get(kernel, {})
-            assert "numpy" not in backends, (kernel, counts)
+            served = set(counts.get(kernel, {}))
+            expected = backend if kernel in COMPILED[backend] else "numpy"
+            assert served == {expected}, (kernel, counts)
 
-    def test_small_pack_limit_identical(self):
+    def test_small_pack_limit_identical(self, backend):
         """The compaction path (tiny pack_limit) stays backend-identical."""
         aig = csa_multiplier(6).aig
         set_backend("numpy")
         ref = enumerate_cuts_arrays(aig, max_cuts=6, pack_limit=128)
-        set_backend("numba")
+        set_backend(backend)
         got = enumerate_cuts_arrays(aig, max_cuts=6, pack_limit=128)
-        assert np.array_equal(ref.leaves, got.leaves)
-        assert np.array_equal(ref.truths, got.truths)
-        assert np.array_equal(ref.sizes, got.sizes)
-        assert np.array_equal(ref.counts, got.counts)
+        assert_same_cuts(ref, got)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kahn_matches_brute_force(self, backend, seed):
+        set_backend(backend)
+        rng = np.random.default_rng(100 + seed)
+        num = 40
+        # Edges between random (not index-ordered) node pairs of a hidden
+        # topological order, so the stack order differs from numpy's.
+        rank = rng.permutation(num)
+        edges = [(a, b) for a in range(num) for b in range(num)
+                 if rank[a] < rank[b] and rng.random() < 0.1]
+        start = rng.integers(0, 4, size=num)
+        indptr, consumers, indegree = csr_from_edges(num, edges)
+        values = start.astype(np.int64).copy()
+        get_kernel("kahn_propagate")(indptr, consumers, indegree, values)
+        assert np.array_equal(values, brute_longest_path(num, edges, start))
+
+
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    num_inputs=st.integers(1, 8),
+    num_ands=st.integers(0, 150),
+    k=st.sampled_from([2, 3]),
+    max_cuts=st.integers(1, 10),
+    include_trivial=st.booleans(),
+    roots=st.none() | st.lists(st.integers(0, 10**6), min_size=1,
+                               max_size=4),
+)
+def test_c_cut_columns_match_numpy(seed, num_inputs, num_ands, k, max_cuts,
+                                   include_trivial, roots):
+    """Property: on random AIGs the C merge fills all four CutArrays
+    columns exactly like numpy, restricted to random roots or not."""
+    aig = random_aig(num_inputs=num_inputs, num_ands=num_ands,
+                     num_outputs=2, seed=seed)
+    restrict_to = None
+    if roots is not None:
+        restrict_to = sorted({root % aig.num_vars for root in roots})
+    results = []
+    for backend in ("numpy", "c"):
+        set_backend(backend)
+        results.append(enumerate_cuts_arrays(
+            aig, k=k, max_cuts=max_cuts, include_trivial=include_trivial,
+            restrict_to=restrict_to,
+        ))
+    assert_same_cuts(*results)
+
+
+# ---------------------------------------------------------------------------
+# C backend failure modes
+# ---------------------------------------------------------------------------
+
+def fresh_columns(aig: AIG, slots: int = 4):
+    """Valid merge_level arguments for ``aig``'s first AND level."""
+    fanin0, fanin1 = aig.fanin_arrays()
+    num = aig.num_vars
+    leaves = np.full((num, slots, 3), num, dtype=np.int32)
+    truths = np.zeros((num, slots), dtype=np.uint8)
+    sizes = np.zeros((num, slots), dtype=np.int8)
+    counts = np.zeros(num, dtype=np.int32)
+    boundary = np.arange(1 + aig.num_inputs)
+    leaves[boundary, 0, 0] = boundary
+    sizes[boundary, 0] = 1
+    counts[boundary] = 1
+    batch = next(aig.and_level_batches())
+    return [batch, fanin0, fanin1, leaves, truths, sizes, counts]
+
+
+@needs_c
+class TestCBackendFailureModes:
+    @pytest.fixture
+    def c_backend(self):
+        from repro.kernels import c_backend
+        return c_backend
+
+    def test_no_compiler_serves_numpy(self, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+        monkeypatch.delitem(sys.modules, "repro.kernels.c_backend")
+        monkeypatch.setattr(registry, "numba_available", lambda: False)
+        monkeypatch.setattr(registry, "_loaded_backends", {"numpy"})
+        monkeypatch.setattr(registry, "_unavailable", {})
+        monkeypatch.setattr(registry, "_impls", {
+            key: impl for key, impl in registry._impls.items()
+            if key[1] != "c"
+        })
+        assert set_backend("auto") == "numpy"
+        assert "no C compiler" in registry._unavailable["c"]
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert set_backend("c") == "numpy"
+        reset_dispatch_counts()
+        assert fast_extract_adder_tree(csa_multiplier(4).aig).num_full_adders
+        assert set(dispatch_counts()["merge_level"]) == {"numpy"}
+
+    def test_wrapper_rejects_bad_arguments(self, c_backend):
+        aig = csa_multiplier(4).aig
+        knobs = dict(k=3, max_cuts=3, include_trivial=True,
+                     pad=aig.num_vars, pack_limit=1 << 20)
+        merge = c_backend.merge_level
+
+        args = fresh_columns(aig)
+        args[3] = args[3].astype(np.int64)  # leaves must be int32
+        with pytest.raises(TypeError, match="leaves"):
+            merge(*args, **knobs)
+
+        args = fresh_columns(aig)
+        args[0] = args[0].astype(np.int32)  # batch must be int64
+        with pytest.raises(TypeError, match="batch"):
+            merge(*args, **knobs)
+
+        args = fresh_columns(aig)
+        wide = np.zeros((aig.num_vars, 8), dtype=np.uint8)
+        args[4] = wide[:, ::2]  # right shape, strided
+        with pytest.raises(ValueError, match="C-contiguous"):
+            merge(*args, **knobs)
+
+        args = fresh_columns(aig)
+        with pytest.raises(ValueError, match="k=4"):
+            merge(*args, **{**knobs, "k": 4})
+
+        args = fresh_columns(aig)
+        with pytest.raises(ValueError, match="slots"):
+            merge(*args, **{**knobs, "max_cuts": 4})
+
+        # Out-of-range indices are caught inside C before any write.
+        args = fresh_columns(aig)
+        args[0] = np.array([aig.num_vars], dtype=np.int64)
+        before = [column.copy() for column in args[3:]]
+        with pytest.raises(ValueError, match="out of range"):
+            merge(*args, **knobs)
+        for old, new in zip(before, args[3:]):
+            assert np.array_equal(old, new)
+
+        kahn = c_backend.kahn_propagate
+        indptr = np.array([0, 1, 1], dtype=np.int64)
+        consumers = np.array([1], dtype=np.int64)
+        with pytest.raises(TypeError, match="indegree"):
+            kahn(indptr, consumers, np.array([0, 1], dtype=np.int32),
+                 np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="indptr"):
+            kahn(indptr[:2], consumers, np.array([0, 1], dtype=np.int64),
+                 np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            kahn(indptr, np.array([7], dtype=np.int64),
+                 np.array([0, 1], dtype=np.int64),
+                 np.zeros(2, dtype=np.int64))
+
+    def test_threads_match_sequential(self, monkeypatch):
+        """More sweeping threads than cores, on different graphs, with a
+        short switch interval: every result equals the sequential one."""
+        monkeypatch.setattr(AIG, "_LEVELS_VECTOR_MIN", 0)
+        set_backend("c")
+        builds = [lambda: csa_multiplier(12).aig,
+                  lambda: booth_multiplier(10).aig,
+                  lambda: csa_multiplier(10, style="wallace").aig,
+                  lambda: random_aig(num_inputs=8, num_ands=400, seed=3)]
+
+        def sweep(build):
+            aig = build()
+            return (enumerate_cuts_arrays(aig, k=3, max_cuts=8),
+                    np.asarray(aig.levels_array()))
+
+        expected = [sweep(build) for build in builds]
+        results: dict[tuple[int, int], tuple] = {}
+        barrier = threading.Barrier(len(builds))
+
+        def worker(index):
+            barrier.wait(timeout=30)
+            for repeat in range(3):
+                results[index, repeat] = sweep(builds[index])
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(len(builds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 3 * len(builds)
+        for (index, _), (cuts, levels) in results.items():
+            assert_same_cuts(expected[index][0], cuts)
+            assert np.array_equal(expected[index][1], levels)
+
+    def test_truncated_cache_is_rebuilt(self, c_backend, tmp_path):
+        cache = str(tmp_path / "rebuild")
+        path = c_backend.cached_library(cache)
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(size // 2)
+        assert not c_backend._elf_complete(path)
+        assert c_backend.cached_library(cache) == path
+        assert os.path.getsize(path) == size
+        lib = c_backend.load_library(cache)
+        assert lib.repro_kahn_propagate is not None
+
+    def test_truncated_cache_without_compiler_is_unavailable(
+            self, c_backend, tmp_path, monkeypatch):
+        cache = str(tmp_path / "stale")
+        path = c_backend.cached_library(cache)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+        with pytest.raises(ImportError, match="no C compiler"):
+            c_backend.load_library(cache)
+        assert not c_backend._elf_complete(path)
+
+    def test_unwritable_cache_builds_privately(self, c_backend, tmp_path,
+                                               monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        lib = c_backend.load_library(str(blocker / "cache"))
+        assert lib.repro_merge_level is not None
+        assert len(made) == 1 and not os.path.exists(made[0])
 
 
 # ---------------------------------------------------------------------------
