@@ -10,9 +10,12 @@ benchmark in the paper.
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
 
-from repro.aig.graph import AIG, lit_neg, lit_not, lit_var
+import numpy as np
+
+from repro.aig.graph import AIG, lit_not
 
 __all__ = ["write_aag", "write_aig", "read_aiger", "dumps_aag", "loads_aag"]
 
@@ -86,11 +89,18 @@ def write_aig(aig: AIG, path: str | Path) -> None:
 
 
 def loads_aag(text: str, name: str = "aig") -> AIG:
-    """Parse ASCII AIGER text into an :class:`AIG` (re-strashed)."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty AIGER input")
-    return _parse_ascii(lines, name)
+    """Parse ASCII AIGER text into an :class:`AIG` (re-strashed).
+
+    Text already in strashed canonical form (what :func:`dumps_aag`, ABC
+    and every strashed writer emit) is parsed in bulk, with no per-line
+    Python work.  Anything else, legal or malformed, goes line by line
+    through the reference parser, which re-strashes it and owns every
+    error message.  Both routes build the same AIG.
+    """
+    aig = _loads_canonical(text, name)
+    if aig is None:
+        aig = _parse_ascii(text.splitlines(), name)
+    return aig
 
 
 def read_aiger(path: str | Path, name: str | None = None) -> AIG:
@@ -98,7 +108,7 @@ def read_aiger(path: str | Path, name: str | None = None) -> AIG:
     data = Path(path).read_bytes()
     title = name if name is not None else Path(path).stem
     if data.startswith(b"aag"):
-        return _parse_ascii(data.decode("ascii").splitlines(), title)
+        return loads_aag(data.decode("ascii"), title)
     if data.startswith(b"aig"):
         return _parse_binary(data, title)
     raise ValueError(f"{path}: not an AIGER file (header {data[:3]!r})")
@@ -126,7 +136,7 @@ def _parse_header(line: str) -> tuple[int, int, int, int, int]:
     return max_var, num_in, num_latch, num_out, num_and
 
 
-def _apply_symbols(aig: AIG, lines: list[str], input_map: dict[int, int]) -> None:
+def _apply_symbols(aig: AIG, lines: list[str]) -> None:
     names_in = dict(enumerate(aig.input_names))
     names_out = dict(enumerate(aig.output_names))
     for line in lines:
@@ -180,6 +190,8 @@ def _take_int(line: str, what: str) -> int:
 
 
 def _parse_ascii(lines: list[str], name: str) -> AIG:
+    if not lines:
+        raise ValueError("empty AIGER input")
     max_var, num_in, _latches, num_out, num_and = _parse_header(lines[0])
     aig = AIG(name=name)
     lit_map: dict[int, int] = {0: 0}
@@ -231,7 +243,65 @@ def _parse_ascii(lines: list[str], name: str) -> AIG:
         )
     for lit in output_lits:
         aig.add_output(_translate(lit, lit_map))
-    _apply_symbols(aig, lines[cursor:], lit_map)
+    _apply_symbols(aig, lines[cursor:])
+    return aig
+
+
+# The bulk route's lexer: ASCII digits only, and at most 18 of them, so
+# every literal fits an int64.  Text that misses any of these patterns
+# (CRLF, tabs, extra spaces, signs, a missing final newline...) declines
+# to the reference parser.
+_LIT = "[0-9]{1,18}"
+_CANONICAL_HEADER = re.compile("aag " + " ".join([f"({_LIT})"] * 5) + "\n")
+
+
+def _loads_canonical(text: str, name: str) -> AIG | None:
+    """Bulk-parse text in strashed canonical form, else return ``None``.
+
+    Canonical form: inputs are ``2, 4, .., 2I``; AND ``k`` defines
+    ``2(I+1+k)`` as ``rhs0 > rhs1`` over two distinct non-constant
+    variables defined earlier; no two ANDs share a fan-in pair; every
+    output literal is defined.  The reference parser maps each literal
+    of such a file to itself and creates every AND as written, so the
+    fan-in columns can be adopted as they are.  Every check is on whole
+    arrays; nothing is sized by a header count the text cannot hold.
+    """
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
+        return None
+    max_var, num_in, num_latch, num_out, num_and = map(int, header.groups())
+    start = header.end()
+    # A literal line takes at least 2 characters, an AND line at least 6.
+    if (num_latch or num_in + num_and > max_var
+            or 2 * (num_in + num_out) + 6 * num_and > len(text) - start):
+        return None
+    body = re.compile(
+        rf"(?:{_LIT}\n){{{num_in + num_out}}}"
+        rf"(?:{_LIT} {_LIT} {_LIT}\n){{{num_and}}}"
+    ).match(text, start)
+    if body is None:
+        return None
+    values = np.fromstring(text[start:body.end()], dtype=np.int64, sep=" ")
+    first = 1 + num_in
+    num_vars = first + num_and
+    outputs = values[num_in:num_in + num_out]
+    lhs, rhs0, rhs1 = values[num_in + num_out:].reshape(num_and, 3).T
+    and_vars = np.arange(first, num_vars, dtype=np.int64)
+    var0, var1 = rhs0 >> 1, rhs1 >> 1
+    if not (np.array_equal(values[:num_in], 2 * np.arange(1, first))
+            and np.all(outputs < 2 * num_vars)
+            and np.array_equal(lhs, 2 * and_vars)
+            and np.all((var1 > 0) & (var1 < var0) & (var0 < and_vars))):
+        return None
+    pairs = np.sort(rhs1 * (2 * num_vars) + rhs0)
+    if np.any(pairs[1:] == pairs[:-1]):
+        return None
+    fanin0 = np.full(num_vars, -1, dtype=np.int64)
+    fanin1 = np.full(num_vars, -1, dtype=np.int64)
+    fanin0[first:] = rhs1
+    fanin1[first:] = rhs0
+    aig = AIG._from_strashed_arrays(name, num_in, fanin0, fanin1, outputs)
+    _apply_symbols(aig, text[body.end():].splitlines())
     return aig
 
 
@@ -278,5 +348,5 @@ def _parse_binary(data: bytes, name: str) -> AIG:
     for lit in output_lits:
         aig.add_output(_translate(lit, lit_map))
     rest = stream.read().decode("ascii", errors="replace").splitlines()
-    _apply_symbols(aig, rest, lit_map)
+    _apply_symbols(aig, rest)
     return aig

@@ -81,13 +81,40 @@ class AIG:
         self._input_names: list[str] = []
         self._outputs: list[int] = []  # literals
         self._output_names: list[str] = []
-        self._strash: dict[tuple[int, int], int] = {}
+        # Lazy: built from the fan-in lists by the first add_and/find_and,
+        # so a graph that is only read (a parsed netlist) never pays for it.
+        self._strash: dict[tuple[int, int], int] | None = None
         self._levels: list[int] | None = None  # lazy cache
         self._levels_arr = None  # lazy np.int64 twin of _levels
         self._fanin_arrays = None  # lazy np.int64 twins of _fanin0/_fanin1
         self._pair_groups = None  # lazy fan-in pair index (array form)
         self._pair_index: dict | None = None  # lazy fan-in pair index (dict)
         self._shash: tuple[tuple[int, int], str] | None = None  # lazy cache
+
+    @classmethod
+    def _from_strashed_arrays(cls, name: str, num_inputs: int, fanin0,
+                              fanin1, outputs) -> "AIG":
+        """An AIG adopting already-strashed int64 fan-in arrays as is.
+
+        ``fanin0``/``fanin1`` have one entry per variable (``-1`` for the
+        constant and the inputs) and must be exactly what ``add_and``
+        would have built: every AND's fan-ins normalized ``f0 < f1``,
+        non-constant, on distinct earlier variables, with no repeated
+        pair.  The caller checks that; nothing is re-checked here.  The
+        arrays become the :meth:`fanin_arrays` cache (read-only); ports
+        get the default names.
+        """
+        aig = cls(name=name)
+        aig._fanin0 = fanin0.tolist()
+        aig._fanin1 = fanin1.tolist()
+        aig._num_inputs = num_inputs
+        aig._input_names = [f"i{k}" for k in range(num_inputs)]
+        aig._outputs = outputs.tolist()
+        aig._output_names = [f"o{k}" for k in range(len(aig._outputs))]
+        fanin0.flags.writeable = False
+        fanin1.flags.writeable = False
+        aig._fanin_arrays = (fanin0, fanin1)
+        return aig
 
     # ------------------------------------------------------------------
     # Construction
@@ -134,13 +161,14 @@ class AIG:
         if a > b:
             a, b = b, a
         key = (a, b)
-        existing = self._strash.get(key)
+        strash = self._strash_index()
+        existing = strash.get(key)
         if existing is not None:
             return make_lit(existing)
         var = len(self._fanin0)
         self._fanin0.append(a)
         self._fanin1.append(b)
-        self._strash[key] = var
+        strash[key] = var
         self._invalidate_structure_caches()
         return make_lit(var)
 
@@ -280,8 +308,18 @@ class AIG:
         """
         if a > b:
             a, b = b, a
-        var = self._strash.get((a, b))
+        var = self._strash_index().get((a, b))
         return None if var is None else make_lit(var)
+
+    def _strash_index(self) -> dict[tuple[int, int], int]:
+        """The ``(fanin0, fanin1) -> var`` strash dict, built on first use."""
+        if self._strash is None:
+            first = 1 + self._num_inputs
+            self._strash = dict(zip(
+                zip(self._fanin0[first:], self._fanin1[first:]),
+                range(first, len(self._fanin0)),
+            ))
+        return self._strash
 
     # ------------------------------------------------------------------
     # Derived structure
@@ -319,8 +357,9 @@ class AIG:
             self._levels = lev
             self._levels_arr = np.asarray(lev, dtype=np.int64)
             return self._levels_arr
-        f0v = np.asarray(self._fanin0[first:], dtype=np.int64) >> 1
-        f1v = np.asarray(self._fanin1[first:], dtype=np.int64) >> 1
+        fanin0, fanin1 = self.fanin_arrays()
+        f0v = fanin0[first:] >> 1
+        f1v = fanin1[first:] >> 1
         # Number of *AND* fan-ins per AND node (0-based): the Kahn indegree.
         indegree = (f0v >= first).astype(np.int64) + (f1v >= first)
         # CSR index: AND producer -> the AND nodes that read it.
@@ -358,10 +397,8 @@ class AIG:
         if self.num_ands == 0:
             return [0] * self.num_vars
         first = 1 + self._num_inputs
-        readers = np.concatenate([
-            np.asarray(self._fanin0[first:], dtype=np.int64) >> 1,
-            np.asarray(self._fanin1[first:], dtype=np.int64) >> 1,
-        ])
+        fanin0, fanin1 = self.fanin_arrays()
+        readers = np.concatenate([fanin0[first:] >> 1, fanin1[first:] >> 1])
         return np.bincount(readers, minlength=self.num_vars).tolist()
 
     def and_pair_groups(self) -> tuple["object", "object", "object"]:
@@ -385,8 +422,9 @@ class AIG:
             empty = np.zeros(0, dtype=np.int64)
             self._pair_groups = (empty, np.zeros(1, dtype=np.int64), empty)
             return self._pair_groups
-        f0v = np.asarray(self._fanin0[first:], dtype=np.int64) >> 1
-        f1v = np.asarray(self._fanin1[first:], dtype=np.int64) >> 1
+        fanin0, fanin1 = self.fanin_arrays()
+        f0v = fanin0[first:] >> 1
+        f1v = fanin1[first:] >> 1
         lo = np.minimum(f0v, f1v)
         hi = np.maximum(f0v, f1v)
         keep = lo != hi
@@ -505,17 +543,19 @@ class AIG:
         """Fan-in literals as two NumPy int64 arrays of length ``num_vars``.
 
         Entries for the constant node and PIs are ``-1``.  Used by the
-        vectorized simulator, the feature encoder, and the pairing engine.
-        Cached (the list→array conversion is a measurable per-call cost on
-        big graphs); treat the returned arrays as read-only.
+        vectorized simulator, the feature encoder, the pairing engine and
+        every array-form structure query here.  Cached (the list→array
+        conversion is a measurable per-call cost on big graphs) until a
+        node is appended; the arrays are read-only.
         """
         import numpy as np
 
         if self._fanin_arrays is None:
-            self._fanin_arrays = (
-                np.asarray(self._fanin0, dtype=np.int64),
-                np.asarray(self._fanin1, dtype=np.int64),
-            )
+            fanin0 = np.asarray(self._fanin0, dtype=np.int64)
+            fanin1 = np.asarray(self._fanin1, dtype=np.int64)
+            fanin0.flags.writeable = False
+            fanin1.flags.writeable = False
+            self._fanin_arrays = (fanin0, fanin1)
         return self._fanin_arrays
 
     def structural_hash(self) -> str:
@@ -575,8 +615,7 @@ class AIG:
                 np.uint64(0x7069) + np.arange(self._num_inputs, dtype=np.uint64)
             )
         if self.num_ands:
-            fanin0 = np.asarray(self._fanin0, dtype=np.int64)
-            fanin1 = np.asarray(self._fanin1, dtype=np.int64)
+            fanin0, fanin1 = self.fanin_arrays()
             for batch in self.and_level_batches():
                 f0 = fanin0[batch]
                 f1 = fanin1[batch]

@@ -39,6 +39,7 @@ from repro.serve import (
 from repro.serve import resilience
 from repro.serve.resilience import FaultRule
 
+from tests.test_aiger import MALFORMED_NETLISTS
 from tests.test_serve_batching import assert_outcome_equal
 
 
@@ -759,23 +760,7 @@ class TestBadRequestMapping:
         )
         assert response["error"]["retriable"] is False
 
-    @pytest.mark.parametrize("netlist", [
-        "",                                  # empty
-        "hello world",                       # no header
-        "aag x 1 0 1 0",                     # non-numeric header field
-        "aag -1 0 0 0 0",                    # negative count
-        "aag 1 0 1 0 0",                     # latches unsupported
-        "aag 1 2 0 0 0",                     # more inputs than variables
-        "aag 3 1 0 1 2",                     # inputs+ands exceed max_var
-        "aag 1 1 0 0 0\n3",                  # odd input literal
-        "aag 2 2 0 0 0\n2\n2",               # duplicate input literal
-        "aag 1 0 0 1 0\n4",                  # output uses undefined literal
-        "aag 2 1 0 0 1\n2\n4 2",             # AND line with 2 fields
-        "aag 2 1 0 0 1\n2\n4 2 x",           # non-numeric AND field
-        "aag 2 1 0 0 1\n2\n3 2 2",           # odd AND lhs
-        "aag 2 1 0 0 1\n2\n2 2 2",           # AND redefines an input
-        "aag 2 1 0 1 1\n2\n4\n4 2 -1",       # negative fan-in
-    ])
+    @pytest.mark.parametrize("netlist", MALFORMED_NETLISTS)
     def test_handcrafted_malformed_netlists(self, daemon, netlist):
         self.assert_bad_request(daemon, netlist)
 

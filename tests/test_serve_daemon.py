@@ -316,6 +316,26 @@ class TestDaemonCoalescing:
             assert stats.result_hit and stats.shard_index is None
             assert_outcome_equal(outcome, sequential[0])
 
+    def test_reason_response_reports_parse_seconds(self, gamora, circuits,
+                                                   monkeypatch):
+        """The daemon times the netlist parse as its own stage."""
+        import repro.serve.daemon as daemon_module
+
+        parse = daemon_module.loads_aag
+
+        def slow_parse(text, name):
+            time.sleep(0.05)
+            return parse(text, name=name)
+
+        monkeypatch.setattr(daemon_module, "loads_aag", slow_parse)
+        with GamoraDaemon(gamora, batch_window_ms=1) as daemon:
+            response = DaemonClient(daemon).reason(circuits[0],
+                                                   request_id="timed")
+        assert response["ok"], response
+        stats = response["stats"]
+        assert 0.05 <= stats["parse_seconds"] < 60
+        assert stats["total_seconds"] >= 0
+
     def test_mixed_options_split_into_groups(self, gamora, circuits):
         with GamoraDaemon(gamora, batch_window_ms=300) as daemon:
             tickets = [
