@@ -24,25 +24,13 @@ from common import (
     format_table,
     keep_under_benchmark_only,
 )
-from repro.aig.aiger import (
-    _loads_canonical,
-    _parse_ascii,
-    dumps_aag,
-    loads_aag,
-)
+from repro.aig.aiger import _loads_canonical, dumps_aag, loads_aag
+from tests.test_aiger import assert_same_aig, reference_parse
 
 REPEATS = 3
 MIN_SPEEDUP = 3.0
 SERIES = (("csa", 48), ("booth", 64), ("csa", 80), ("csa", 96))
 SMOKE = ("csa", 32)
-
-
-def reference_parse(text: str):
-    return _parse_ascii(text.splitlines(), "bench")
-
-
-def bulk_parse(text: str):
-    return loads_aag(text, name="bench")
 
 
 def best_of(parse, text: str) -> tuple[object, float]:
@@ -56,24 +44,13 @@ def best_of(parse, text: str) -> tuple[object, float]:
     return result, best
 
 
-def assert_identical(got, want) -> None:
-    assert got._fanin0 == want._fanin0
-    assert got._fanin1 == want._fanin1
-    assert got.num_inputs == want.num_inputs
-    assert got.outputs == want.outputs
-    assert got.input_names == want.input_names
-    assert got.output_names == want.output_names
-    assert got._strash_index() == want._strash_index()
-    assert got.structural_hash() == want.structural_hash()
-
-
 def compare(kind: str, width: int) -> tuple[list, float]:
     """One table row and the speedup for one circuit."""
     text = dumps_aag(bench_multiplier(width, kind).aig)
-    assert _loads_canonical(text, "bench") is not None  # the bulk route
+    assert _loads_canonical(text, "aig") is not None  # the bulk route
     want, ref_seconds = best_of(reference_parse, text)
-    got, seconds = best_of(bulk_parse, text)
-    assert_identical(got, want)
+    got, seconds = best_of(loads_aag, text)
+    assert_same_aig(got, want)
     speedup = ref_seconds / max(seconds, 1e-9)
     row = [f"{kind.upper()}-{width}", got.num_ands, f"{len(text) / 1e6:.2f}",
            f"{ref_seconds * 1e3:.1f}", f"{seconds * 1e3:.1f}",

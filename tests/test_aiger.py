@@ -209,10 +209,6 @@ def parse_spy(monkeypatch):
     return calls
 
 
-def _multiplier_text(kind: str, width: int) -> str:
-    return dumps_aag(make_multiplier(width, kind).aig)
-
-
 class TestBulkParse:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000), num_inputs=st.integers(1, 8),
@@ -230,7 +226,7 @@ class TestBulkParse:
     @settings(max_examples=12, deadline=None)
     @given(kind=st.sampled_from(["csa", "booth"]), width=st.integers(2, 10))
     def test_multipliers_match_reference(self, kind, width):
-        text = _multiplier_text(kind, width)
+        text = dumps_aag(make_multiplier(width, kind).aig)
         assert _loads_canonical(text, "aig") is not None  # bulk route
         assert_same_aig(loads_aag(text, name="m"),
                         reference_parse(text, name="m"))
@@ -277,7 +273,7 @@ class TestBulkParse:
         assert parse_spy == ["aig"]  # declined by the bulk route
         assert_same_aig(parsed, reference_parse(text))
 
-    def test_variants_fold_like_the_reference(self, parse_spy):
+    def test_variants_fold_like_the_reference(self):
         folded = loads_aag("aag 4 2 0 2 2\n2\n4\n6\n8\n6 4 1\n8 6 2\n")
         assert folded.num_ands == 1 and folded.outputs[0] == 4
         merged = loads_aag("aag 4 2 0 2 2\n2\n4\n6\n9\n6 4 2\n8 4 2\n")
