@@ -30,6 +30,10 @@ from repro.kernels.registry import BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
+_KERNEL_HELP = ("hot-path kernel backend (default: REPRO_KERNEL env var, "
+                "else auto = c when it builds, else numpy); backends are "
+                "bit-identical, so results and caches do not depend on it")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -52,9 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("netlist")
     extract.add_argument("--max-cuts", type=int, default=10)
     extract.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
-                         help="hot-path kernel backend (default: REPRO_KERNEL "
-                              "env var, else auto = numba, c, numpy in that "
-                              "order)")
+                         help=_KERNEL_HELP)
 
     train = sub.add_parser("train", help="train a Gamora model")
     train.add_argument("model_out", help="output .npz path")
@@ -113,11 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--compare-sequential", action="store_true",
                        help="also run per-netlist reason() and report speedup")
     batch.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
-                       help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba, c, numpy in that "
-                            "order); "
-                            "backends are bit-identical, so results are "
-                            "cached regardless of the choice")
+                       help=_KERNEL_HELP)
 
     serve = sub.add_parser(
         "serve",
@@ -161,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the batched word-level report (responses "
                             "carry report: null)")
     serve.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
-                       help="hot-path kernel backend (default: REPRO_KERNEL "
-                            "env var, else auto = numba, c, numpy in that "
-                            "order); the daemon builds and warms the backend "
-                            "before the socket accepts")
+                       help=_KERNEL_HELP)
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline applied to requests that do not carry "
                             "their own deadline_ms: a request still queued "

@@ -3,11 +3,10 @@
 ``repro.kernels`` dispatches the four post-GNN array kernels — the
 per-level cut merge, the cone frontier sweep, the packed-key FA join and
 the Kahn longest-path wavefront — to a selected backend: the pure-NumPy
-reference (always present), the optional Numba ``@njit(cache=True)``
-backend, or the C backend (:mod:`repro.kernels.c_backend`: ``merge_level``
-and ``kahn_propagate`` compiled once with the system C compiler and
-loaded through ``ctypes``).  ``auto``, the default, resolves numba → c →
-numpy.  See :mod:`repro.kernels.registry` for selection semantics
+reference (always present) or the C backend
+(:mod:`repro.kernels.c_backend`: ``merge_level`` and ``kahn_propagate``
+compiled once with the system C compiler and loaded through ``ctypes``).
+``auto``, the default, resolves c → numpy.  See :mod:`repro.kernels.registry` for selection semantics
 (``REPRO_KERNEL``, ``set_backend``, :data:`BACKEND_CHOICES`) and
 :mod:`repro.kernels.numpy_backend` for the pinned kernel signatures.
 
@@ -25,7 +24,6 @@ from repro.kernels.registry import (
     dispatch_counts,
     get_kernel,
     kernel_stats,
-    numba_available,
     register,
     requested_backend,
     reset_dispatch_counts,
@@ -43,7 +41,6 @@ __all__ = [
     "dispatch_counts",
     "get_kernel",
     "kernel_stats",
-    "numba_available",
     "register",
     "requested_backend",
     "reset_dispatch_counts",

@@ -1,6 +1,6 @@
 """C implementations of ``merge_level`` and ``kahn_propagate``, via ctypes.
 
-Import-gated like the numba backend: importing this module compiles
+Import-gated: importing this module compiles
 ``c_kernels.c`` with the system C compiler (``cc -O2 -shared -fPIC``) and
 loads the result with :class:`ctypes.CDLL`.  No compiler, a compile error
 or a load error raises ``ImportError``, and the registry treats ``c`` as

@@ -1,11 +1,10 @@
 /*
- * Scalar C ports of the merge_level and kahn_propagate kernels.
+ * Scalar C implementations of the merge_level and kahn_propagate kernels.
  *
  * Built once by repro/kernels/c_backend.py (``cc -O2 -shared -fPIC``) and
  * called through ctypes, which releases the GIL around every call.  The
- * algorithms are line-for-line ports of ``_merge_level_jit`` and
- * ``_kahn_jit`` in numba_backend.py, so the outputs are bit-identical to
- * the numpy reference (tests/test_kernels.py pins that).
+ * outputs are bit-identical to the numpy reference in numpy_backend.py
+ * (tests/test_kernels.py pins that).
  *
  * Both entry points validate every index they will dereference before
  * writing anything and return a status code instead of touching memory

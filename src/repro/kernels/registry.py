@@ -4,25 +4,23 @@ The post-GNN path runs on four well-defined array contracts (the
 ROADMAP's kernel targets): the per-level cut merge, the cone frontier
 sweep, the packed-key FA join, and the Kahn longest-path wavefront.  Each
 is a *registered kernel*: a name plus a pinned signature, with one
-implementation per *backend*.  Three backends ship:
+implementation per *backend*.  Two backends ship:
 
 * ``numpy`` — always present, the reference and bit-identity oracle;
-* ``numba`` — ``@njit(cache=True)`` ports of all four kernels, gated on
-  ``numba`` being importable;
-* ``c`` — C ports of ``merge_level`` and ``kahn_propagate``, compiled once
+* ``c`` — compiled ``merge_level`` and ``kahn_propagate``, built once
   with the system C compiler and loaded through ``ctypes``, gated on the
   build succeeding (:mod:`repro.kernels.c_backend`).
 
-Compiled backends must be bit-identical to numpy — the differential
+The compiled backend must be bit-identical to numpy — the differential
 suite in ``tests/test_kernels.py`` pins that, which is also what makes
 backend choice invisible to the result cache.
 
 Selection is process-global, not per-call: the ``REPRO_KERNEL`` env var
 (one of :data:`BACKEND_CHOICES`) picks the default, :func:`set_backend`
 overrides it (the CLI's ``--kernel`` flag lands here).  ``auto`` resolves
-numba → c → numpy, taking the first that loads; an *explicit* ``numba``
-or ``c`` request that cannot load warns and falls back to numpy — never
-an ImportError on a serving path.  A backend that failed to load is not
+c → numpy, taking the first that loads; an *explicit* ``c`` request that
+cannot load warns and falls back to numpy — never an ImportError on a
+serving path.  A backend that failed to load is not
 retried in the same process (a failed C build is not re-run per
 resolve).  Backends may implement any subset of the kernels; missing
 ones transparently fall back to numpy, which is also how test-only
@@ -34,7 +32,7 @@ can surface what actually ran (``stats``/``stats.json``).
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import os
 import threading
 import warnings
@@ -49,7 +47,6 @@ __all__ = [
     "dispatch_counts",
     "get_kernel",
     "kernel_stats",
-    "numba_available",
     "register",
     "requested_backend",
     "reset_dispatch_counts",
@@ -61,12 +58,11 @@ __all__ = [
 BACKEND_ENV = "REPRO_KERNEL"
 
 # Accepted values of REPRO_KERNEL and the CLI's --kernel flag.
-BACKEND_CHOICES = ("auto", "numpy", "numba", "c")
+BACKEND_CHOICES = ("auto", "numpy", "c")
 
 # Compiled backends: importing the module registers its kernels, and an
 # ImportError means "unavailable here".
 _BACKEND_MODULES = {
-    "numba": "repro.kernels.numba_backend",
     "c": "repro.kernels.c_backend",
 }
 
@@ -108,14 +104,6 @@ def register(kernel: str, backend: str) -> Callable[[Callable], Callable]:
     return decorate
 
 
-def numba_available() -> bool:
-    """Whether ``import numba`` could succeed (spec probe, no import)."""
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
-
-
 def _load_backend(backend: str) -> bool:
     """Make ``backend``'s kernels registered; False when unavailable."""
     with _lock:
@@ -150,15 +138,12 @@ def requested_backend() -> str:
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested backend name to the one that will serve.
 
-    ``auto`` takes the first of numba → c → numpy that loads (numba only
-    when importable); an explicit ``numba`` or ``c`` request that cannot
-    load warns and degrades to numpy (a serving process must come up
+    ``auto`` takes c when it loads, else numpy; an explicit ``c`` request
+    that cannot load warns and degrades to numpy (a serving process must come up
     regardless); anything else must be a registered backend name.
     """
     name = (name or requested_backend()).strip().lower()
     if name == "auto":
-        if numba_available() and _load_backend("numba"):
-            return "numba"
         if _load_backend("c"):
             return "c"
         return "numpy"
@@ -252,7 +237,6 @@ def kernel_stats() -> dict:
     return {
         "backend": active_backend(),
         "requested": requested_backend(),
-        "numba_available": numba_available(),
         "warmup": warmed,
         "dispatch_counts": dispatch_counts(),
     }
@@ -263,13 +247,12 @@ def warmup(backend: str | None = None) -> dict:
 
     Runs the real pipeline — cut sweep, FA join, cone consumption,
     word-level ranks — over a small CSA multiplier so every registered
-    kernel executes at least once (under numba that is what triggers, and
-    with ``cache=True`` persists, JIT compilation; the C backend was
-    already built when it resolved).  Small graphs take the
+    kernel executes at least once (the C backend was already built when it
+    resolved; this pays its first-call costs).  Small graphs take the
     scalar ``levels()`` fallback, so the Kahn kernel is additionally
     driven directly on a hand-built CSR.  Dispatch counters are reset
-    afterwards: serving stats start at zero, compile cost is paid before
-    the first request.
+    afterwards: serving stats start at zero, first-call cost is paid
+    before the first request.
     """
     global _warmup_info
     import time

@@ -11,12 +11,12 @@ Two execution modes share the snapshot:
 
 * :meth:`FastInference.logits` / :meth:`~FastInference.predict` — the
   monolithic full-graph pass (every activation resident at once).
-* :meth:`FastInference.logits_streamed` / :meth:`~FastInference.predict_streamed`
-  — the level-windowed pass over a :class:`~repro.learn.data.WindowPlan`:
-  each window materializes only its targets plus the K-hop fan-in halo, so
-  peak activation memory follows the window budget instead of circuit size;
-  a window covering every node runs the monolithic loop.  The serving
-  layer runs every forward pass this way.
+* :meth:`FastInference.predict_streamed` — the level-windowed pass over a
+  :class:`~repro.learn.data.WindowPlan`: each window materializes only its
+  targets plus the K-hop fan-in halo, so peak activation memory follows the
+  window budget instead of circuit size, and logits are reduced to labels
+  inside the window; a window covering every node runs the monolithic
+  loop.  The serving layer runs every forward pass this way.
 
 The streamed pass is **bit-identical** to the full-graph pass, which takes
 three invariants: the sub-CSR slice preserves per-row entry order (sparse
@@ -187,32 +187,6 @@ class FastInference:
                 hidden = self._affine(stacked, weight, bias, width)
                 np.maximum(hidden, 0.0, out=hidden)
             yield window.targets, self._head_logits(hidden)
-
-    def logits_streamed(self, features: np.ndarray, adjacency: sp.spmatrix,
-                        plan) -> dict[str, np.ndarray]:
-        """Full-size logits assembled window by window.
-
-        Bit-identical to :meth:`logits`; peak *activation* memory is the
-        plan's window budget (the returned ``N x classes`` arrays still
-        scale with the graph — use :meth:`predict_streamed` when only
-        labels are needed).
-        """
-        num_nodes = features.shape[0]
-        out: dict[str, np.ndarray] | None = None
-        for targets, head_logits in self._window_logits(features, adjacency, plan):
-            if out is None:
-                out = {
-                    task: np.empty((num_nodes, arr.shape[1]), dtype=arr.dtype)
-                    for task, arr in head_logits.items()
-                }
-            for task, arr in head_logits.items():
-                out[task][targets] = arr
-        if out is None:
-            out = {
-                task: np.empty((num_nodes, width), dtype=self.dtype)
-                for task, (_, _, width) in self._heads.items()
-            }
-        return out
 
     def predict(self, features: np.ndarray,
                 adjacency: sp.spmatrix) -> dict[str, np.ndarray]:

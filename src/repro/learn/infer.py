@@ -1,9 +1,10 @@
-"""Batched inference and the analytic memory model (Figs. 7 and 8).
+"""Timed inference and the analytic memory model (Figs. 7 and 8).
 
 ``timed_inference`` measures the GNN-side runtime that Fig. 7 compares
-against exact reasoning; ``batched_inference`` reproduces Fig. 8's batching
-sweep; ``estimate_inference_memory`` is the documented activation-size
-model standing in for the paper's A100 memory measurements.
+against exact reasoning (Fig. 8 times it over block-diagonal batches from
+:func:`~repro.learn.data.batch_graphs`); ``estimate_inference_memory`` is
+the documented activation-size model standing in for the paper's A100
+memory measurements.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.learn.data import GraphData, batch_graphs, unbatch_predictions
+from repro.learn.data import GraphData
 from repro.learn.fast import FastInference, compile_inference
 from repro.learn.model import GamoraNet
 from repro.utils.timing import Timer
@@ -20,7 +21,6 @@ from repro.utils.timing import Timer
 __all__ = [
     "InferenceResult",
     "timed_inference",
-    "batched_inference",
     "estimate_inference_memory",
     "estimate_batch_memory",
     "estimate_window_memory",
@@ -54,43 +54,6 @@ def timed_inference(model: GamoraNet | FastInference,
     with Timer() as timer:
         predictions = kernel.predict(data.features, data.adjacency)
     return InferenceResult(predictions, timer.elapsed, data.num_nodes, data.num_edges)
-
-
-def batched_inference(model: GamoraNet | FastInference, graphs: list[GraphData],
-                      batch_size: int = 1,
-                      split: bool = False) -> list[InferenceResult]:
-    """Run inference over ``graphs`` in block-diagonal batches.
-
-    Returns one :class:`InferenceResult` per batch; per-design runtime is
-    ``result.seconds / len(batch)``, the quantity Fig. 8 plots.  Batch
-    assembly (the block-diagonal merge) is preprocessing and is excluded
-    from the timings, as data loading is in the paper.
-
-    With ``split=True`` the merged predictions are fanned back out and one
-    result per *design* is returned instead (batch seconds amortized evenly
-    across the batch) — the shape consumers like
-    :class:`repro.serve.ReasoningService` want.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
-    kernel = model if isinstance(model, FastInference) else compile_inference(model)
-    results: list[InferenceResult] = []
-    for start in range(0, len(graphs), batch_size):
-        chunk = graphs[start:start + batch_size]
-        merged = chunk[0] if len(chunk) == 1 else batch_graphs(chunk)
-        batch_result = timed_inference(kernel, merged)
-        if not split:
-            results.append(batch_result)
-            continue
-        per_design = unbatch_predictions(
-            batch_result.predictions, [g.num_nodes for g in chunk]
-        )
-        share = batch_result.seconds / len(chunk)
-        results.extend(
-            InferenceResult(predictions, share, graph.num_nodes, graph.num_edges)
-            for predictions, graph in zip(per_design, chunk)
-        )
-    return results
 
 
 def _model_spec(model: GamoraNet | FastInference):

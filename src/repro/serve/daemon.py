@@ -53,7 +53,9 @@ backpressure and daemon restarts look like latency, not failures.
 from __future__ import annotations
 
 import json
+import math
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -109,6 +111,12 @@ class GamoraDaemon:
                  default_deadline_ms: float | None = None,
                  watchdog_timeout_seconds: float | None = 300.0,
                  fault_plan: FaultPlan | None = None) -> None:
+        if default_deadline_ms is not None:
+            default_deadline_ms = float(default_deadline_ms)
+            if (not math.isfinite(default_deadline_ms)
+                    or default_deadline_ms <= 0):
+                raise ValueError(f"default_deadline_ms must be a finite "
+                                 f"number > 0, got {default_deadline_ms}")
         self.service = ReasoningService(
             gamora, graph_cache_size=graph_cache_size,
             result_cache_size=result_cache_size,
@@ -122,9 +130,7 @@ class GamoraDaemon:
             run_dir=run_dir, with_report=with_report,
         )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.default_deadline_ms = (float(default_deadline_ms)
-                                    if default_deadline_ms is not None
-                                    else None)
+        self.default_deadline_ms = default_deadline_ms
         self.fault_plan = fault_plan
         self.watchdog: Watchdog | None = (
             Watchdog(self.scheduler, watchdog_timeout_seconds)
@@ -153,9 +159,10 @@ class GamoraDaemon:
 
         The kernel warmup runs the selected backend over a tiny synthetic
         AIG *before* the scheduler spins up (and hence before any socket
-        accepts): under numba that is where JIT compilation happens, and
-        under c the one-time build ran when the backend resolved, so the
-        first real request never pays either.
+        accepts): the c backend's one-time build runs when the backend
+        resolves, so the first real request never pays it, and an unknown
+        ``REPRO_KERNEL`` value raises ``ValueError`` here, at boot, rather
+        than mid-request.
 
         A cache directory that turns out corrupt or unreadable is
         *quarantined* — renamed aside, recorded in ``quarantined``, a
@@ -381,10 +388,11 @@ class GamoraDaemon:
         if deadline_ms is not None:
             if (isinstance(deadline_ms, bool)
                     or not isinstance(deadline_ms, (int, float))
-                    or deadline_ms <= 0):
+                    # Also rejects NaN, infinities and ints past float range.
+                    or not 0 < deadline_ms <= sys.float_info.max):
                 return _error_response(
                     request_id, "bad_request",
-                    f"'deadline_ms' must be a positive number, "
+                    f"'deadline_ms' must be a finite positive number, "
                     f"got {deadline_ms!r}",
                 )
             deadline_ms = float(deadline_ms)

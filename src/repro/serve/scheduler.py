@@ -38,6 +38,7 @@ consumer, so requests resolve in arrival order within a batch.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -315,15 +316,17 @@ class MicroBatchScheduler:
         :class:`~repro.serve.resilience.DeadlineExceededError` *without*
         dispatching a forward pass — a caller that gave up never burns
         compute.  Raises :class:`QueueFullError` (retriable) when the
-        queue is at ``max_queue_depth`` and :class:`SchedulerClosedError`
-        after :meth:`stop`.
+        queue is at ``max_queue_depth``, :class:`SchedulerClosedError`
+        after :meth:`stop`, and ``ValueError`` for a deadline that is not
+        a finite number > 0.
         """
         aig = _as_aig(circuit)
         if deadline_ms is not None:
             deadline_ms = float(deadline_ms)
-            if deadline_ms <= 0:
+            if not math.isfinite(deadline_ms) or deadline_ms <= 0:
                 raise ValueError(
-                    f"deadline_ms must be > 0, got {deadline_ms}"
+                    f"deadline_ms must be a finite number > 0, "
+                    f"got {deadline_ms}"
                 )
         # Requests group by the result-cache options key, so calls that
         # differ only in an ignored field share one reason_many call.

@@ -213,7 +213,7 @@ def _normalize_options(root_filter: bool, correct_lsb: bool,
     to 0 otherwise lets semantically identical calls share a cache entry
     (and a micro-batch group).
 
-    The kernel *backend* (:mod:`repro.kernels` — numpy, numba or c) must
+    The kernel *backend* (:mod:`repro.kernels` — numpy or c) must
     NEVER enter this key: backends are differentially tested bit-identical,
     so a result computed under one backend is the result under any other,
     and runs under different backends share cache entries

@@ -19,7 +19,9 @@ options the product no longer has:
   over depth-bounded local cones (:func:`repro.aig.cuts.node_cuts`);
 * :func:`analyze_adder_tree` — the per-adder word-level walk;
 * :func:`resolve_relations` / :func:`verify_multiplier` — per-adder SCA
-  polarity resolution.
+  polarity resolution;
+* :func:`logits_streamed` — full-size logits assembled from the streamed
+  pass's windows.
 """
 
 from tests.oracles.adder_tree import cone_between, extract_adder_tree
@@ -29,6 +31,7 @@ from tests.oracles.postprocess import (
     predictions_to_detection,
 )
 from tests.oracles.sca import resolve_relations, verify_multiplier
+from tests.oracles.streaming import logits_streamed
 from tests.oracles.wordlevel import analyze_adder_tree
 from tests.oracles.xor_maj import detect_xor_maj
 
@@ -39,6 +42,7 @@ __all__ = [
     "detect_xor_maj",
     "extract_adder_tree",
     "extract_from_predictions",
+    "logits_streamed",
     "predictions_to_detection",
     "resolve_relations",
     "verify_multiplier",

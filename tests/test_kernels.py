@@ -4,13 +4,13 @@ Three invariant families:
 
 * **Registry semantics** — selection precedence (``set_backend`` beats
   ``REPRO_KERNEL`` beats ``auto``), graceful degradation (an explicit
-  ``numba`` request without numba warns and serves numpy — never an
+  ``c`` request that cannot build warns and serves numpy — never an
   ImportError on a serving path), custom test backends with per-kernel
   numpy fallback, dispatch counting, and the one shared scalar-levels
   cutoff constant.  These run everywhere.
-* **Differential bit-identity** — every available compiled backend
-  (numba when installed, c when the system compiler builds it) must
-  produce *exactly* the numpy reference's output (same arrays, same
+* **Differential bit-identity** — the compiled backend (c, when the
+  system compiler builds it) must produce *exactly* the numpy
+  reference's output (same arrays, same
   dtypes-relevant values, same ordering) over the adder-tree circuit
   families, the degenerate graphs and random AIGs.  Bit-identity is what
   lets the result cache ignore the backend entirely, which the
@@ -44,7 +44,6 @@ from repro.kernels.registry import (
     dispatch_counts,
     get_kernel,
     kernel_stats,
-    numba_available,
     register,
     requested_backend,
     reset_dispatch_counts,
@@ -56,9 +55,6 @@ from repro.reasoning.fast_pairing import fast_extract_adder_tree
 from repro.reasoning.wordlevel import analyze_adder_tree
 from repro.utils.random_circuits import random_aig
 
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
-)
 needs_c = pytest.mark.skipif(
     not registry._load_backend("c"),
     reason="C kernel backend unavailable (no working C compiler)",
@@ -67,11 +63,9 @@ needs_c = pytest.mark.skipif(
 # Every compiled backend and the kernels it implements itself (the rest
 # are served by numpy through the registry's per-kernel fallback).
 COMPILED = {
-    "numba": KERNEL_NAMES,
     "c": ("merge_level", "kahn_propagate"),
 }
 COMPILED_BACKENDS = [
-    pytest.param("numba", marks=needs_numba),
     pytest.param("c", marks=needs_c),
 ]
 
@@ -88,10 +82,12 @@ def clean_registry(monkeypatch):
     with registry._lock:
         registry._impls.clear()
         registry._impls.update(saved)
-        registry._loaded_backends.intersection_update({"numpy", "numba", "c"})
+        registry._loaded_backends.intersection_update({"numpy", "c"})
         registry._unavailable.clear()
         registry._unavailable.update(saved_unavailable)
-    # Teardown runs before the env monkeypatch is undone; resolve quietly.
+    # Teardown runs before the env monkeypatch is undone: drop a test's
+    # REPRO_KERNEL (it may name a retired backend) and resolve quietly.
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     import warnings
 
     with warnings.catch_warnings():
@@ -142,13 +138,13 @@ CIRCUITS = {
 
 
 # ---------------------------------------------------------------------------
-# Registry semantics (run with or without numba)
+# Registry semantics (run with or without a C compiler)
 # ---------------------------------------------------------------------------
 
 class TestRegistrySelection:
     def test_default_is_auto(self):
         assert requested_backend() == "auto"
-        assert active_backend() in ("numpy", "numba", "c")
+        assert active_backend() in ("numpy", "c")
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "numpy")
@@ -162,36 +158,39 @@ class TestRegistrySelection:
         assert requested_backend() == "numpy"
         assert set_backend(None) == resolve_backend("auto")
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("fortran")
+    def test_unknown_backend_raises(self, monkeypatch):
+        # "numba" is a retired backend: it is an unknown name like any other.
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                set_backend(name)
+            monkeypatch.setenv(BACKEND_ENV, name)
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                set_backend(None)
 
     def test_register_rejects_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             register("not_a_kernel", "numpy")
 
-    def test_explicit_numba_missing_falls_back_with_warning(self, monkeypatch):
-        # Simulate an environment without any compiled backend regardless
+    def test_explicit_c_missing_falls_back_with_warning(self, monkeypatch):
+        # Simulate an environment without a compiled backend regardless
         # of this one (auto would otherwise pick c).
-        monkeypatch.setattr(registry, "numba_available", lambda: False)
         real_load = registry._load_backend
         monkeypatch.setattr(
             registry, "_load_backend",
-            lambda b: False if b in ("numba", "c") else real_load(b),
+            lambda b: False if b == "c" else real_load(b),
         )
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert set_backend("numba") == "numpy"
+            assert set_backend("c") == "numpy"
         # auto quietly resolves to numpy, no warning.
         assert set_backend("auto") == "numpy"
 
     def test_serving_path_never_importerror(self, monkeypatch):
-        """REPRO_KERNEL=numba with numba absent must still serve."""
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        monkeypatch.setattr(registry, "numba_available", lambda: False)
+        """REPRO_KERNEL=c with the C backend unavailable must still serve."""
+        monkeypatch.setenv(BACKEND_ENV, "c")
         real_load = registry._load_backend
         monkeypatch.setattr(
             registry, "_load_backend",
-            lambda b: False if b == "numba" else real_load(b),
+            lambda b: False if b == "c" else real_load(b),
         )
         with pytest.warns(RuntimeWarning):
             set_backend(None)
@@ -221,9 +220,8 @@ class TestDispatchCounting:
         stats = kernel_stats()
         assert stats["backend"] == "numpy"
         assert stats["requested"] == "numpy"
-        assert isinstance(stats["numba_available"], bool)
-        assert set(stats) == {"backend", "requested", "numba_available",
-                              "warmup", "dispatch_counts"}
+        assert set(stats) == {"backend", "requested", "warmup",
+                              "dispatch_counts"}
 
     def test_warmup_runs_all_kernels_then_resets(self):
         set_backend("numpy")
@@ -481,7 +479,6 @@ class TestCBackendFailureModes:
     def test_no_compiler_serves_numpy(self, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
         monkeypatch.delitem(sys.modules, "repro.kernels.c_backend")
-        monkeypatch.setattr(registry, "numba_available", lambda: False)
         monkeypatch.setattr(registry, "_loaded_backends", {"numpy"})
         monkeypatch.setattr(registry, "_unavailable", {})
         monkeypatch.setattr(registry, "_impls", {
@@ -640,9 +637,9 @@ class TestCacheSharingAcrossBackends:
         another: the backend is structurally absent from the options key.
 
         Uses a numpy-aliasing custom backend so the test runs (and means
-        the same thing) whether or not numba is installed; with numba
-        present the differential suite above is what makes the aliasing
-        sound for the real pair.
+        the same thing) whether or not the C backend builds; the
+        differential suite above is what makes the aliasing sound for the
+        real pair.
         """
         from repro.core import Gamora
         from repro.kernels import numpy_backend
@@ -701,3 +698,19 @@ class TestDaemonSurfacing:
             assert kernels["backend"] == "numpy"
             assert kernels["warmup"]["backend"] == "numpy"
             assert kernels["dispatch_counts"], "no dispatches recorded"
+
+    def test_unknown_backend_fails_daemon_boot(self, gamora, monkeypatch):
+        """REPRO_KERNEL naming a retired backend ("numba") stops the daemon
+        in start(), before its scheduler runs or any socket binds."""
+        from repro.serve import GamoraDaemon
+
+        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setattr(registry, "_requested", None)
+        monkeypatch.setattr(registry, "_active", None)
+        daemon = GamoraDaemon(gamora)
+        try:
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                daemon.start()
+            assert daemon.scheduler._thread is None
+        finally:
+            daemon.close()

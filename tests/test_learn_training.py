@@ -19,13 +19,13 @@ from repro.learn import (
     encode_single_task,
     estimate_inference_memory,
     evaluate_model,
-    batched_inference,
     multitask_accuracy,
     predict_labels,
     shallow_config,
     task_accuracy,
     timed_inference,
     train_model,
+    unbatch_predictions,
 )
 from repro.learn.metrics import confusion_matrix, per_class_recall
 
@@ -195,12 +195,13 @@ class TestInference:
         assert result.num_nodes == data.num_nodes
         assert set(result.predictions) == {"root", "xor", "maj"}
 
-    def test_batched_inference_covers_all(self, tiny_trained):
+    def test_batch_graphs_covers_all(self, tiny_trained):
+        """One pass over a block-diagonal batch sees every member's nodes."""
         model, _data, _history = tiny_trained
         graphs = [build_graph_data(csa_multiplier(w).aig, with_labels=False) for w in (4, 5, 6)]
-        results = batched_inference(model, graphs, batch_size=2)
-        assert len(results) == 2  # [4,5] then [6]
-        assert results[0].num_nodes == graphs[0].num_nodes + graphs[1].num_nodes
+        result = timed_inference(model, batch_graphs(graphs))
+        assert result.num_nodes == sum(g.num_nodes for g in graphs)
+        assert result.num_edges == sum(g.num_edges for g in graphs)
 
     def test_batched_matches_unbatched(self, tiny_trained):
         """Block-diagonal batching must not change predictions."""
@@ -213,22 +214,17 @@ class TestInference:
             merged_pred["xor"][: graphs[0].num_nodes], solo_pred["xor"]
         )
 
-    def test_batched_inference_split_fans_out_per_design(self, tiny_trained):
-        """split=True returns one result per design with its own rows."""
+    def test_unbatched_predictions_match_per_design(self, tiny_trained):
+        """Splitting merged predictions gives each design its own rows."""
         model, _data, _history = tiny_trained
         graphs = [build_graph_data(csa_multiplier(w).aig, with_labels=False) for w in (4, 5, 6)]
-        per_design = batched_inference(model, graphs, batch_size=2, split=True)
+        merged = timed_inference(model, batch_graphs(graphs)).predictions
+        per_design = unbatch_predictions(merged, [g.num_nodes for g in graphs])
         assert len(per_design) == len(graphs)
-        for graph, result in zip(graphs, per_design):
-            assert result.num_nodes == graph.num_nodes
+        for graph, predictions in zip(graphs, per_design):
             solo = timed_inference(model, graph).predictions
             for task in solo:
-                np.testing.assert_array_equal(result.predictions[task], solo[task])
-
-    def test_bad_batch_size(self, tiny_trained):
-        model, data, _history = tiny_trained
-        with pytest.raises(ValueError):
-            batched_inference(model, [data], batch_size=0)
+                np.testing.assert_array_equal(predictions[task], solo[task])
 
     def test_memory_estimate_scales_linearly(self, tiny_trained):
         model, _data, _history = tiny_trained

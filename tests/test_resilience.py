@@ -377,8 +377,15 @@ class TestDeadlines:
     def test_nonpositive_deadline_rejected_at_submit(self, gamora,
                                                      circuits):
         with GamoraDaemon(gamora, batch_window_ms=1) as daemon:
-            with pytest.raises(ValueError, match="deadline_ms"):
-                daemon.submit_async(circuits[0], deadline_ms=0)
+            for bad in (0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="deadline_ms"):
+                    daemon.submit_async(circuits[0], deadline_ms=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
+    def test_invalid_default_deadline_rejected_at_construction(
+            self, gamora, bad):
+        with pytest.raises(ValueError, match="default_deadline_ms"):
+            GamoraDaemon(gamora, default_deadline_ms=bad)
 
     def test_deadline_exceeded_over_the_protocol(self, gamora, circuits,
                                                  sequential):
@@ -393,7 +400,9 @@ class TestDeadlines:
             clean = client.reason(circuits[0], request_id="patient")
             assert_payload_matches(clean, sequential[0])
 
-    @pytest.mark.parametrize("bad", [0, -5, True, "soon", []])
+    @pytest.mark.parametrize("bad", [0, -5, True, "soon", [],
+                                     float("nan"), float("inf"),
+                                     pytest.param(10**400, id="huge_int")])
     def test_malformed_deadline_is_bad_request(self, gamora, circuits,
                                                bad):
         with GamoraDaemon(gamora, batch_window_ms=1) as daemon:

@@ -32,6 +32,7 @@ from repro.learn import (
 )
 from repro.learn.model import GamoraNet, ModelConfig
 from repro.utils.random_circuits import random_aig
+from tests.oracles import logits_streamed
 
 
 def ripple_adder_aig(width: int) -> AIG:
@@ -64,7 +65,7 @@ def full_budget(kernel, data) -> int:
 
 def assert_bit_identical(kernel, data, plan) -> None:
     full_logits = kernel.logits(data.features, data.adjacency)
-    streamed_logits = kernel.logits_streamed(data.features, data.adjacency, plan)
+    streamed_logits = logits_streamed(kernel, data.features, data.adjacency, plan)
     for task in full_logits:
         np.testing.assert_array_equal(
             full_logits[task], streamed_logits[task],
@@ -215,10 +216,10 @@ class TestWindowPlan:
         other = build_graph_data(csa_multiplier(6).aig, with_labels=False)
         plan = data.window_plan(full_budget(kernel, data), kernel)
         with pytest.raises(ValueError, match="nodes"):
-            kernel.logits_streamed(other.features, other.adjacency, plan)
+            kernel.predict_streamed(other.features, other.adjacency, plan)
         deep = compile_inference(GamoraNet(ModelConfig(num_layers=2, hidden=8)))
         with pytest.raises(ValueError, match="conv layers"):
-            deep.logits_streamed(data.features, data.adjacency, plan)
+            deep.predict_streamed(data.features, data.adjacency, plan)
 
     def test_summary_mentions_budget(self, kernel):
         data = build_graph_data(csa_multiplier(5).aig, with_labels=False)
