@@ -48,15 +48,15 @@ def sharded_comparison():
 
     # Budget ~ a quarter of the full mega-batch (but never below the largest
     # single design, so nothing lands in an oversize shard).  Derived through
-    # a throwaway service so both measured services start cold.  A 1-byte
-    # budget makes every unique design an oversize singleton step, whose
-    # one-window plan exposes the per-design standalone estimate.
+    # throwaway services so both measured services start cold.
     planner = ReasoningService(gamora)
-    total_bytes = planner.plan(circuits, None).peak_shard_bytes
-    standalone = [step.window_plan.peak_window_bytes
-                  for step in planner.plan(circuits, 1)]
+    total_bytes = planner.plan(circuits).peak_shard_bytes
+    standalone = [
+        estimate_batch_memory(gamora.inference_kernel(), [planner.encode(c)])
+        for c in circuits
+    ]
     budget = max(max(standalone), total_bytes // 4)
-    plan = planner.plan(circuits, budget)
+    plan = ReasoningService(gamora, max_shard_bytes=budget).plan(circuits)
 
     monolithic_service = ReasoningService(gamora)
     monolithic = monolithic_service.reason_many(circuits)

@@ -73,7 +73,7 @@ def main() -> None:
     # Scaling knobs: bound each forward pass's memory to half the full
     # mega-batch and extract in worker processes (overlapped with the next
     # shard's inference).  Results are bit-identical to the paths above.
-    budget = service.plan(stream, None).peak_shard_bytes // 2
+    budget = service.plan(stream).peak_shard_bytes // 2
     workers = min(2, os.cpu_count() or 1)
     scaled = ReasoningService(gamora, max_shard_bytes=budget,
                               postprocess_workers=workers)

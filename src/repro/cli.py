@@ -435,23 +435,27 @@ def _cmd_serve(args) -> int:
             return 2
     _select_kernel(args)
     gamora = Gamora.load(args.model)
-    daemon = GamoraDaemon(
-        gamora,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
-        max_queue_depth=args.max_queue_depth,
-        cache_dir=args.cache_dir,
-        run_dir=args.run_dir,
-        graph_cache_size=args.graph_cache,
-        result_cache_size=args.result_cache,
-        max_shard_bytes=args.max_shard_bytes,
-        max_window_bytes=args.max_window_bytes,
-        postprocess_workers=args.postprocess_workers,
-        with_report=not args.no_report,
-        default_deadline_ms=args.default_deadline_ms,
-        watchdog_timeout_seconds=args.watchdog_timeout_s or None,
-        fault_plan=fault_plan,
-    )
+    try:
+        daemon = GamoraDaemon(
+            gamora,
+            batch_window_ms=args.batch_window_ms,
+            max_batch=args.max_batch,
+            max_queue_depth=args.max_queue_depth,
+            cache_dir=args.cache_dir,
+            run_dir=args.run_dir,
+            graph_cache_size=args.graph_cache,
+            result_cache_size=args.result_cache,
+            max_shard_bytes=args.max_shard_bytes,
+            max_window_bytes=args.max_window_bytes,
+            postprocess_workers=args.postprocess_workers,
+            with_report=not args.no_report,
+            default_deadline_ms=args.default_deadline_ms,
+            watchdog_timeout_seconds=args.watchdog_timeout_s or None,
+            fault_plan=fault_plan,
+        )
+    except ValueError as error:  # out-of-range batching/deadline numbers
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     daemon.start()
     warm = daemon.kernel_warmup
     print(f"kernel backend: {warm['backend']} "

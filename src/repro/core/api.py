@@ -141,7 +141,7 @@ class Gamora:
         """The memoized float32 deployment kernel for the current weights.
 
         Every serving-path prediction (:meth:`predict`, :meth:`reason`,
-        :meth:`predict_many`, and the batched service) runs through this
+        and the batched service) runs through this
         one snapshot, so sequential, sharded, and streamed answers are
         bit-identical to each other.  Recompiled lazily after :meth:`fit`.
         """
@@ -183,47 +183,27 @@ class Gamora:
 
     def reason_many(self, circuits, root_filter: bool = False,
                     correct_lsb: bool = True, lsb_outputs: int = 4,
-                    max_shard_bytes: int | None = None,
-                    max_window_bytes: int | None = None,
-                    postprocess_workers: int | None = None,
                     with_report: bool = False):
         """Batched :meth:`reason` over many circuits via the serving layer.
 
-        Circuits are deduplicated by structural hash, encoded through an
-        LRU cache, and planned as a list of steps: block-diagonal merges
-        (each kept under ``max_shard_bytes`` of estimated inference memory
-        when set; one merge otherwise), each run through one window plan.
-        A merge runs as a single full-graph window; with
-        ``max_window_bytes`` also set, a circuit too large for any merge
-        streams level-window by level-window under that budget instead of
-        running one unbounded pass — labels bit-identical either way.
-        Every circuit is then post-processed — in ``postprocess_workers``
-        worker processes overlapped with the next step's inference when > 0
-        (``None``, the default, auto-sizes from ``os.cpu_count()`` and the
-        batch's circuit sizes; small batches stay in-process).
-        Returns a :class:`repro.serve.BatchReasoningOutcome` — a sequence
-        with one :class:`ReasoningOutcome` per input circuit (input order
-        preserved, labels and extractions identical to sequential
-        :meth:`reason`) plus per-stage timing in ``.stats``.  The lazily
-        built service (and its caches) persists across calls and is
-        dropped on :meth:`fit`.
+        Runs :meth:`repro.serve.ReasoningService.reason_many` on a lazily
+        built service with the default configuration: circuits are
+        deduplicated by structural hash, encoded through an LRU cache, run
+        as one block-diagonal forward pass, and post-processed (auto-sized
+        workers; small batches stay in-process).  Returns a
+        :class:`repro.serve.BatchReasoningOutcome` — a sequence with one
+        :class:`ReasoningOutcome` per input circuit (input order preserved,
+        labels and extractions identical to sequential :meth:`reason`) plus
+        per-stage timing in ``.stats``.  The service (and its caches)
+        persists across calls and is dropped on :meth:`fit`.  Shard and
+        window budgets or a fixed worker count are service settings: build
+        ``ReasoningService(gamora, max_shard_bytes=..., ...)`` for those.
         """
         return self._serving().reason_many(
             circuits, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-            max_shard_bytes=max_shard_bytes,
-            max_window_bytes=max_window_bytes,
-            postprocess_workers=postprocess_workers,
             with_report=with_report,
         )
-
-    def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
-        """Batched :meth:`predict` through the serving layer's executor.
-
-        Same plan and forward passes as :meth:`reason_many`, without the
-        post-processing; one label dict per input circuit, in input order.
-        """
-        return self._serving().predict_many(circuits)
 
     def _serving(self):
         """The lazily built :class:`repro.serve.ReasoningService`."""

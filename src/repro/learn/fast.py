@@ -3,8 +3,7 @@
 Training uses the autodiff :class:`~repro.nn.tensor.Tensor` in float64 for
 gradient fidelity; inference does not need a tape or double precision.
 :class:`FastInference` snapshots a trained GamoraNet's weights into float32
-arrays (``dtype`` is configurable) and evaluates the forward pass with raw
-NumPy/SciPy kernels — the CPU analogue of the paper's optimized GPU
+arrays and evaluates the forward pass with raw NumPy/SciPy kernels — the CPU analogue of the paper's optimized GPU
 deployment, and the engine behind the Fig. 7/8 runtime numbers.
 
 Two execution modes share the snapshot:
@@ -59,10 +58,11 @@ def _pad_stable(weight: np.ndarray) -> np.ndarray:
 class FastInference:
     """Float32 snapshot of a GamoraNet, callable on (features, adjacency)."""
 
-    def __init__(self, model: GamoraNet, dtype=np.float32) -> None:
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, model: GamoraNet) -> None:
         self.config = model.config
         self.single_task = model.config.single_task
-        self.dtype = np.dtype(dtype)
 
         def snap(weight, bias, out_width):
             return (
@@ -221,6 +221,6 @@ class FastInference:
     __call__ = predict
 
 
-def compile_inference(model: GamoraNet, dtype=np.float32) -> FastInference:
-    """Snapshot ``model``'s weights into a ``dtype`` inference kernel."""
-    return FastInference(model, dtype=dtype)
+def compile_inference(model: GamoraNet) -> FastInference:
+    """Snapshot ``model``'s weights into a float32 inference kernel."""
+    return FastInference(model)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 A100_MEMORY_BYTES = 40 * 1024 ** 3  # the paper's single-GPU budget line
+_INDEX_SIZE = 8  # bytes per CSR index entry (int64)
 
 
 @dataclass
@@ -60,32 +61,29 @@ def _model_spec(model: GamoraNet | FastInference):
     """Uniform layer-width/parameter view over the two model flavors.
 
     Returns ``(conv_widths, shared_width, heads_width, feature_dim,
-    num_parameters, default_bytes_per_value)``.  The default byte width is
-    what makes the estimators price the path actually being run: 8 for the
-    float64 training tensors of a :class:`GamoraNet`, the snapshot dtype's
-    itemsize (4 for the stock float32 kernel) for a compiled
-    :class:`FastInference` — previously the serving path was priced at
-    float64 and shard/window planning over-provisioned ~2x.
+    num_parameters, value_size)``.  ``value_size`` is the byte width of the
+    path actually being run: 8 for the float64 training tensors of a
+    :class:`GamoraNet`, the snapshot itemsize (4, float32) for a compiled
+    :class:`FastInference` — so shard/window planning for the serving path
+    is not over-provisioned ~2x at float64 rates.
     """
     if isinstance(model, FastInference):
         conv_widths = model.conv_widths()
         heads_width = sum(model.head_widths().values())
         params = model.num_parameters()
-        default_bpv = model.itemsize
+        value_size = model.itemsize
     else:
         conv_widths = [(c.in_features, c.out_features) for c in model.convs]
         heads_width = sum(h.out_features for h in model.heads.values())
         params = model.num_parameters()
-        default_bpv = 8
+        value_size = 8
     feature_dim = conv_widths[0][0] if conv_widths else 1
     return (conv_widths, model.config.shared, heads_width, feature_dim,
-            params, default_bpv)
+            params, value_size)
 
 
 def estimate_inference_memory(model: GamoraNet | FastInference,
-                              num_nodes: int, num_edges: int,
-                              bytes_per_value: int | None = None,
-                              index_bytes: int = 8) -> int:
+                              num_nodes: int, num_edges: int) -> int:
     """Peak-resident bytes of one inference pass (documented model).
 
     Counts, per SAGE layer, the live activations of the concat formulation
@@ -93,17 +91,16 @@ def estimate_inference_memory(model: GamoraNet | FastInference,
     ``N×2F_in``, output ``N×F_out``), the shared/head activations, the CSR
     adjacency (``nnz`` values + ``nnz`` column indices + ``N+1`` offsets),
     and the feature matrix.  This reproduces the linear-in-(batch × |V|)
-    scaling of the paper's Fig. 8 memory curves; absolute numbers depend on
-    ``bytes_per_value``, which defaults to the byte width of the path the
-    model actually runs (8 for the float64 ``GamoraNet`` tensors, the
-    snapshot itemsize — 4 — for a compiled ``FastInference`` kernel).
+    scaling of the paper's Fig. 8 memory curves; values are priced at the
+    byte width of the path the model actually runs (8 for the float64
+    ``GamoraNet`` tensors, 4 for a compiled float32 ``FastInference``
+    kernel) and CSR indices at 8 bytes.
     """
     (conv_widths, shared_width, heads_width, feature_dim,
-     num_parameters, default_bpv) = _model_spec(model)
-    if bytes_per_value is None:
-        bytes_per_value = default_bpv
-    total = num_nodes * feature_dim * bytes_per_value  # input features
-    total += num_edges * (bytes_per_value + index_bytes) + (num_nodes + 1) * index_bytes
+     num_parameters, value_size) = _model_spec(model)
+    total = num_nodes * feature_dim * value_size  # input features
+    total += num_edges * (value_size + _INDEX_SIZE) \
+        + (num_nodes + 1) * _INDEX_SIZE
 
     peak_layer = 0
     width_in = feature_dim
@@ -113,21 +110,19 @@ def estimate_inference_memory(model: GamoraNet | FastInference,
             + layer_in  # aggregated neighborhood
             + 2 * layer_in  # concat buffer
             + layer_out  # layer output
-        ) * bytes_per_value
+        ) * value_size
         peak_layer = max(peak_layer, live)
         width_in = layer_out
-    shared_live = num_nodes * (width_in + shared_width) * bytes_per_value
-    head_live = num_nodes * (shared_width + 2 * heads_width) * bytes_per_value
+    shared_live = num_nodes * (width_in + shared_width) * value_size
+    head_live = num_nodes * (shared_width + 2 * heads_width) * value_size
     total += max(peak_layer, shared_live, head_live)
     # Model weights are negligible but counted for completeness.
-    total += num_parameters * bytes_per_value
+    total += num_parameters * value_size
     return int(total)
 
 
 def estimate_batch_memory(model: GamoraNet | FastInference,
-                          graphs: list[GraphData],
-                          bytes_per_value: int | None = None,
-                          index_bytes: int = 8) -> int:
+                          graphs: list[GraphData]) -> int:
     """Estimated peak bytes of one block-diagonal pass over ``graphs``.
 
     The block-diagonal merge concatenates nodes and edges, so the estimate
@@ -138,15 +133,11 @@ def estimate_batch_memory(model: GamoraNet | FastInference,
         model,
         sum(g.num_nodes for g in graphs),
         sum(g.num_edges for g in graphs),
-        bytes_per_value=bytes_per_value,
-        index_bytes=index_bytes,
     )
 
 
 def estimate_window_memory(model: GamoraNet | FastInference,
                            block_sizes: list[int], block_edges: list[int],
-                           bytes_per_value: int | None = None,
-                           index_bytes: int = 8,
                            training: bool = False) -> int:
     """Peak-resident bytes of one streamed window (analytic model).
 
@@ -169,9 +160,7 @@ def estimate_window_memory(model: GamoraNet | FastInference,
     is the cost the windowed trainer plans against.
     """
     (conv_widths, shared_width, heads_width, feature_dim,
-     num_parameters, default_bpv) = _model_spec(model)
-    if bytes_per_value is None:
-        bytes_per_value = default_bpv
+     num_parameters, value_size) = _model_spec(model)
     if len(block_sizes) != len(conv_widths) + 1:
         raise ValueError(
             f"expected {len(conv_widths) + 1} block sizes for "
@@ -183,7 +172,7 @@ def estimate_window_memory(model: GamoraNet | FastInference,
             f"got {len(block_edges)}"
         )
     targets = block_sizes[-1]
-    total = block_sizes[0] * feature_dim * bytes_per_value  # gathered features
+    total = block_sizes[0] * feature_dim * value_size  # gathered features
     if training:
         # Tape cost: every intermediate of every conv layer stays live
         # until backward (gathered self rows, aggregated neighborhood,
@@ -199,17 +188,17 @@ def estimate_window_memory(model: GamoraNet | FastInference,
                 + rows_out * layer_in  # aggregated neighborhood
                 + 2 * rows_out * layer_in  # concat buffer
                 + 3 * rows_out * layer_out  # matmul + bias + relu outputs
-            ) * bytes_per_value
-            total += block_edges[j] * (bytes_per_value + index_bytes)
-            total += (rows_out + 1) * index_bytes  # sub-CSR offsets
-            total += rows_in * index_bytes  # block index array
+            ) * value_size
+            total += block_edges[j] * (value_size + _INDEX_SIZE)
+            total += (rows_out + 1) * _INDEX_SIZE  # sub-CSR offsets
+            total += rows_in * _INDEX_SIZE  # block index array
         # Shared trunk (matmul + bias + relu) and per-head chain (matmul +
         # bias + log-softmax output + its cached softmax), targets only.
-        activations += targets * 3 * shared_width * bytes_per_value
-        activations += targets * 4 * heads_width * bytes_per_value
+        activations += targets * 3 * shared_width * value_size
+        activations += targets * 4 * heads_width * value_size
         total += 2 * activations  # every retained activation + its gradient
         # Parameter, gradient, and the two Adam moment arrays.
-        total += num_parameters * bytes_per_value * 4
+        total += num_parameters * value_size * 4
         return int(total)
     peak_layer = 0
     width_in = feature_dim
@@ -221,23 +210,21 @@ def estimate_window_memory(model: GamoraNet | FastInference,
             + rows_out * layer_in  # aggregated neighborhood
             + 2 * rows_out * layer_in  # concat buffer
             + rows_out * layer_out  # output rows
-        ) * bytes_per_value
-        live += block_edges[j] * (bytes_per_value + index_bytes)
-        live += (rows_out + 1) * index_bytes  # sub-CSR offsets
-        live += rows_in * index_bytes  # block index array
+        ) * value_size
+        live += block_edges[j] * (value_size + _INDEX_SIZE)
+        live += (rows_out + 1) * _INDEX_SIZE  # sub-CSR offsets
+        live += rows_in * _INDEX_SIZE  # block index array
         peak_layer = max(peak_layer, live)
         width_in = layer_out
-    shared_live = targets * (width_in + shared_width) * bytes_per_value
-    head_live = targets * (shared_width + 2 * heads_width) * bytes_per_value
+    shared_live = targets * (width_in + shared_width) * value_size
+    head_live = targets * (shared_width + 2 * heads_width) * value_size
     total += max(peak_layer, shared_live, head_live)
-    total += num_parameters * bytes_per_value
+    total += num_parameters * value_size
     return int(total)
 
 
 def estimate_training_memory(model: GamoraNet,
-                             num_nodes: int, num_edges: int,
-                             bytes_per_value: int | None = None,
-                             index_bytes: int = 8) -> int:
+                             num_nodes: int, num_edges: int) -> int:
     """Estimated peak bytes of one *full-batch* training epoch.
 
     The degenerate-plan view of :func:`estimate_window_memory`: every halo
@@ -246,12 +233,10 @@ def estimate_training_memory(model: GamoraNet,
     budget as a fraction of what the full-batch loop would need.
     """
     (conv_widths, _shared, _heads, _feature_dim,
-     _params, _bpv) = _model_spec(model)
+     _params, _value_size) = _model_spec(model)
     return estimate_window_memory(
         model,
         [num_nodes] * (len(conv_widths) + 1),
         [num_edges] * len(conv_widths),
-        bytes_per_value=bytes_per_value,
-        index_bytes=index_bytes,
         training=True,
     )

@@ -50,7 +50,6 @@ __all__ = [
     "TrainConfig",
     "train_model",
     "evaluate_model",
-    "predict_labels",
     "plan_training_windows",
     "epoch_gradients",
     "save_checkpoint",
@@ -344,11 +343,6 @@ def train_model(train_graphs: list[GraphData] | GraphData,
     return model, history
 
 
-def predict_labels(model: GamoraNet, data: GraphData) -> dict[str, np.ndarray]:
-    """Hard per-task predictions for every node of ``data``."""
-    return model.predict(data.features, data.adjacency)
-
-
 def evaluate_model(model: GamoraNet, data: GraphData,
                    max_window_bytes: int | None = None) -> dict[str, float]:
     """Per-task / mean / joint accuracy against the graph's labels.
@@ -376,5 +370,5 @@ def evaluate_model(model: GamoraNet, data: GraphData,
             )
             return multitask_accuracy(predictions, data.labels,
                                       data.node_mask())
-    predictions = predict_labels(model, data)
+    predictions = model.predict(data.features, data.adjacency)
     return multitask_accuracy(predictions, data.labels, data.node_mask())

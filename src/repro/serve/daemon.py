@@ -420,7 +420,9 @@ class GamoraDaemon:
             )
         return {
             "ok": True,
-            "id": stats.request_id,
+            # The caller's id verbatim (an int stays an int, like every other
+            # response); the scheduler's generated id only when there is none.
+            "id": request_id if request_id is not None else stats.request_id,
             "result": _outcome_payload(outcome),
             # The parse runs before submit, so it is not in total_seconds.
             "stats": {**stats.to_dict(), "parse_seconds": parse_seconds},

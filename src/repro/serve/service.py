@@ -23,8 +23,7 @@ independent circuits and
    (a one-window plan is the full-graph pass, labels bit-identical either
    way) — and hands the step's per-circuit predictions to post-processing.
    A step that runs out of memory is re-planned at half its estimate and
-   rerun (:meth:`predict_many` uses the same executor without
-   post-processing);
+   rerun;
 5. **post-processes in parallel** — with ``postprocess_workers > 0`` the
    per-circuit :func:`~repro.core.postprocess.extract_from_predictions`
    calls run in a fork-based :class:`~repro.serve.workers.PostprocessPool`
@@ -53,8 +52,8 @@ Scaling knobs
     ``0`` forces in-process; platforms without ``fork`` degrade to
     in-process automatically.
 
-Both can be set on the constructor (service-wide default) and overridden
-per :meth:`reason_many` call.
+All three are set once, on the constructor; every :meth:`reason_many`
+and :meth:`plan` call runs under them.
 
 Caching semantics
 -----------------
@@ -109,9 +108,6 @@ from repro.serve.workers import PostprocessPool
 from repro.utils.timing import Timer
 
 __all__ = ["BatchStats", "BatchReasoningOutcome", "ReasoningService"]
-
-_UNSET = object()  # per-call override sentinel (None is a meaningful value)
-
 
 @dataclass
 class BatchStats:
@@ -199,8 +195,8 @@ def _circuit_key(aig: AIG) -> tuple[str, str]:
     """The dedup identity of one circuit: structural hash + exact numbering.
 
     Single source of truth for every cache/dedup key the service builds
-    (``reason_many``, ``predict_many``, ``plan``) — change it here and all
-    paths stay in sync.
+    (``reason_many``, ``plan``) — change it here and both paths stay in
+    sync.
     """
     return (aig.structural_hash(), exact_fingerprint(aig))
 
@@ -304,56 +300,6 @@ class ReasoningService:
 
         return self.graph_cache.get_or_build(shash, fingerprint, build)
 
-    def _encode_unique(self, circuits) -> tuple[list[GraphData], list[int]]:
-        """Encode each distinct circuit once; input ``i`` is ``slots[i]``.
-
-        A :class:`GraphData` input is already encoded (as
-        :meth:`Gamora.predict` accepts it) and is used as is, without dedup.
-        """
-        unique: dict[tuple[str, str], int] = {}
-        slots: list[int] = []
-        datas: list[GraphData] = []
-        for circuit in circuits:
-            if isinstance(circuit, GraphData):
-                slots.append(len(datas))
-                datas.append(circuit)
-                continue
-            aig = _as_aig(circuit)
-            key = _circuit_key(aig)
-            if key not in unique:
-                unique[key] = len(datas)
-                datas.append(self._encode(aig, *key))
-            slots.append(unique[key])
-        return datas, slots
-
-    # ------------------------------------------------------------------
-    def predict_many(self, circuits) -> list[dict[str, np.ndarray]]:
-        """Per-node label predictions for each circuit, without extraction.
-
-        Runs :meth:`reason_many`'s planner and executor under the
-        service-wide budgets.  Structurally identical circuits are encoded
-        and inferred once; the returned list still has one independent
-        entry per input, in input order.
-        """
-        datas, slots = self._encode_unique(circuits)
-        kernel = self.gamora.inference_kernel()
-        plan = plan_shards(kernel, datas, self.max_shard_bytes,
-                           self.max_window_bytes)
-        per_graph: list = [None] * len(datas)
-        for step, step_labels, _, _ in self._run_plan(kernel, datas, plan,
-                                                      BatchStats()):
-            for data_index, labels in zip(step.indices, step_labels):
-                per_graph[data_index] = labels
-        served: set[int] = set()
-        predictions = []
-        for slot in slots:
-            labels = per_graph[slot]
-            if slot in served:  # duplicates get their own arrays
-                labels = {task: array.copy() for task, array in labels.items()}
-            served.add(slot)
-            predictions.append(labels)
-        return predictions
-
     def _run_plan(self, kernel, datas: list[GraphData], plan: BatchPlan,
                   stats: BatchStats):
         """The one executor: run each step, yield its per-graph labels.
@@ -384,8 +330,7 @@ class ReasoningService:
                     if step.streamed:
                         raise
                     half = max(window_plan.peak_window_bytes // 2, 1)
-                    window_plan = plan_shards(
-                        kernel, [merged], half, half).steps[0].window_plan
+                    window_plan = merged.window_plan(half, kernel)
                     labels = kernel.predict_streamed(
                         merged.features, merged.adjacency, window_plan)
                     degraded = True
@@ -402,40 +347,36 @@ class ReasoningService:
                    infer_timer.elapsed, degraded)
 
     # ------------------------------------------------------------------
-    def plan(self, circuits, max_shard_bytes=_UNSET,
-             max_window_bytes=_UNSET) -> BatchPlan:
+    def plan(self, circuits) -> BatchPlan:
         """The batch plan for ``circuits`` without running inference.
 
-        Encodes through the graph LRU (so planning a batch warms the same
-        cache serving it would) and packs the unique structures against the
-        byte budgets — the service-wide ``max_shard_bytes`` /
-        ``max_window_bytes`` unless overridden here, so the plan matches
-        what :meth:`reason_many` would execute.  Priced against the
-        deployment kernel (:meth:`Gamora.inference_kernel`), the path that
-        actually runs.  Useful for capacity checks and benchmark reporting.
+        Deduplicates and encodes exactly as :meth:`reason_many` does (first
+        occurrence of each :func:`_circuit_key`, through the graph LRU, so
+        planning a batch warms the same cache serving it would) and packs
+        the unique structures against the service's byte budgets, so the
+        plan matches what :meth:`reason_many` would execute on a cold
+        cache.  Priced against the deployment kernel
+        (:meth:`Gamora.inference_kernel`), the path that actually runs.
+        Useful for capacity checks and benchmark reporting.
         """
-        if max_shard_bytes is _UNSET:
-            max_shard_bytes = self.max_shard_bytes
-        if max_window_bytes is _UNSET:
-            max_window_bytes = self.max_window_bytes
-        datas, _ = self._encode_unique(circuits)
+        unique: dict[tuple[str, str], AIG] = {}
+        for circuit in circuits:
+            aig = _as_aig(circuit)
+            unique.setdefault(_circuit_key(aig), aig)
+        datas = [self._encode(aig, *key) for key, aig in unique.items()]
         return plan_shards(self.gamora.inference_kernel(), datas,
-                           max_shard_bytes, max_window_bytes)
+                           self.max_shard_bytes, self.max_window_bytes)
 
     # ------------------------------------------------------------------
     def reason_many(self, circuits, root_filter: bool = False,
                     correct_lsb: bool = True, lsb_outputs: int = 4,
-                    max_shard_bytes=_UNSET,
-                    max_window_bytes=_UNSET,
-                    postprocess_workers=_UNSET,
                     with_report: bool = False) -> BatchReasoningOutcome:
         """Batched equivalent of calling :meth:`Gamora.reason` per circuit.
 
         Returns one outcome per input circuit (input order preserved) with
         labels and extractions identical to the sequential path; see the
-        module docstring for the pipeline, the scaling knobs, and the
-        caching semantics.  ``max_shard_bytes`` and ``postprocess_workers``
-        override the service-wide settings for this call only.
+        module docstring for the pipeline, the scaling knobs (set on the
+        constructor), and the caching semantics.
 
         ``with_report=True`` additionally fills each outcome's
         ``.report`` with its :class:`~repro.reasoning.wordlevel.WordLevelReport`
@@ -447,13 +388,6 @@ class ReasoningService:
         cache entry rather than splitting the options key; an entry cached
         without a report is upgraded in place on the first reporting hit.
         """
-        if max_shard_bytes is _UNSET:
-            max_shard_bytes = self.max_shard_bytes
-        if max_window_bytes is _UNSET:
-            max_window_bytes = self.max_window_bytes
-        if postprocess_workers is _UNSET:
-            postprocess_workers = self.postprocess_workers
-
         stats = BatchStats()
         with Timer() as total_timer:
             aigs = [_as_aig(c) for c in circuits]
@@ -485,10 +419,7 @@ class ReasoningService:
                 self._reason_pending(
                     aigs, pending, outcomes, options, stats,
                     root_filter=root_filter, correct_lsb=correct_lsb,
-                    lsb_outputs=lsb_outputs, max_shard_bytes=max_shard_bytes,
-                    max_window_bytes=max_window_bytes,
-                    postprocess_workers=postprocess_workers,
-                    with_report=with_report,
+                    lsb_outputs=lsb_outputs, with_report=with_report,
                 )
 
             if stale_hits:
@@ -526,10 +457,7 @@ class ReasoningService:
 
     def _reason_pending(self, aigs, pending, outcomes, options, stats, *,
                         root_filter: bool, correct_lsb: bool, lsb_outputs: int,
-                        max_shard_bytes: int | None,
-                        max_window_bytes: int | None = None,
-                        postprocess_workers: int | None,
-                        with_report: bool = False) -> None:
+                        with_report: bool) -> None:
         """Encode → plan → run steps → parallel-extract → reassemble."""
         graph_hits_before = self.graph_cache.hits
         with Timer() as encode_timer:
@@ -542,7 +470,8 @@ class ReasoningService:
         stats.graph_misses += len(datas) - stats.graph_hits
 
         kernel = self.gamora.inference_kernel()
-        plan = plan_shards(kernel, datas, max_shard_bytes, max_window_bytes)
+        plan = plan_shards(kernel, datas, self.max_shard_bytes,
+                           self.max_window_bytes)
         stats.num_shards = len(plan)
         stats.peak_shard_bytes = plan.peak_shard_bytes
         stats.oversize_shards = plan.num_oversize
@@ -560,7 +489,8 @@ class ReasoningService:
         total_ands = sum(
             aigs[positions[0]].num_ands for positions in pending.values()
         )
-        with PostprocessPool(postprocess_workers, num_payloads=len(pending),
+        with PostprocessPool(self.postprocess_workers,
+                             num_payloads=len(pending),
                              total_ands=total_ands) as pool:
             stats.postprocess_workers = pool.workers
             for step_index, (step, step_labels, seconds, degraded) in \

@@ -20,7 +20,6 @@ from repro.learn import (
     estimate_inference_memory,
     evaluate_model,
     multitask_accuracy,
-    predict_labels,
     shallow_config,
     task_accuracy,
     timed_inference,
@@ -208,8 +207,8 @@ class TestInference:
         model, _data, _history = tiny_trained
         graphs = [build_graph_data(csa_multiplier(w).aig, with_labels=False) for w in (4, 6)]
         merged = batch_graphs(graphs)
-        merged_pred = predict_labels(model, merged)
-        solo_pred = predict_labels(model, graphs[0])
+        merged_pred = model.predict(merged.features, merged.adjacency)
+        solo_pred = model.predict(graphs[0].features, graphs[0].adjacency)
         np.testing.assert_array_equal(
             merged_pred["xor"][: graphs[0].num_nodes], solo_pred["xor"]
         )

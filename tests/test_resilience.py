@@ -23,7 +23,7 @@ import pytest
 from repro.aig.aiger import dumps_aag, read_aiger, write_aig
 from repro.core import Gamora
 from repro.generators import booth_multiplier, csa_multiplier
-from repro.learn import TrainConfig
+from repro.learn import TrainConfig, estimate_inference_memory
 from repro.serve import (
     DaemonClient,
     DaemonServer,
@@ -483,6 +483,17 @@ class TestFaultPointInference:
             assert stats.degraded and stats.streamed
             assert stats.batch_stats["degraded_shards"] == 1
             assert daemon.scheduler.stats()["degraded_requests"] == 1
+            # The re-plan is the circuit's own window plan at half its
+            # one-window estimate.
+            kernel = gamora.inference_kernel()
+            data = daemon.service.encode(circuits[0])
+            estimate = estimate_inference_memory(kernel, data.num_nodes,
+                                                 data.num_edges)
+            rung = data.window_plan(estimate // 2, kernel)
+            assert rung.num_windows > 1
+            assert stats.batch_stats["num_windows"] == rung.num_windows
+            assert (stats.batch_stats["peak_window_bytes"]
+                    == rung.peak_window_bytes)
             # Bit-identical to the unfaulted sequential reference.
             assert_outcome_equal(outcome, sequential[0])
             # The next request runs the ordinary full pass again.

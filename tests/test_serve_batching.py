@@ -102,57 +102,32 @@ class TestBatchedEquivalence:
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(spec_ids=st.lists(SPEC_IDS, min_size=1, max_size=4))
-    def test_predict_many_matches_predict(self, spec_ids, gamora):
-        """Batched label prediction is identical to per-circuit predict."""
-        circuits = [ZOO[spec_id]() for spec_id in spec_ids]
-        batched = gamora.predict_many(circuits)
-        for circuit, predictions in zip(circuits, batched):
-            solo = gamora.predict(circuit)
-            for task in solo:
-                np.testing.assert_array_equal(predictions[task], solo[task])
-
-    def test_predict_many_streams_and_dedups_like_predict(self, gamora):
+    def test_reason_many_streams_and_dedups_like_predict(self, gamora):
         """Duplicates and a streamed circuit under a service budget: every
-        entry equals per-circuit predict and owns its arrays."""
+        outcome's labels equal per-circuit predict and own their arrays."""
         circuits = [csa_multiplier(5), booth_multiplier(3), csa_multiplier(5)]
         kernel = gamora.inference_kernel()
         sizes = [estimate_batch_memory(kernel, [gamora.prepare(c, False)])
                  for c in circuits]
-        gamora._service = ReasoningService(
-            gamora, max_shard_bytes=max(sizes) - 1,
+        service = ReasoningService(
+            gamora, result_cache_size=0, max_shard_bytes=max(sizes) - 1,
             max_window_bytes=max(sizes) // 8,
         )
-        try:
-            assert gamora._service.plan(circuits).num_streamed == 1
-            batched = gamora.predict_many(circuits)
-        finally:
-            gamora._service = None
-        assert len(batched) == len(circuits)
-        for circuit, predictions in zip(circuits, batched):
+        assert service.plan(circuits).num_streamed == 1
+        batch = service.reason_many(circuits)
+        assert len(batch) == len(circuits)
+        assert batch.stats.streamed_graphs == 1
+        for circuit, outcome in zip(circuits, batch):
             solo = gamora.predict(circuit)
             for task in solo:
-                np.testing.assert_array_equal(predictions[task], solo[task])
-        assert batched[0]["root"] is not batched[2]["root"]
-
-    def test_predict_many_accepts_encoded_graphs(self, gamora):
-        """Like predict, predict_many takes already-encoded GraphData,
-        alone or mixed with circuits."""
-        circuit = csa_multiplier(4)
-        encoded = gamora.prepare(circuit, with_labels=False)
-        solo = gamora.predict(circuit)
-        assert len(gamora.predict_many([encoded])) == 1
-        for batched in gamora.predict_many([encoded, circuit, encoded]):
-            for task in solo:
-                np.testing.assert_array_equal(batched[task], solo[task])
+                np.testing.assert_array_equal(outcome.labels[task], solo[task])
+        assert batch[0].labels["root"] is not batch[2].labels["root"]
 
     def test_empty_batch(self, gamora):
         batch = gamora.reason_many([])
         assert len(batch) == 0
         assert list(batch) == []
         assert batch.stats.batch_size == 0
-        assert gamora.predict_many([]) == []
 
     def test_single_item_matches_reason(self, gamora, service):
         circuit = csa_multiplier(4)

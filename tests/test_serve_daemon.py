@@ -250,9 +250,10 @@ class TestExecutorRestart:
                                             sequential, worker_fault):
         """An injected soft fault during reason_many loses nothing and the
         stats carry the pool's fallback/restart counters."""
-        service = ReasoningService(gamora, result_cache_size=0)
+        service = ReasoningService(gamora, result_cache_size=0,
+                                   postprocess_workers=2)
         worker_fault("raise")
-        batch = service.reason_many(circuits, postprocess_workers=2)
+        batch = service.reason_many(circuits)
         worker_fault(None)
         for outcome, expected in zip(batch, sequential):
             assert_outcome_equal(outcome, expected)
@@ -497,6 +498,9 @@ class TestSocketProtocol:
         socket_path = tmp_path / "gamora.sock"
         daemon = GamoraDaemon(gamora, batch_window_ms=200).start()
         server = DaemonServer(daemon, socket_path).start()
+        # Any JSON id comes back verbatim: an int stays an int, a list a
+        # list (the scheduler's run-dir/AIG names use the string form).
+        ids = ["sock-0", 1, "sock-2", [3, "sock"], "sock-4", "sock-5"]
         try:
             responses = [None] * 6
             barrier = threading.Barrier(6)
@@ -505,14 +509,14 @@ class TestSocketProtocol:
                 barrier.wait()
                 with SocketDaemonClient(socket_path, timeout=300) as client:
                     responses[index] = client.reason(
-                        circuits[index % 2], request_id=f"sock-{index}"
+                        circuits[index % 2], request_id=ids[index]
                     )
 
             run_threads(6, worker)
             assert all(response["ok"] for response in responses)
             for index, response in enumerate(responses):
                 expected = sequential[index % 2]
-                assert response["id"] == f"sock-{index}"
+                assert response["id"] == ids[index]
                 assert (response["result"]["num_full_adders"]
                         == expected.tree.num_full_adders)
             with SocketDaemonClient(socket_path) as client:
@@ -817,3 +821,23 @@ class TestServeCli:
                      str(tmp_path / "s.sock"), "--cache-dir", str(bad)])
         assert code == 2
         assert "cannot use cache dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-batch", "0"),
+        ("--max-queue-depth", "0"),
+        ("--batch-window-ms", "-1"),
+        ("--default-deadline-ms", "nan"),
+    ])
+    def test_serve_out_of_range_number_is_clean_error(self, gamora, tmp_path,
+                                                      capsys, flag, value):
+        from repro.cli import main
+
+        model_path = tmp_path / "model.npz"
+        gamora.save(model_path)
+        socket_path = tmp_path / "s.sock"
+        code = main(["serve", str(model_path), "--socket", str(socket_path),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ") and err.count("\n") == 1, err
+        assert not socket_path.exists()

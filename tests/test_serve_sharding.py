@@ -158,11 +158,9 @@ class TestShardPlanner:
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         budget = max(standalone) + 1
         service = ReasoningService(gamora, max_shard_bytes=budget)
-        plan = service.plan([spec() for spec in ZOO])  # no override: use budget
+        plan = service.plan([spec() for spec in ZOO])
         assert plan.max_shard_bytes == budget
         assert len(plan) > 1
-        unbounded = service.plan([spec() for spec in ZOO], None)  # explicit
-        assert len(unbounded) == 1
 
     def test_deterministic(self, gamora, zoo_graphs):
         budget = estimate_batch_memory(gamora.net, zoo_graphs) // 2
@@ -221,12 +219,12 @@ class TestShardedEquivalence:
         assert stats.postprocess_seconds > 0
         assert f"shards={stats.num_shards}" in stats.summary()
 
-    def test_gamora_reason_many_passes_knobs_through(self, gamora,
+    def test_gamora_reason_many_keeps_service_budget(self, gamora,
                                                      sequential_memo):
-        gamora._service = None  # fresh caches for a cold call
-        batch = gamora.reason_many(
-            [ZOO[0](), ZOO[1]()], max_shard_bytes=1, postprocess_workers=0
-        )
+        """Gamora.reason_many runs under its service's configured budget."""
+        gamora._service = ReasoningService(gamora, max_shard_bytes=1,
+                                           postprocess_workers=0)
+        batch = gamora.reason_many([ZOO[0](), ZOO[1]()])
         assert batch.stats.num_shards == 2
         assert_outcome_equal(batch[0], sequential_memo(0))
         assert_outcome_equal(batch[1], sequential_memo(1))

@@ -345,6 +345,7 @@ class TestTransitiveFaninArray:
 class TestServingIntegration:
     def test_oversize_circuit_streams_and_matches(self, trained):
         from repro.core.api import Gamora
+        from repro.serve import ReasoningService
 
         gamora = Gamora(model="shallow")
         gamora.net = trained
@@ -354,9 +355,9 @@ class TestServingIntegration:
         sequential = gamora.reason(big)
         data = gamora.prepare(big, with_labels=False)
         full = full_budget(gamora.inference_kernel(), data)
-        result = gamora.reason_many(
-            [big], max_shard_bytes=full // 2, max_window_bytes=full // 8
-        )
+        service = ReasoningService(gamora, max_shard_bytes=full // 2,
+                                   max_window_bytes=full // 8)
+        result = service.reason_many([big])
         assert result.stats.streamed_graphs == 1
         assert result.stats.num_windows > 1
         assert 0 < result.stats.peak_window_bytes <= full // 8
@@ -369,12 +370,14 @@ class TestServingIntegration:
 
     def test_window_budget_only_affects_oversize(self, trained):
         from repro.core.api import Gamora
+        from repro.serve import ReasoningService
 
         gamora = Gamora(model="shallow")
         gamora.net = trained
         gamora._service = None
         gamora._kernel = None
         small = csa_multiplier(4)
-        result = gamora.reason_many([small], max_window_bytes=1)
+        result = ReasoningService(gamora, max_window_bytes=1).reason_many(
+            [small])
         assert result.stats.streamed_graphs == 0
         assert not result[0].streamed
