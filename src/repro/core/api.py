@@ -140,10 +140,9 @@ class Gamora:
     def inference_kernel(self):
         """The memoized float32 deployment kernel for the current weights.
 
-        Every serving-path prediction (:meth:`predict`, :meth:`reason`,
-        and the batched service) runs through this
-        one snapshot, so sequential, sharded, and streamed answers are
-        bit-identical to each other.  Recompiled lazily after :meth:`fit`.
+        Every serving-path prediction (:meth:`predict`, :meth:`reason`, and
+        the batched service) runs through this one snapshot, so sequential,
+        sharded, and streamed answers are bit-identical to each other.  Recompiled lazily after :meth:`fit`.
         """
         from repro.learn.fast import compile_inference
 

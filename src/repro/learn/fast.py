@@ -3,8 +3,9 @@
 Training uses the autodiff :class:`~repro.nn.tensor.Tensor` in float64 for
 gradient fidelity; inference does not need a tape or double precision.
 :class:`FastInference` snapshots a trained GamoraNet's weights into float32
-arrays and evaluates the forward pass with raw NumPy/SciPy kernels — the CPU analogue of the paper's optimized GPU
-deployment, and the engine behind the Fig. 7/8 runtime numbers.
+arrays and evaluates the forward pass with raw NumPy/SciPy kernels — the
+CPU analogue of the paper's optimized GPU deployment, and the engine behind
+the Fig. 7/8 runtime numbers.
 
 Two execution modes share the snapshot:
 

@@ -109,6 +109,7 @@ from repro.utils.timing import Timer
 
 __all__ = ["BatchStats", "BatchReasoningOutcome", "ReasoningService"]
 
+
 @dataclass
 class BatchStats:
     """Per-stage accounting for one :meth:`ReasoningService.reason_many`.
