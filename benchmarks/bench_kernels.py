@@ -1,18 +1,19 @@
 """Kernel backends head-to-head: numpy reference vs the C lane.
 
-Micro-benchmarks each of the four registered hot-path kernels
+Micro-benchmarks each of the five registered hot-path kernels
 (:mod:`repro.kernels`) in isolation on the 64-bit CSA multiplier — the
-per-level cut merge, the cone frontier sweep, the packed-key FA join and
-the Kahn longest-path wavefront — with the *same* prebuilt inputs for
-every backend, so the comparison times nothing but the kernel.
+per-level cut merge, the cone frontier sweep, the packed-key FA join,
+the Kahn longest-path wavefront and the window planner's per-prefix halo
+counts — with the *same* prebuilt inputs for every backend, so the
+comparison times nothing but the kernel.
 
 The numpy baseline always runs and appends a record to
 ``BENCH_kernels.json``.  The C lane needs only a working system C
-compiler: one smoke test times the two kernels the ``c`` backend
-implements (``merge_level``, ``kahn_propagate``) on the same inputs,
-asserts their outputs are **bit-identical** to the numpy reference
-(here, not just in the unit suite), prints the table, and pins >= 5x on
-``merge_level``.  Each kernel gets one untimed warmup call before timing,
+compiler: one smoke test times the three kernels the ``c`` backend
+implements (``merge_level``, ``kahn_propagate``, ``halo_prefix_counts``)
+on the same inputs, asserts their outputs are **bit-identical** to the
+numpy reference (here, not just in the unit suite), prints the table,
+and pins >= 5x on ``merge_level``.  Each kernel gets one untimed warmup call before timing,
 like the serving daemon's boot-time warmup.
 """
 
@@ -33,6 +34,7 @@ from common import (
 from repro.aig.cuts import TRIVIAL_TRUTH
 from repro.kernels import registry
 from repro.kernels.numpy_backend import _SAFE_PACK_LIMIT
+from repro.learn import build_graph_data
 from repro.reasoning.fast_pairing import (
     PairingCandidates,
     _full_adder_edges,
@@ -42,7 +44,9 @@ from repro.reasoning.fast_pairing import (
 WIDTH = 64
 K, MAX_CUTS = 3, 10
 REPEATS = 3
-C_KERNELS = ("merge_level", "kahn_propagate")  # what the c backend ports
+# What the c backend ports.
+C_KERNELS = ("merge_level", "kahn_propagate", "halo_prefix_counts")
+HALO_HOPS = 4  # the shallow model's conv layers
 C_SMOKE_MIN_SPEEDUP = 5.0  # CI smoke bar, on merge_level
 
 needs_c = pytest.mark.skipif(
@@ -83,6 +87,9 @@ def inputs():
     owner = np.arange(len(fa_maj), dtype=np.int64)
     stride = np.int64(num_vars)
     ml, xl = cands.maj_leaves, cands.xor3_leaves
+    # halo_prefix_counts input: every node in the window planner's
+    # level-major order, i.e. the prefixes of one graph-sized window.
+    graph = build_graph_data(aig, with_labels=False)
     return {
         "aig": aig,
         "num_vars": num_vars,
@@ -101,6 +108,9 @@ def inputs():
         "xor_var": np.asarray(cands.xor3_var, dtype=np.int64),
         "xor_key": (xl[:, 0] * stride + xl[:, 1]) * stride + xl[:, 2],
         "num_adders": len(fa_maj),
+        "adj_indptr": graph.adjacency.indptr.astype(np.int64),
+        "adj_indices": graph.adjacency.indices.astype(np.int64),
+        "level_order": np.argsort(graph.node_levels(), kind="stable"),
     }
 
 
@@ -150,11 +160,17 @@ def run_kahn_propagate(impl, inp):
     return (values,)
 
 
+def run_halo_prefix_counts(impl, inp):
+    return impl(inp["adj_indptr"], inp["adj_indices"], inp["level_order"],
+                HALO_HOPS)
+
+
 RUNNERS = {
     "merge_level": run_merge_level,
     "cone_sweep": run_cone_sweep,
     "fa_join": run_fa_join,
     "kahn_propagate": run_kahn_propagate,
+    "halo_prefix_counts": run_halo_prefix_counts,
 }
 
 
@@ -215,6 +231,9 @@ def test_kernels_numpy_baseline(benchmark, inputs, numpy_times):
     assert len(edge_maj) == len(edge_xor) >= inputs["num_adders"]
     (values,), _ = numpy_times["kahn_propagate"]
     assert values.max() > 1
+    (sizes, edges), _ = numpy_times["halo_prefix_counts"]
+    assert sizes[-1].tolist() == [inputs["num_vars"]] * (HALO_HOPS + 1)
+    assert edges[-1].tolist() == [len(inputs["adj_indices"])] * HALO_HOPS
     emit_json("BENCH_kernels", {
         "width": WIDTH,
         "backend": "numpy",
@@ -224,7 +243,7 @@ def test_kernels_numpy_baseline(benchmark, inputs, numpy_times):
 
 @needs_c
 def test_kernels_c_smoke(benchmark, inputs):
-    """CI guard: the C merge must clear 5x, and both C kernels match."""
+    """CI guard: the C merge must clear 5x, and every C kernel matches."""
     keep_under_benchmark_only(benchmark)
     rows, speedups = compare_backend("c", C_KERNELS, inputs)
     emit("kernels_backends_c_smoke", format_table(

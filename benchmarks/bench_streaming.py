@@ -12,7 +12,10 @@ asserts the tentpole claims:
 * at a ``full/8`` window budget, measured peak memory on the 256-bit
   multiplier drops by >= 4x;
 * the planner's analytic per-window estimate actually bounds what runs
-  (``peak_window_bytes <= budget``).
+  (``peak_window_bytes <= budget``);
+* the one-sweep window planner returns exactly the plan of the bisection
+  planner it replaced (``tests.oracles.window_plan_bisect``), and on the
+  ``c`` kernel backend plans >= 5x faster than it.
 
 Weights are untrained: activation *footprint* is weight-independent, and
 bit-identity must hold for any weights, so training would only slow the
@@ -21,6 +24,7 @@ lane down.  Appends one record per run to ``BENCH_streaming.json``.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,11 +39,15 @@ from common import (
     keep_under_benchmark_only,
 )
 from repro.core import Gamora
+from repro.kernels import active_backend
 from repro.learn import estimate_inference_memory
+from tests.oracles import window_plan_bisect
 
 WIDTHS = (256, 512) if FULL else (256,)
 SMOKE_WIDTH = 64
 BUDGET_DIV = 8  # window budget = full-graph estimate / BUDGET_DIV
+PLAN_REPEATS = 3
+C_PLAN_MIN_SPEEDUP = 5.0  # CI smoke bar: one-sweep planner vs bisection
 
 
 def measure_peak(fn):
@@ -50,6 +58,35 @@ def measure_peak(fn):
     peak = tracemalloc.get_traced_memory()[1] - base
     tracemalloc.stop()
     return result, peak
+
+
+def best_ms(fn):
+    """``(result, best-of-PLAN_REPEATS wall clock in ms)`` of ``fn()``."""
+    best, result = float("inf"), None
+    for _ in range(PLAN_REPEATS):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return result, best * 1e3
+
+
+def plan_timings(gamora: Gamora, width: int) -> dict:
+    """Time the window planner against the bisection oracle at full/8;
+    the two plans must be identical."""
+    kernel = gamora.inference_kernel()
+    data = gamora.prepare(bench_multiplier(width), with_labels=False)
+    budget = estimate_inference_memory(
+        kernel, data.num_nodes, data.num_edges) // BUDGET_DIV
+    plan, plan_ms = best_ms(lambda: data.window_plan(budget, kernel))
+    oracle, oracle_ms = best_ms(
+        lambda: window_plan_bisect(data, budget, kernel))
+    assert plan.num_windows == oracle.num_windows
+    for got, want in zip(plan.windows, oracle.windows):
+        np.testing.assert_array_equal(got.targets, want.targets)
+        assert (got.block_sizes, got.block_edges, got.estimated_bytes) == \
+            (want.block_sizes, want.block_edges, want.estimated_bytes)
+    return {"kernel_backend": active_backend(), "plan_ms": plan_ms,
+            "oracle_plan_ms": oracle_ms}
 
 
 def streaming_row(gamora: Gamora, width: int) -> dict:
@@ -139,11 +176,19 @@ def test_streaming_memory_series(benchmark, series, gamora):
 
 
 def test_streaming_smoke(benchmark, gamora):
-    """CI-lane guard at 64 bits: budget honored, bits identical, record
+    """CI-lane guard at 64 bits: budget honored, bits identical, planner
+    equal to (and on c >= 5x faster than) the bisection oracle, record
     appended to the BENCH_streaming.json trajectory."""
     record = streaming_row(gamora, SMOKE_WIDTH)
     assert record["within_budget"], record
     assert record["num_windows"] > 1, record
     assert record["streamed_peak_bytes"] < record["full_peak_bytes"], record
+    record.update(plan_timings(gamora, SMOKE_WIDTH))
     emit_json("BENCH_streaming", {"smoke": True, **record})
+    if record["kernel_backend"] == "c":
+        speedup = record["oracle_plan_ms"] / record["plan_ms"]
+        assert speedup >= C_PLAN_MIN_SPEEDUP, (
+            f"window_plan only {speedup:.1f}x faster than bisection "
+            f"(need >= {C_PLAN_MIN_SPEEDUP}x)"
+        )
     keep_under_benchmark_only(benchmark)

@@ -245,6 +245,10 @@ def _cmd_train(args) -> int:
     from repro.core import Gamora
     from repro.learn import TrainConfig, plan_training_windows
 
+    if args.max_window_bytes is not None and args.max_window_bytes <= 0:
+        print(f"train: --max-window-bytes must be a positive byte count, "
+              f"got {args.max_window_bytes}", file=sys.stderr)
+        return 2
     checkpoint = args.checkpoint
     if checkpoint is None and args.checkpoint_every:
         checkpoint = f"{args.model_out}.ckpt"

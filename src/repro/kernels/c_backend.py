@@ -1,4 +1,5 @@
-"""C implementations of ``merge_level`` and ``kahn_propagate``, via ctypes.
+"""C implementations of ``merge_level``, ``kahn_propagate`` and
+``halo_prefix_counts``, via ctypes.
 
 Import-gated: importing this module compiles
 ``c_kernels.c`` with the system C compiler (``cc -O2 -shared -fPIC``) and
@@ -19,9 +20,9 @@ directory, loaded, and the directory removed again.
 
 The C functions validate every index they dereference and keep no global
 state (scratch is allocated per call), and ctypes releases the GIL
-around each call.  The wrappers here check dtypes, C-contiguity, shapes
-and ``k`` before any pointer reaches C, raising ``TypeError`` or
-``ValueError`` on a mismatch.
+around each call.  The wrappers here check dtypes, C-contiguity, shapes,
+``k`` and ``num_hops`` before any pointer reaches C, raising
+``TypeError`` or ``ValueError`` on a mismatch.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from repro.kernels import numpy_backend
 from repro.kernels.registry import register
 
 __all__ = ["SOURCE", "CFLAGS", "CACHE_DIR", "cached_library",
-           "load_library", "merge_level", "kahn_propagate"]
+           "load_library", "merge_level", "kahn_propagate",
+           "halo_prefix_counts"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "c_kernels.c")
@@ -54,6 +56,9 @@ _WIDTH_MASK = np.ascontiguousarray(numpy_backend._WIDTH_MASK)
 # Status codes of the C entry points (0 is success); see c_kernels.c.
 _STATUS_EINDEX = -1
 _STATUS_ENOMEM = -2
+
+# halo_prefix_counts keeps one byte per node for its depth 0..K+1.
+_MAX_HOPS = 254
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,10 @@ _LIB.repro_merge_level.argtypes = [
 _LIB.repro_merge_level.restype = ctypes.c_int
 _LIB.repro_kahn_propagate.argtypes = [_PTR, _PTR, _I64, _PTR, _PTR, _I64]
 _LIB.repro_kahn_propagate.restype = ctypes.c_int
+_LIB.repro_halo_prefix_counts.argtypes = [
+    _PTR, _I64, _PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR,
+]
+_LIB.repro_halo_prefix_counts.restype = ctypes.c_int
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +254,26 @@ def kahn_propagate(indptr, consumers, indegree, values):
         indegree.ctypes.data, values.ctypes.data, n,
     )
     _raise_for(status, "kahn_propagate")
+
+
+@register("halo_prefix_counts", "c")
+def halo_prefix_counts(indptr, indices, targets, num_hops):
+    _check("indptr", indptr, np.int64, 1)
+    _check("indices", indices, np.int64, 1)
+    _check("targets", targets, np.int64, 1)
+    if len(indptr) == 0:
+        raise ValueError("halo_prefix_counts: indptr needs num_nodes + 1 "
+                         "entries")
+    if not 0 <= num_hops <= _MAX_HOPS:
+        raise ValueError(f"halo_prefix_counts handles 0 <= num_hops <= "
+                         f"{_MAX_HOPS}, got num_hops={num_hops}")
+    length = len(targets)
+    sizes = np.zeros((length, num_hops + 1), dtype=np.int64)
+    edges = np.zeros((length, num_hops), dtype=np.int64)
+    status = _LIB.repro_halo_prefix_counts(
+        indptr.ctypes.data, len(indptr) - 1, indices.ctypes.data,
+        len(indices), targets.ctypes.data, length, num_hops,
+        sizes.ctypes.data, edges.ctypes.data,
+    )
+    _raise_for(status, "halo_prefix_counts")
+    return sizes, edges

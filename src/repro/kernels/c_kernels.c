@@ -1,14 +1,15 @@
 /*
- * Scalar C implementations of the merge_level and kahn_propagate kernels.
+ * Scalar C implementations of the merge_level, kahn_propagate and
+ * halo_prefix_counts kernels.
  *
  * Built once by repro/kernels/c_backend.py (``cc -O2 -shared -fPIC``) and
  * called through ctypes, which releases the GIL around every call.  The
  * outputs are bit-identical to the numpy reference in numpy_backend.py
  * (tests/test_kernels.py pins that).
  *
- * Both entry points validate every index they will dereference before
- * writing anything and return a status code instead of touching memory
- * out of range.  Scratch is allocated per call: no global state, so
+ * Every entry point validates each index before dereferencing it and
+ * returns a status code instead of touching memory out of range;
+ * merge_level and kahn_propagate validate before writing anything.  Scratch is allocated per call: no global state, so
  * concurrent calls on different arrays are safe.
  */
 
@@ -295,4 +296,114 @@ int repro_kahn_propagate(const int64_t *indptr, const int64_t *consumers,
     }
     free(stack);
     return REPRO_OK;
+}
+
+/* ------------------------------------------------------------------------
+ * halo_prefix_counts
+ * ---------------------------------------------------------------------- */
+
+#define REPRO_MAX_HOPS 254 /* depths 0..K+1 must fit one byte */
+
+/* Raise node v to depth d (> its current depth), counting it into every
+ * block it newly joins: B_j for depth[v] <= j < d. */
+static int join_blocks(int64_t v, uint8_t d, uint8_t *depth,
+                       const int64_t *indptr, int64_t num_indices,
+                       int64_t *count, int64_t *degree_sum)
+{
+    int64_t start = indptr[v], end = indptr[v + 1];
+    if (start < 0 || end < start || end > num_indices)
+        return REPRO_EINDEX;
+    for (int j = depth[v]; j < d; j++) {
+        count[j]++;
+        degree_sum[j] += end - start;
+    }
+    depth[v] = d;
+    return REPRO_OK;
+}
+
+/* Grow the window one target at a time.  Blocks nest (B_0 ⊇ ... ⊇ B_K),
+ * so one byte per node suffices: depth[v] is one more than the deepest
+ * block v has joined (0: none), and v is in B_j exactly when
+ * j < depth[v].  A new target enters at depth K+1; a breadth-first sweep
+ * then lifts each column of a row at depth d to d-1.  Breadth-first order
+ * lifts every node straight to its final depth, so each node is queued
+ * at most once per target and the queue only ever holds the nodes that
+ * target touched. */
+int repro_halo_prefix_counts(const int64_t *indptr, int64_t num_nodes,
+                             const int64_t *indices, int64_t num_indices,
+                             const int64_t *targets, int64_t num_targets,
+                             int64_t num_hops, int64_t *sizes,
+                             int64_t *edges)
+{
+    if (num_nodes < 0 || num_hops < 0 || num_hops > REPRO_MAX_HOPS)
+        return REPRO_EINDEX;
+    int64_t width = num_hops + 1;
+    uint8_t top = (uint8_t)width;
+    int64_t capacity = 64;
+    uint8_t *depth = calloc((size_t)num_nodes + 1, 1);
+    int64_t *count = calloc((size_t)width, sizeof(int64_t));
+    int64_t *degree_sum = calloc((size_t)width, sizeof(int64_t));
+    int64_t *queue = malloc((size_t)capacity * sizeof(int64_t));
+    int status = REPRO_OK;
+    if (!depth || !count || !degree_sum || !queue) {
+        status = REPRO_ENOMEM;
+        goto done;
+    }
+
+    for (int64_t p = 0; p < num_targets; p++) {
+        int64_t target = targets[p];
+        if (target < 0 || target >= num_nodes) {
+            status = REPRO_EINDEX;
+            goto done;
+        }
+        int64_t head = 0, tail = 0;
+        if (depth[target] < top) {
+            status = join_blocks(target, top, depth, indptr, num_indices,
+                                 count, degree_sum);
+            if (status != REPRO_OK)
+                goto done;
+            queue[tail++] = target;
+        }
+        while (head < tail) {
+            int64_t row = queue[head++];
+            uint8_t lifted = depth[row] - 1;
+            if (lifted == 0)
+                continue; /* row is in B_0 only: nothing reads further */
+            for (int64_t e = indptr[row]; e < indptr[row + 1]; e++) {
+                int64_t col = indices[e];
+                if (col < 0 || col >= num_nodes) {
+                    status = REPRO_EINDEX;
+                    goto done;
+                }
+                if (depth[col] >= lifted)
+                    continue;
+                status = join_blocks(col, lifted, depth, indptr,
+                                     num_indices, count, degree_sum);
+                if (status != REPRO_OK)
+                    goto done;
+                if (tail == capacity) {
+                    int64_t *grown = realloc(
+                        queue, (size_t)capacity * 2 * sizeof(int64_t));
+                    if (!grown) {
+                        status = REPRO_ENOMEM;
+                        goto done;
+                    }
+                    queue = grown;
+                    capacity *= 2;
+                }
+                queue[tail++] = col;
+            }
+        }
+        for (int64_t j = 0; j < width; j++)
+            sizes[p * width + j] = count[j];
+        for (int64_t j = 0; j < num_hops; j++)
+            edges[p * num_hops + j] = degree_sum[j + 1];
+    }
+
+done:
+    free(depth);
+    free(count);
+    free(degree_sum);
+    free(queue);
+    return status;
 }

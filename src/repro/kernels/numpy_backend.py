@@ -1,4 +1,4 @@
-"""Pure-NumPy reference implementations of the four hot-path kernels.
+"""Pure-NumPy reference implementations of the five hot-path kernels.
 
 These are the always-present backend and the bit-identity oracle for any
 compiled backend.  Each kernel's signature is the pinned contract both
@@ -35,6 +35,16 @@ k, max_cuts, include_trivial, pad, pack_limit)``
     releases it when its last incoming edge resolves.  ``indegree`` is
     consumed as scratch.  Longest-path values are unique regardless of
     processing order, which is what makes backends bit-identical here.
+
+``halo_prefix_counts(indptr, indices, targets, num_hops) -> (sizes, edges)``
+    Halo-block sizes of every prefix of a streaming window, for the
+    window planner.  ``indptr``/``indices`` are the adjacency operator's
+    CSR index arrays (int64); ``targets`` are distinct node ids in the
+    planner's level-major order (not sorted).  Row ``p`` of the int64
+    ``sizes`` ``(L, K+1)`` and ``edges`` ``(L, K)`` describes the window
+    ``targets[:p+1]``: ``sizes[p]`` equals ``[b.size for b in
+    halo_blocks(adj, np.sort(targets[:p+1]), K)]`` and ``edges[p, j]`` is
+    the row-degree sum over block ``j + 1``.  Pure: no state between calls.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ __all__ = [
     "cone_sweep",
     "fa_join",
     "kahn_propagate",
+    "halo_prefix_counts",
 ]
 
 # ---------------------------------------------------------------------------
@@ -457,3 +468,53 @@ def kahn_propagate(indptr: np.ndarray, consumers: np.ndarray,
         np.subtract.at(indegree, children, 1)
         unique_children = np.unique(children)
         frontier = unique_children[indegree[unique_children] == 0]
+
+
+# ---------------------------------------------------------------------------
+# halo_prefix_counts — per-prefix halo sizes for the streaming window planner
+# ---------------------------------------------------------------------------
+
+def _first_entries(nodes: np.ndarray, first: np.ndarray,
+                   length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct node with its smallest ``first``, sorted by node."""
+    keys = np.sort(nodes * length + first)
+    node = keys // length
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = node[1:] != node[:-1]
+    return node[keep], keys[keep] % length
+
+
+@register("halo_prefix_counts", "numpy")
+def halo_prefix_counts(indptr: np.ndarray, indices: np.ndarray,
+                       targets: np.ndarray,
+                       num_hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop-wise min-propagation of each node's entry prefix.
+
+    ``first`` is the first prefix whose block holds each node: targets
+    enter ``B_K`` at their own position, and a node enters ``B_j`` at the
+    smallest entry prefix of itself or any ``B_{j+1}`` row that reads it.
+    Counting entries per prefix and summing gives every prefix at once.
+    """
+    length = len(targets)
+    sizes = np.zeros((length, num_hops + 1), dtype=np.int64)
+    edges = np.zeros((length, num_hops), dtype=np.int64)
+    if length == 0:
+        return sizes, edges
+    nodes, first = _first_entries(np.asarray(targets, dtype=np.int64),
+                                  np.arange(length, dtype=np.int64), length)
+    for block in range(num_hops, 0, -1):
+        np.cumsum(np.bincount(first, minlength=length), out=sizes[:, block])
+        starts, ends = indptr[nodes], indptr[nodes + 1]
+        degree = ends - starts
+        # Float64 bin sums are exact while the edge count stays < 2**53.
+        edges[:, block - 1] = np.cumsum(
+            np.bincount(first, weights=degree, minlength=length))
+        cols = indices[ragged_gather(starts, ends)].astype(np.int64,
+                                                            copy=False)
+        nodes, first = _first_entries(
+            np.concatenate([nodes, cols]),
+            np.concatenate([first, np.repeat(first, degree)]),
+            length,
+        )
+    np.cumsum(np.bincount(first, minlength=length), out=sizes[:, 0])
+    return sizes, edges

@@ -1,15 +1,17 @@
 """Backend registry for the array hot-path kernels.
 
-The post-GNN path runs on four well-defined array contracts (the
-ROADMAP's kernel targets): the per-level cut merge, the cone frontier
-sweep, the packed-key FA join, and the Kahn longest-path wavefront.  Each
-is a *registered kernel*: a name plus a pinned signature, with one
+The hot paths run on five well-defined array contracts: four on the
+post-GNN path (the per-level cut merge, the cone frontier sweep, the
+packed-key FA join, and the Kahn longest-path wavefront) and the
+streaming window planner's per-prefix halo counts.  Each is a
+*registered kernel*: a name plus a pinned signature, with one
 implementation per *backend*.  Two backends ship:
 
 * ``numpy`` — always present, the reference and bit-identity oracle;
-* ``c`` — compiled ``merge_level`` and ``kahn_propagate``, built once
-  with the system C compiler and loaded through ``ctypes``, gated on the
-  build succeeding (:mod:`repro.kernels.c_backend`).
+* ``c`` — compiled ``merge_level``, ``kahn_propagate`` and
+  ``halo_prefix_counts``, built once with the system C compiler and
+  loaded through ``ctypes``, gated on the build succeeding
+  (:mod:`repro.kernels.c_backend`).
 
 The compiled backend must be bit-identical to numpy — the differential
 suite in ``tests/test_kernels.py`` pins that, which is also what makes
@@ -66,9 +68,10 @@ _BACKEND_MODULES = {
     "c": "repro.kernels.c_backend",
 }
 
-# The four pinned kernel contracts (see numpy_backend for the reference
+# The five pinned kernel contracts (see numpy_backend for the reference
 # implementations and the signature documentation).
-KERNEL_NAMES = ("merge_level", "cone_sweep", "fa_join", "kahn_propagate")
+KERNEL_NAMES = ("merge_level", "cone_sweep", "fa_join", "kahn_propagate",
+                "halo_prefix_counts")
 
 # Below this many AND nodes, AIG.levels() keeps its per-node Python
 # recurrence: the wavefront kernel's per-round call overhead (a few µs per
@@ -249,8 +252,9 @@ def warmup(backend: str | None = None) -> dict:
     word-level ranks — over a small CSA multiplier so every registered
     kernel executes at least once (the C backend was already built when it
     resolved; this pays its first-call costs).  Small graphs take the
-    scalar ``levels()`` fallback, so the Kahn kernel is additionally
-    driven directly on a hand-built CSR.  Dispatch counters are reset
+    scalar ``levels()`` fallback and the pipeline plans no streaming
+    windows, so the Kahn and halo-count kernels are additionally driven
+    directly on a hand-built CSR.  Dispatch counters are reset
     afterwards: serving stats start at zero, first-call cost is paid
     before the first request.
     """
@@ -278,6 +282,15 @@ def warmup(backend: str | None = None) -> dict:
     values = np.zeros(3, dtype=np.int64)
     get_kernel("kahn_propagate")(indptr, consumers, indegree, values)
     assert values[2] == 2, "kahn warmup produced a wrong longest path"
+    # The same chain as a fan-in adjacency (row 2 reads 1, row 1 reads
+    # 0): a window on node 2 pulls in 1, then 0.
+    sizes, edges = get_kernel("halo_prefix_counts")(
+        np.array([0, 0, 1, 2], dtype=np.int64),
+        np.array([0, 1], dtype=np.int64),
+        np.array([2, 0], dtype=np.int64), 2)
+    assert sizes.tolist() == [[3, 2, 1], [3, 3, 2]] \
+        and edges.tolist() == [[2, 1], [2, 1]], \
+        "halo warmup produced wrong block counts"
 
     reset_dispatch_counts()
     record = {

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.aig.graph import AIG
+from repro.kernels import get_kernel
 from repro.learn.features import encode_features
 from repro.reasoning.adder_tree import ground_truth_labels
 from repro.reasoning.structural import detect_xor_maj_structural
@@ -225,11 +226,14 @@ class GraphData:
         """Slice this graph into memory-bounded streaming windows.
 
         Nodes are taken in topological-level-major order (stable, so window
-        boundaries may land mid-level) and packed greedily: each window is
-        grown — doubling, then binary refinement, both exact because
+        boundaries may land mid-level) and packed greedily: each window
+        grows one target at a time and stops at the first target whose
+        halo breaks ``max_window_bytes`` — the largest fitting slice, since
         :func:`~repro.learn.infer.estimate_window_memory` is monotone in
-        window size — to the largest slice whose halo stays under
-        ``max_window_bytes``.  ``model`` (a ``GamoraNet`` or compiled
+        window size.  The ``halo_prefix_counts`` kernel counts the halo
+        blocks of every prefix of a chunk of targets in one sweep; a chunk
+        starts at twice the previous window and doubles until some prefix
+        is over budget.  ``model`` (a ``GamoraNet`` or compiled
         :class:`~repro.learn.fast.FastInference`) supplies the layer widths
         and dtype for the cost model and the hop count for the halo.
 
@@ -253,56 +257,49 @@ class GraphData:
             raise ValueError("max_window_bytes must be a positive byte count")
         num_hops = model.config.num_layers
         order = np.argsort(self.node_levels(), kind="stable")
-        indptr = self.adjacency.indptr
+        indptr = self.adjacency.indptr.astype(np.int64)
+        indices = self.adjacency.indices.astype(np.int64)
+        prefix_counts = get_kernel("halo_prefix_counts")
         total = self.num_nodes
 
-        def evaluate(start: int, size: int) -> Window:
-            targets = np.sort(order[start:start + size])
-            blocks = halo_blocks(self.adjacency, targets, num_hops)
-            sizes = [int(b.size) for b in blocks]
-            edges = [
-                int((indptr[rows + 1] - indptr[rows]).sum())
-                for rows in blocks[1:]
-            ]
-            cost = estimate_window_memory(model, sizes, edges,
-                                          training=training)
-            return Window(targets, sizes, edges, int(cost))
+        def price(start: int, length: int):
+            """Block sizes, edges and cost of every prefix of a chunk."""
+            sizes, edges = prefix_counts(
+                indptr, indices, order[start:start + length], num_hops)
+            costs = estimate_window_memory(model, sizes.T, edges.T,
+                                           training=training)
+            return sizes, edges, costs
 
         windows: list[Window] = []
         pos = 0
+        chunk = 2  # the two-target minimum; later chunks start at 2x
         while pos < total:
             remaining = total - pos
-            size = min(2, remaining)
-            window = evaluate(pos, size)
-            if window.estimated_bytes <= max_window_bytes and size < remaining:
-                low = size  # largest size known to fit
-                high = remaining
-                while low < high:
-                    trial = min(low * 2, remaining)
-                    candidate = evaluate(pos, trial)
-                    if candidate.estimated_bytes <= max_window_bytes:
-                        window, low, size = candidate, trial, trial
-                        if trial == remaining:
-                            high = trial
-                    else:
-                        high = trial - 1
-                        break
-                while low < high:
-                    mid = (low + high + 1) // 2
-                    candidate = evaluate(pos, mid)
-                    if candidate.estimated_bytes <= max_window_bytes:
-                        window, low, size = candidate, mid, mid
-                    else:
-                        high = mid - 1
+            while True:
+                length = min(chunk, remaining)
+                sizes, edges, costs = price(pos, length)
+                over = np.flatnonzero(costs > max_window_bytes)
+                if over.size or length == remaining:
+                    break
+                chunk *= 2
+            # over[0] targets fit; never fewer than the two-target minimum.
+            size = max(int(over[0]) if over.size else length,
+                       min(2, remaining))
             if remaining - size == 1:
                 # Never leave a single-node tail (the GEMV caveat above):
                 # shrink to leave a 2-node tail, or absorb the straggler.
                 size = size - 1 if size >= 3 else remaining
-                window = evaluate(pos, size)
+            if size > length:
+                sizes, edges, costs = price(pos, size)
+            window = Window(np.sort(order[pos:pos + size]),
+                            sizes[size - 1].tolist(),
+                            edges[size - 1].tolist(),
+                            int(costs[size - 1]))
             if training:
                 self._attach_training_slices(window)
             windows.append(window)
             pos += size
+            chunk = 2 * size
         return WindowPlan(total, num_hops, int(max_window_bytes), windows)
 
     def full_window_plan(self, model, training: bool = False) -> WindowPlan:

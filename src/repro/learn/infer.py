@@ -137,8 +137,9 @@ def estimate_batch_memory(model: GamoraNet | FastInference,
 
 
 def estimate_window_memory(model: GamoraNet | FastInference,
-                           block_sizes: list[int], block_edges: list[int],
-                           training: bool = False) -> int:
+                           block_sizes: list[int] | np.ndarray,
+                           block_edges: list[int] | np.ndarray,
+                           training: bool = False) -> int | np.ndarray:
     """Peak-resident bytes of one streamed window (analytic model).
 
     The window-plan twin of :func:`estimate_inference_memory`: node counts
@@ -149,8 +150,13 @@ def estimate_window_memory(model: GamoraNet | FastInference,
     output rows, and the sliced adjacency; the shared/head stages run on
     the targets only.  Monotone in window size — growing a window can only
     grow every block — which is what lets
-    :meth:`~repro.learn.data.GraphData.window_plan` binary-search window
-    sizes against a byte budget.
+    :meth:`~repro.learn.data.GraphData.window_plan` stop growing a window
+    at the first target that breaks a byte budget.
+
+    Entries of ``block_sizes``/``block_edges`` may be int64 arrays of one
+    shape (``block_sizes[j][p]`` for candidate window ``p``): the planner
+    prices every prefix of a window in one call and gets an int64 array
+    back.  Integer entries give an ``int``.
 
     With ``training=True`` the model prices the *backward* pass instead of
     a forward-only sweep: the autodiff tape retains every layer's
@@ -199,7 +205,7 @@ def estimate_window_memory(model: GamoraNet | FastInference,
         total += 2 * activations  # every retained activation + its gradient
         # Parameter, gradient, and the two Adam moment arrays.
         total += num_parameters * value_size * 4
-        return int(total)
+        return int(total) if np.ndim(total) == 0 else total
     peak_layer = 0
     width_in = feature_dim
     for j, (layer_in, layer_out) in enumerate(conv_widths):
@@ -214,13 +220,13 @@ def estimate_window_memory(model: GamoraNet | FastInference,
         live += block_edges[j] * (value_size + _INDEX_SIZE)
         live += (rows_out + 1) * _INDEX_SIZE  # sub-CSR offsets
         live += rows_in * _INDEX_SIZE  # block index array
-        peak_layer = max(peak_layer, live)
+        peak_layer = np.maximum(peak_layer, live)
         width_in = layer_out
     shared_live = targets * (width_in + shared_width) * value_size
     head_live = targets * (shared_width + 2 * heads_width) * value_size
-    total += max(peak_layer, shared_live, head_live)
+    total += np.maximum(peak_layer, np.maximum(shared_live, head_live))
     total += num_parameters * value_size
-    return int(total)
+    return int(total) if np.ndim(total) == 0 else total
 
 
 def estimate_training_memory(model: GamoraNet,

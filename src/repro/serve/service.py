@@ -127,6 +127,7 @@ class BatchStats:
     graph_hits: int = 0  # encodings served from the graph LRU
     graph_misses: int = 0  # encodings built this call
     encode_seconds: float = 0.0
+    plan_seconds: float = 0.0  # shard packing and streaming window plans
     assemble_seconds: float = 0.0  # block-diagonal merges, summed over shards
     inference_seconds: float = 0.0  # forward passes, summed over shards
     postprocess_seconds: float = 0.0  # summed over unique circuits
@@ -168,6 +169,7 @@ class BatchStats:
             f"batch={self.batch_size} unique={self.unique_circuits} "
             f"result_hits={self.result_hits} graph_hits={self.graph_hits} | "
             f"encode {self.encode_seconds * 1e3:.1f}ms, "
+            f"plan {self.plan_seconds * 1e3:.1f}ms, "
             f"assemble {self.assemble_seconds * 1e3:.1f}ms, "
             f"infer {self.inference_seconds * 1e3:.1f}ms, "
             f"post {self.postprocess_seconds * 1e3:.1f}ms, "
@@ -471,8 +473,10 @@ class ReasoningService:
         stats.graph_misses += len(datas) - stats.graph_hits
 
         kernel = self.gamora.inference_kernel()
-        plan = plan_shards(kernel, datas, self.max_shard_bytes,
-                           self.max_window_bytes)
+        with Timer() as plan_timer:
+            plan = plan_shards(kernel, datas, self.max_shard_bytes,
+                               self.max_window_bytes)
+        stats.plan_seconds += plan_timer.elapsed
         stats.num_shards = len(plan)
         stats.peak_shard_bytes = plan.peak_shard_bytes
         stats.oversize_shards = plan.num_oversize

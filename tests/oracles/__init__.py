@@ -21,7 +21,9 @@ options the product no longer has:
 * :func:`resolve_relations` / :func:`verify_multiplier` — per-adder SCA
   polarity resolution;
 * :func:`logits_streamed` — full-size logits assembled from the streamed
-  pass's windows.
+  pass's windows;
+* :func:`window_plan_bisect` — the streaming window planner by doubling
+  and bisection over per-probe halo blocks.
 """
 
 from tests.oracles.adder_tree import cone_between, extract_adder_tree
@@ -31,7 +33,7 @@ from tests.oracles.postprocess import (
     predictions_to_detection,
 )
 from tests.oracles.sca import resolve_relations, verify_multiplier
-from tests.oracles.streaming import logits_streamed
+from tests.oracles.streaming import logits_streamed, window_plan_bisect
 from tests.oracles.wordlevel import analyze_adder_tree
 from tests.oracles.xor_maj import detect_xor_maj
 
@@ -46,4 +48,5 @@ __all__ = [
     "predictions_to_detection",
     "resolve_relations",
     "verify_multiplier",
+    "window_plan_bisect",
 ]

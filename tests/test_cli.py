@@ -53,6 +53,21 @@ class TestTrainReason:
         assert "adder tree" in out
 
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_train_rejects_non_positive_window_budget(self, tmp_path, capsys,
+                                                      budget):
+        model = tmp_path / "model.npz"
+        assert main(["train", str(model), "--width", "4", "--epochs", "1",
+                     "--max-window-bytes", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "train: --max-window-bytes must be a positive byte count, "
+            f"got {budget}"
+        )
+        assert captured.out == ""  # refused before training started
+        assert not model.exists()
+
+
 class TestBatchReason:
     @pytest.fixture(scope="class")
     def trained_model(self, tmp_path_factory):

@@ -35,7 +35,7 @@ from repro.aig import AIG
 from repro.aig.fast_cuts import enumerate_cuts_arrays
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.generators.adders import ripple_carry_adder
-from repro.kernels import registry
+from repro.kernels import numpy_backend, registry
 from repro.kernels.registry import (
     BACKEND_ENV,
     KERNEL_NAMES,
@@ -51,6 +51,9 @@ from repro.kernels.registry import (
     set_backend,
     warmup,
 )
+from repro.learn import build_graph_data, halo_blocks
+from repro.learn.fast import compile_inference
+from repro.learn.model import GamoraNet, shallow_config
 from repro.reasoning.fast_pairing import fast_extract_adder_tree
 from repro.reasoning.wordlevel import analyze_adder_tree
 from repro.utils.random_circuits import random_aig
@@ -63,7 +66,7 @@ needs_c = pytest.mark.skipif(
 # Every compiled backend and the kernels it implements itself (the rest
 # are served by numpy through the registry's per-kernel fallback).
 COMPILED = {
-    "c": ("merge_level", "kahn_propagate"),
+    "c": ("merge_level", "kahn_propagate", "halo_prefix_counts"),
 }
 COMPILED_BACKENDS = [
     pytest.param("c", marks=needs_c),
@@ -232,6 +235,18 @@ class TestDispatchCounting:
         assert dispatch_counts() == {}
         assert kernel_stats()["warmup"]["backend"] == "numpy"
 
+        # Every registered kernel runs during the warmup.
+        ran = set()
+        for kernel in KERNEL_NAMES:
+            def probe(*args, _kernel=kernel, **kwargs):
+                ran.add(_kernel)
+                return getattr(numpy_backend, _kernel)(*args, **kwargs)
+
+            register(kernel, "probe")(probe)
+        assert warmup("probe")["backend"] == "probe"
+        assert ran == set(KERNEL_NAMES)
+        assert dispatch_counts() == {}
+
 
 class TestCustomBackends:
     def test_partial_backend_falls_back_per_kernel(self):
@@ -386,6 +401,8 @@ class TestCompiledBitIdentity:
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
         analyze_adder_tree(aig, fast_extract_adder_tree(aig))
+        model = compile_inference(GamoraNet(shallow_config()))
+        build_graph_data(aig, with_labels=False).window_plan(10**5, model)
         counts = dispatch_counts()
         for kernel in KERNEL_NAMES:
             served = set(counts.get(kernel, {}))
@@ -416,6 +433,37 @@ class TestCompiledBitIdentity:
         values = start.astype(np.int64).copy()
         get_kernel("kahn_propagate")(indptr, consumers, indegree, values)
         assert np.array_equal(values, brute_longest_path(num, edges, start))
+
+    @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
+    @pytest.mark.parametrize("num_hops", [0, 1, 4])
+    def test_halo_prefix_counts_identical(self, name, backend, num_hops):
+        """c == numpy == per-prefix halo_blocks, on level-major and
+        shuffled target orders."""
+        data = build_graph_data(CIRCUITS[name](), with_labels=False)
+        indptr = data.adjacency.indptr.astype(np.int64)
+        indices = data.adjacency.indices.astype(np.int64)
+        level_major = np.argsort(data.node_levels(), kind="stable")
+        shuffled = np.random.default_rng(7).permutation(data.num_nodes)
+        for order in (level_major, shuffled):
+            targets = np.ascontiguousarray(order[:40], dtype=np.int64)
+            want_sizes, want_edges = [], []
+            for p in range(len(targets)):
+                blocks = halo_blocks(data.adjacency, np.sort(targets[:p + 1]),
+                                     num_hops)
+                want_sizes.append([b.size for b in blocks])
+                want_edges.append([int(np.diff(indptr)[rows].sum())
+                                   for rows in blocks[1:]])
+            results = {}
+            for served_by in ("numpy", backend):
+                set_backend(served_by)
+                results[served_by] = get_kernel("halo_prefix_counts")(
+                    indptr, indices, targets, num_hops)
+            for sizes, edges in results.values():
+                assert sizes.dtype == edges.dtype == np.int64
+                assert sizes.shape == (len(targets), num_hops + 1)
+                assert edges.shape == (len(targets), num_hops)
+                assert sizes.tolist() == want_sizes
+                assert edges.tolist() == want_edges
 
 
 @needs_c
@@ -545,6 +593,36 @@ class TestCBackendFailureModes:
             kahn(indptr, np.array([7], dtype=np.int64),
                  np.array([0, 1], dtype=np.int64),
                  np.zeros(2, dtype=np.int64))
+
+        halo = c_backend.halo_prefix_counts
+        indptr = np.array([0, 0, 1, 2], dtype=np.int64)  # row i reads i - 1
+        indices = np.array([0, 1], dtype=np.int64)
+        targets = np.array([2, 0], dtype=np.int64)
+        with pytest.raises(TypeError, match="targets"):
+            halo(indptr, indices, targets.astype(np.int32), 2)
+        with pytest.raises(TypeError, match="indices"):
+            halo(indptr, indices.astype(np.int32), targets, 2)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            halo(indptr, indices, np.array([2, 9, 0, 9])[::2], 2)
+        with pytest.raises(ValueError, match="num_hops"):
+            halo(indptr, indices, targets, -1)
+        with pytest.raises(ValueError, match="num_hops"):
+            halo(indptr, indices, targets, 255)
+        with pytest.raises(ValueError, match="indptr"):
+            halo(indptr[:0], indices, targets, 2)
+        # Out-of-range ids are caught inside C before they are read.
+        for bad in ([2, 3], [-1]):
+            with pytest.raises(ValueError, match="out of range"):
+                halo(indptr, indices, np.array(bad, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            halo(indptr, np.array([0, 5], dtype=np.int64), targets, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            halo(np.array([0, 0, 1, 9], dtype=np.int64), indices, targets, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            halo(np.array([0, 0, 2, 1], dtype=np.int64), indices, targets, 2)
+        sizes, edges = halo(indptr, indices, targets, 2)
+        assert sizes.tolist() == [[3, 2, 1], [3, 3, 2]]
+        assert edges.tolist() == [[2, 1], [2, 1]]
 
     def test_threads_match_sequential(self, monkeypatch):
         """More sweeping threads than cores, on different graphs, with a

@@ -4,13 +4,20 @@ The streamed pass must be *bit-identical* to the full-graph pass — same
 logits, same labels — at every window budget, on every circuit family.
 These tests pin that invariant over the generator fixtures, random AIGs,
 degenerate graphs, and the serving integration, plus the analytic window
-cost model and the array-native transitive-fanin satellite.
+cost model and the array-native transitive-fanin satellite.  The window
+planner must return exactly the plans of the bisection planner it
+replaced (``tests.oracles.window_plan_bisect``) on both kernel backends.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig.graph import AIG
 from repro.generators import (
@@ -19,11 +26,13 @@ from repro.generators import (
     multi_operand_adder,
     ripple_carry_adder,
 )
+from repro.kernels import registry, set_backend
 from repro.learn import (
     TrainConfig,
     build_graph_data,
     compile_inference,
     estimate_inference_memory,
+    estimate_training_memory,
     estimate_window_memory,
     halo_blocks,
     shallow_config,
@@ -32,7 +41,15 @@ from repro.learn import (
 )
 from repro.learn.model import GamoraNet, ModelConfig
 from repro.utils.random_circuits import random_aig
-from tests.oracles import logits_streamed
+from tests.oracles import logits_streamed, window_plan_bisect
+
+BACKENDS = [
+    "numpy",
+    pytest.param("c", marks=pytest.mark.skipif(
+        not registry._load_backend("c"),
+        reason="C kernel backend unavailable (no working C compiler)",
+    )),
+]
 
 
 def ripple_adder_aig(width: int) -> AIG:
@@ -85,15 +102,53 @@ def assert_plan_covers(plan, num_nodes: int) -> None:
     np.testing.assert_array_equal(covered, np.arange(num_nodes))
 
 
+@contextlib.contextmanager
+def using_backend(name: str):
+    """Serve kernels from ``name`` for the block, then restore the default."""
+    set_backend(name)
+    try:
+        yield
+    finally:
+        set_backend(None)
+
+
+def assert_plan_matches_oracle(data, budget: int, model,
+                               training: bool = False) -> None:
+    """``window_plan`` returns exactly the bisection planner's plan."""
+    plan = data.window_plan(budget, model, training=training)
+    oracle = window_plan_bisect(data, budget, model, training=training)
+    assert (plan.num_nodes, plan.num_hops, plan.max_window_bytes) == \
+        (oracle.num_nodes, oracle.num_hops, oracle.max_window_bytes)
+    assert plan.num_windows == oracle.num_windows
+    for index, (got, want) in enumerate(zip(plan.windows, oracle.windows)):
+        np.testing.assert_array_equal(got.targets, want.targets,
+                                      err_msg=f"window {index} targets")
+        assert got.block_sizes == want.block_sizes, index
+        assert got.block_edges == want.block_edges, index
+        assert got.estimated_bytes == want.estimated_bytes, index
+        assert (got.labels is None) == (want.labels is None), index
+        if want.labels is not None:
+            assert got.labels.keys() == want.labels.keys()
+            for task in want.labels:
+                np.testing.assert_array_equal(got.labels[task],
+                                              want.labels[task])
+        assert (got.mask is None) == (want.mask is None), index
+        if want.mask is not None:
+            np.testing.assert_array_equal(got.mask, want.mask)
+
+
+GENERATOR_FIXTURES = [
+    pytest.param(lambda: ripple_adder_aig(10), id="ripple10"),
+    pytest.param(lambda: csa_multiplier(7).aig, id="csa7"),
+    pytest.param(lambda: booth_multiplier(6).aig, id="booth6"),
+    pytest.param(lambda: multi_operand_adder(4, 5).aig, id="compressor4x5"),
+]
+
+
 class TestBitIdentity:
     """Streamed == full, to the bit, across circuit families and budgets."""
 
-    @pytest.mark.parametrize("circuit", [
-        pytest.param(lambda: ripple_adder_aig(10), id="ripple10"),
-        pytest.param(lambda: csa_multiplier(7).aig, id="csa7"),
-        pytest.param(lambda: booth_multiplier(6).aig, id="booth6"),
-        pytest.param(lambda: multi_operand_adder(4, 5).aig, id="compressor4x5"),
-    ])
+    @pytest.mark.parametrize("circuit", GENERATOR_FIXTURES)
     @pytest.mark.parametrize("fraction", [0.05, 0.3])
     def test_generator_fixtures(self, kernel, circuit, fraction):
         data = build_graph_data(circuit(), with_labels=False)
@@ -102,6 +157,21 @@ class TestBitIdentity:
         assert plan.num_windows > 1, "budget did not force multiple windows"
         assert_plan_covers(plan, data.num_nodes)
         assert_bit_identical(kernel, data, plan)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("circuit", GENERATOR_FIXTURES)
+    @pytest.mark.parametrize("fraction", [0.05, 0.3])
+    def test_generator_fixtures_plan_like_oracle(self, trained, kernel,
+                                                 circuit, fraction, backend):
+        """Inference and training plans equal the bisection planner's."""
+        data = build_graph_data(circuit(), labels_source="structural")
+        budget = max(1, int(full_budget(kernel, data) * fraction))
+        train_budget = max(1, int(estimate_training_memory(
+            trained, data.num_nodes, data.num_edges) * fraction))
+        with using_backend(backend):
+            assert_plan_matches_oracle(data, budget, kernel)
+            assert_plan_matches_oracle(data, train_budget, trained,
+                                       training=True)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_aigs(self, kernel, seed):
@@ -228,6 +298,105 @@ class TestWindowPlan:
         assert "window" in text and "MiB" in text
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestPlannerMatchesOracle:
+    """The one-sweep planner returns the bisection planner's plans."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_inputs=st.integers(1, 6),
+        num_ands=st.integers(0, 80),
+        fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        training=st.booleans(),
+    )
+    def test_random_aigs(self, trained, kernel, backend, seed, num_inputs,
+                         num_ands, fraction, training):
+        """Random AIGs, budgets from 1 byte to above the full estimate."""
+        aig = random_aig(num_inputs=num_inputs, num_ands=num_ands,
+                         num_outputs=2, seed=seed)
+        data = build_graph_data(aig, labels_source="structural")
+        if training:
+            model = trained
+            full = estimate_training_memory(trained, data.num_nodes,
+                                            data.num_edges)
+        else:
+            model = kernel
+            full = full_budget(kernel, data)
+        budget = max(1, int(full * fraction))
+        with using_backend(backend):
+            assert_plan_matches_oracle(data, budget, model, training=training)
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("num_inputs", [0, 1, 2])
+    def test_tiny_graphs(self, trained, kernel, backend, num_inputs,
+                         training):
+        """1-, 2- and 3-node graphs; budget 1 takes the tail-absorb branch."""
+        aig = AIG(name=f"tiny{num_inputs}")
+        aig.add_inputs(num_inputs)
+        data = build_graph_data(aig)
+        assert data.num_nodes == num_inputs + 1
+        model = trained if training else kernel
+        with using_backend(backend):
+            for budget in (1, 10**12):
+                assert_plan_matches_oracle(data, budget, model, training)
+            if num_inputs == 2:
+                plan = data.window_plan(1, model, training=training)
+                assert [w.num_targets for w in plan.windows] == [3]
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_tail_shrinks_to_two_nodes(self, trained, kernel, backend,
+                                       training):
+        """Room for 3 of 4 isolated nodes: windows of 2 + 2, never 3 + 1."""
+        aig = AIG(name="four")
+        aig.add_inputs(3)
+        data = build_graph_data(aig)
+        model = trained if training else kernel
+        hops = model.config.num_layers
+        budget = estimate_window_memory(model, [3] * (hops + 1), [0] * hops,
+                                        training=training)
+        with using_backend(backend):
+            plan = data.window_plan(budget, model, training)
+            assert [w.num_targets for w in plan.windows] == [2, 2]
+            assert_plan_matches_oracle(data, budget, model, training)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_flat_order_without_levels(self, trained, kernel, backend,
+                                       training):
+        data = dataclasses.replace(
+            build_graph_data(csa_multiplier(5).aig), levels=None)
+        model = trained if training else kernel
+        budget = full_budget(kernel, data) // 8
+        with using_backend(backend):
+            assert_plan_matches_oracle(data, budget, model, training)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_window_and_one_byte_budgets(self, trained, kernel, backend,
+                                             training):
+        data = build_graph_data(csa_multiplier(6).aig)
+        model = trained if training else kernel
+        roomy = 4 * estimate_training_memory(trained, data.num_nodes,
+                                             data.num_edges)
+        with using_backend(backend):
+            assert data.window_plan(roomy, model, training).num_windows == 1
+            for budget in (roomy, 1):
+                assert_plan_matches_oracle(data, budget, model, training)
+
+    def test_planner_builds_no_halo_blocks(self, kernel, backend,
+                                           monkeypatch):
+        """Only the executor gathers halo blocks; planning counts them."""
+        import repro.learn.data as data_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("window_plan called halo_blocks")
+
+        data = build_graph_data(csa_multiplier(6).aig, with_labels=False)
+        monkeypatch.setattr(data_module, "halo_blocks", forbidden)
+        with using_backend(backend):
+            plan = data.window_plan(full_budget(kernel, data) // 8, kernel)
+        assert plan.num_windows > 1
+
+
 class TestHaloBlocks:
     def test_blocks_are_nested_and_sorted(self, kernel):
         data = build_graph_data(csa_multiplier(6).aig, with_labels=False)
@@ -286,6 +455,27 @@ class TestWindowCostModel:
         budget = full_budget(kernel, data) // 8
         plan = data.window_plan(budget, kernel)
         assert plan.peak_window_bytes < full_budget(kernel, data) // 4
+
+    def test_array_pricing_matches_scalar(self, trained, kernel):
+        """Pricing many windows at once equals pricing each on its own."""
+        rng = np.random.default_rng(0)
+        hops = kernel.num_layers
+        sizes = np.sort(rng.integers(1, 10**6, size=(hops + 1, 7)), axis=0)
+        edges = rng.integers(0, 3 * 10**6, size=(hops, 7))
+        for model in (kernel, trained):
+            for training in (False, True):
+                priced = estimate_window_memory(model, sizes, edges,
+                                                training=training)
+                assert priced.dtype == np.int64
+                assert priced.tolist() == [
+                    estimate_window_memory(model, sizes[:, p].tolist(),
+                                           edges[:, p].tolist(),
+                                           training=training)
+                    for p in range(7)
+                ]
+        scalar = estimate_window_memory(kernel, [8] * (hops + 1),
+                                        [16] * hops)
+        assert type(scalar) is int
 
     def test_validates_block_shapes(self, kernel):
         with pytest.raises(ValueError):
@@ -367,6 +557,9 @@ class TestServingIntegration:
                 result[0].labels[task], sequential.labels[task]
             )
         assert "streamed=1" in result.stats.summary()
+        # Window planning is its own stage, outside the forward pass.
+        assert result.stats.plan_seconds > 0
+        assert "plan " in result.stats.summary()
 
     def test_window_budget_only_affects_oversize(self, trained):
         from repro.core.api import Gamora
