@@ -155,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for post-processing (default: "
                             "auto-size per batch; 0 forces in-process)")
-    serve.add_argument("--no-report", action="store_true",
-                       help="skip the batched word-level report (responses "
-                            "carry report: null)")
     serve.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
                        help=_KERNEL_HELP)
     serve.add_argument("--default-deadline-ms", type=float, default=None,
@@ -202,7 +199,19 @@ def _write_netlist(aig, path: str) -> None:
         write_aig(aig, path)
 
 
+def _check_width(args, command: str) -> bool:
+    """Print one ``<command>: ...`` line for a width the generator refuses."""
+    minimum = 2 if args.kind == "booth" else 1
+    if args.width >= minimum:
+        return True
+    print(f"{command}: --width must be at least {minimum} for a "
+          f"{args.kind} multiplier, got {args.width}", file=sys.stderr)
+    return False
+
+
 def _cmd_gen(args) -> int:
+    if not _check_width(args, "gen"):
+        return 2
     kwargs = {"style": args.style} if args.style else {}
     gen = make_multiplier(args.width, args.kind, **kwargs)
     _write_netlist(gen.aig, args.output)
@@ -245,6 +254,12 @@ def _cmd_train(args) -> int:
     from repro.core import Gamora
     from repro.learn import TrainConfig, plan_training_windows
 
+    if not _check_width(args, "train"):
+        return 2
+    if args.epochs < 1:
+        print(f"train: --epochs must be at least 1, got {args.epochs}",
+              file=sys.stderr)
+        return 2
     if args.max_window_bytes is not None and args.max_window_bytes <= 0:
         print(f"train: --max-window-bytes must be a positive byte count, "
               f"got {args.max_window_bytes}", file=sys.stderr)
@@ -452,7 +467,6 @@ def _cmd_serve(args) -> int:
             max_shard_bytes=args.max_shard_bytes,
             max_window_bytes=args.max_window_bytes,
             postprocess_workers=args.postprocess_workers,
-            with_report=not args.no_report,
             default_deadline_ms=args.default_deadline_ms,
             watchdog_timeout_seconds=args.watchdog_timeout_s or None,
             fault_plan=fault_plan,
@@ -552,6 +566,8 @@ def _cmd_cec(args) -> int:
 def _cmd_verify(args) -> int:
     from repro.verify import verify_multiplier
 
+    if not _check_width(args, "verify"):
+        return 2
     gen = make_multiplier(args.width, args.kind)
     result = verify_multiplier(gen, mode=args.mode)
     print(result)

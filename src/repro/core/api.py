@@ -12,7 +12,9 @@ Typical use::
 
 The class bundles the feature encoder, the multi-task GraphSAGE, training,
 accuracy evaluation against exact reasoning, prediction post-processing,
-and weight persistence.
+and weight persistence.  :meth:`Gamora.reason` returns the extraction;
+:meth:`Gamora.reason_many` (the serving path) also returns each
+circuit's word-level report.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ __all__ = ["Gamora", "ReasoningOutcome"]
 class ReasoningOutcome:
     """Everything :meth:`Gamora.reason` produces for one netlist.
 
-    ``report`` is filled only by the batched serving path when asked
-    (``reason_many(..., with_report=True)`` — one concatenated
-    word-level pass per batch); ``shard_index`` records which
+    ``report`` is the word-level report of ``tree``: set on every outcome
+    the batched serving path returns (:meth:`Gamora.reason_many`, the
+    service and the daemon), ``None`` only from the sequential
+    :meth:`Gamora.reason`.  ``shard_index`` records which
     block-diagonal shard ran this circuit's forward pass (``None`` when
     the outcome was served from the result cache or came from the
     sequential path).  ``streamed`` is True when the forward pass ran
@@ -181,8 +184,7 @@ class Gamora:
         )
 
     def reason_many(self, circuits, root_filter: bool = False,
-                    correct_lsb: bool = True, lsb_outputs: int = 4,
-                    with_report: bool = False):
+                    correct_lsb: bool = True, lsb_outputs: int = 4):
         """Batched :meth:`reason` over many circuits via the serving layer.
 
         Runs :meth:`repro.serve.ReasoningService.reason_many` on a lazily
@@ -192,8 +194,9 @@ class Gamora:
         workers; small batches stay in-process).  Returns a
         :class:`repro.serve.BatchReasoningOutcome` — a sequence with one
         :class:`ReasoningOutcome` per input circuit (input order preserved,
-        labels and extractions identical to sequential :meth:`reason`) plus
-        per-stage timing in ``.stats``.  The service (and its caches)
+        labels and extractions identical to sequential :meth:`reason`, and
+        each carrying its word-level ``report``) plus per-stage timing in
+        ``.stats``.  The service (and its caches)
         persists across calls and is dropped on :meth:`fit`.  Shard and
         window budgets or a fixed worker count are service settings: build
         ``ReasoningService(gamora, max_shard_bytes=..., ...)`` for those.
@@ -201,7 +204,6 @@ class Gamora:
         return self._serving().reason_many(
             circuits, root_filter=root_filter,
             correct_lsb=correct_lsb, lsb_outputs=lsb_outputs,
-            with_report=with_report,
         )
 
     def _serving(self):

@@ -134,16 +134,14 @@ def compare_adder_trees(reference: AdderTree, candidate: AdderTree) -> dict[str,
 
 
 def _core_ranks(core) -> np.ndarray:
-    """Longest-path rank per adder row of one (or a merged) array core.
+    """Longest-path rank per adder row of one tree's array core.
 
     Runs the registered ``kahn_propagate`` kernel (:mod:`repro.kernels`,
     shared with :meth:`AIG.levels_array`): a frontier of rank-final adders
     pushes ``rank + 1`` through the CSR fan-out index; an adder joins the
     next frontier when its last incoming edge resolves.  The adder DAG
-    inherits acyclicity
-    from the AIG (links follow variable topological order), so every adder
-    is processed exactly once.  On a block-diagonal merged core the
-    components are disjoint, so ranks equal the per-tree ones.
+    inherits acyclicity from the AIG (links follow variable topological
+    order), so every adder is processed exactly once.
     """
     num_adders = len(core)
     src, dst = core.link_edges()
@@ -196,97 +194,9 @@ def analyze_adder_tree(aig: AIG, tree: AdderTree) -> WordLevelReport:
 
 
 def analyze_adder_trees(items) -> list[WordLevelReport]:
-    """Batched :func:`analyze_adder_tree` over ``(aig, tree)`` pairs.
+    """:func:`analyze_adder_tree` over ``(aig, tree)`` pairs, in order.
 
-    Concatenates the trees' :class:`~repro.reasoning.adder_tree.AdderTreeArrays`
-    cores into one block-diagonal core — each tree's variable columns
-    offset by its circuit's cumulative ``num_vars``, exactly the
-    :func:`~repro.learn.data.batch_graphs` idiom — and runs the link
-    derivation plus the Kahn rank wavefront **once** over the merged rows.
-    The variable ranges are disjoint, so no link can cross trees and the
-    merged ranks equal the per-tree ones; per-circuit leaf classification
-    and output linkage then shell out the merged arrays by row/var range.
-
-    Returns one :class:`WordLevelReport` per input pair, in order, equal
-    to calling :func:`analyze_adder_tree` per pair (the differential tests
-    pin this).
+    The serving layer's one report entry point: every batch builds its
+    reports here, one tree at a time.
     """
-    items = list(items)
-    if not items:
-        return []
-
-    from repro.reasoning.adder_tree import _LEAF_PAD, AdderTreeArrays
-
-    cores = [tree.arrays() for _, tree in items]
-    rows = np.fromiter((len(c) for c in cores), np.int64, len(cores))
-    row_base = np.concatenate([[0], np.cumsum(rows)])
-    var_counts = np.fromiter((aig.num_vars for aig, _ in items),
-                             np.int64, len(items))
-    var_base = np.concatenate([[0], np.cumsum(var_counts)])
-    # AdderTreeArrays stores int32 columns; the merged variable space must
-    # fit or the offsets would silently wrap.  Batches anywhere near 2**31
-    # total variables shard upstream long before word-level analysis.
-    if var_base[-1] >= np.iinfo(np.int32).max:
-        return [analyze_adder_tree(aig, tree) for aig, tree in items]
-
-    width = max(3, max(c.leaves.shape[1] for c in cores))
-    merged_leaves = np.full((int(row_base[-1]), width), _LEAF_PAD,
-                            dtype=np.int64)
-    merged_sum = np.zeros(int(row_base[-1]), dtype=np.int64)
-    merged_carry = np.zeros_like(merged_sum)
-    for index, core in enumerate(cores):
-        lo, hi = row_base[index], row_base[index + 1]
-        if lo == hi:
-            continue
-        base = var_base[index]
-        merged_sum[lo:hi] = core.sum_var.astype(np.int64) + base
-        merged_carry[lo:hi] = core.carry_var.astype(np.int64) + base
-        block = core.leaves.astype(np.int64)
-        live = block != _LEAF_PAD
-        merged_leaves[lo:hi, :block.shape[1]] = np.where(
-            live, block + base, _LEAF_PAD
-        )
-    merged = AdderTreeArrays(
-        np.concatenate([c.kind for c in cores]),
-        merged_sum, merged_carry, merged_leaves,
-        np.concatenate([c.leaf_count for c in cores]),
-    )
-
-    rank = _core_ranks(merged)
-    src, dst = merged.link_edges()
-    # Edges never cross trees, so the consumer row locates each edge's tree.
-    links_per = np.bincount(
-        np.searchsorted(row_base, dst, side="right") - 1, minlength=len(items)
-    ) if len(dst) else np.zeros(len(items), dtype=np.int64)
-
-    # External leaves of the merged core, split back per tree by var range.
-    merged_roots = merged.root_vars()
-    merged_leaf_vars = merged.leaf_vars()
-    external = merged_leaf_vars[~in_sorted(merged_leaf_vars, merged_roots)]
-    ext_bounds = np.searchsorted(external, var_base)
-
-    reports: list[WordLevelReport] = []
-    for index, (aig, _) in enumerate(items):
-        core = cores[index]
-        base = var_base[index]
-        local_rank = rank[row_base[index]:row_base[index + 1]]
-        local_external = (
-            external[ext_bounds[index]:ext_bounds[index + 1]] - base
-        )
-        first_and = 1 + aig.num_inputs
-        pp = local_external[(local_external >= first_and)
-                            & (local_external < aig.num_vars)]
-        pi = local_external[(local_external >= 1)
-                            & (local_external < first_and)]
-        out_vars = np.unique(np.asarray(aig.outputs, dtype=np.int64) >> 1)
-        output_roots = out_vars[in_sorted(out_vars + base, merged_roots)]
-        reports.append(WordLevelReport(
-            num_full_adders=int(np.count_nonzero(core.kind == KIND_FA)),
-            num_half_adders=int(np.count_nonzero(core.kind == KIND_HA)),
-            num_links=int(links_per[index]),
-            ranks=_ranks_to_levels(local_rank),
-            pp_leaves=pp.tolist(),
-            pi_leaves=pi.tolist(),
-            output_roots=output_roots.tolist(),
-        ))
-    return reports
+    return [analyze_adder_tree(aig, tree) for aig, tree in items]

@@ -40,7 +40,8 @@ Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error":
 Unknown options, and option values of the wrong type (``root_filter`` and
 ``correct_lsb`` must be JSON booleans, ``lsb_outputs`` a non-negative
 integer), are rejected with a non-retriable ``bad_request`` before the
-request is queued.
+request is queued; so is a line that is not UTF-8 or not JSON, and the
+connection keeps serving the lines after it.
 ``deadline_ms`` (optional, or the daemon's ``--default-deadline-ms``) is
 the caller's total patience: a request still queued past it is dropped at
 dequeue — its forward pass never runs — and answered with the retriable
@@ -92,11 +93,10 @@ GRAPHS_SUBDIR = "graphs"
 class GamoraDaemon:
     """One trained Gamora behind a micro-batching scheduler, serving forever.
 
-    ``with_report=True`` (default) attaches the word-level report to every
-    outcome — computed once per micro-batch by the concatenated
-    ``analyze_adder_trees`` pass and stored in the result cache, so repeat
-    structures get theirs for free.  Use as a context
-    manager, or pair :meth:`start`/:meth:`close` explicitly.
+    Every outcome carries its word-level report — built once per computed
+    structure and stored in the result cache, so repeat structures get
+    theirs for free.  Use as a context manager, or pair
+    :meth:`start`/:meth:`close` explicitly.
     """
 
     def __init__(self, gamora: Gamora, *, batch_window_ms: float = 5.0,
@@ -107,7 +107,6 @@ class GamoraDaemon:
                  max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None,
-                 with_report: bool = True,
                  default_deadline_ms: float | None = None,
                  watchdog_timeout_seconds: float | None = 300.0,
                  fault_plan: FaultPlan | None = None) -> None:
@@ -127,7 +126,7 @@ class GamoraDaemon:
         self.scheduler = MicroBatchScheduler(
             self.service, batch_window_ms=batch_window_ms,
             max_batch=max_batch, max_queue_depth=max_queue_depth,
-            run_dir=run_dir, with_report=with_report,
+            run_dir=run_dir,
         )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.default_deadline_ms = default_deadline_ms
@@ -440,16 +439,12 @@ def _error_response(request_id, kind: str, message: str,
 
 def _outcome_payload(outcome: ReasoningOutcome) -> dict:
     """The JSON-safe result body for one resolved request."""
-    tree = outcome.tree
-    payload = {
+    tree, report = outcome.tree, outcome.report
+    return {
         "num_full_adders": int(tree.num_full_adders),
         "num_half_adders": int(tree.num_half_adders),
         "num_mismatches": int(outcome.num_mismatches),
-        "report": None,
-    }
-    report = outcome.report
-    if report is not None:
-        payload["report"] = {
+        "report": {
             "num_full_adders": int(report.num_full_adders),
             "num_half_adders": int(report.num_half_adders),
             "num_links": int(report.num_links),
@@ -458,8 +453,8 @@ def _outcome_payload(outcome: ReasoningOutcome) -> dict:
             "pi_leaves": len(report.pi_leaves),
             "output_roots": len(report.output_roots),
             "summary": report.summary(),
-        }
-    return payload
+        },
+    }
 
 
 def _reason_message(circuit, request_id, deadline_ms, options) -> dict:
@@ -614,14 +609,19 @@ class DaemonServer:
 
     def _serve_connection(self, connection: socket.socket) -> None:
         with connection:
-            reader = connection.makefile("r", encoding="utf-8")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
+            # Bytes in, decoded one line at a time: a line that is not
+            # UTF-8 gets its own error instead of killing the connection.
+            reader = connection.makefile("rb")
+            for raw in reader:
                 message = None
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     message = json.loads(line)
+                except UnicodeDecodeError as error:
+                    response = _error_response(None, "bad_request",
+                                               f"invalid UTF-8: {error}")
                 except json.JSONDecodeError as error:
                     response = _error_response(None, "bad_request",
                                                f"invalid JSON: {error}")

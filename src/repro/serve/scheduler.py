@@ -194,16 +194,15 @@ class MicroBatchScheduler:
     is queued immediately); ``max_batch`` caps a micro-batch's size and
     dispatches early when reached; ``max_queue_depth`` is the admission
     limit beyond which ``submit`` fast-fails with :class:`QueueFullError`.
-    ``with_report=True`` asks the service for word-level reports (one
-    concatenated pass per batch).  ``run_dir`` enables per-request
+    Every resolved outcome carries its word-level report (the service
+    builds one per computed circuit).  ``run_dir`` enables per-request
     ``stats.json`` files.
     """
 
     def __init__(self, service: ReasoningService, *,
                  batch_window_ms: float = 5.0, max_batch: int = 32,
                  max_queue_depth: int = 128,
-                 run_dir: str | Path | None = None,
-                 with_report: bool = False) -> None:
+                 run_dir: str | Path | None = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue_depth < 1:
@@ -219,7 +218,6 @@ class MicroBatchScheduler:
         self.max_batch = max_batch
         self.max_queue_depth = max_queue_depth
         self.run_dir = Path(run_dir) if run_dir is not None else None
-        self.with_report = with_report
 
         self._cond = threading.Condition()
         self._queue: deque[_Request] = deque()
@@ -451,7 +449,6 @@ class MicroBatchScheduler:
                         [request.aig for request in group],
                         root_filter=root_filter, correct_lsb=correct_lsb,
                         lsb_outputs=lsb_outputs,
-                        with_report=self.with_report,
                     )
             except Exception as error:  # keep the daemon alive
                 with self._cond:

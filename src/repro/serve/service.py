@@ -29,7 +29,12 @@ independent circuits and
    calls run in a fork-based :class:`~repro.serve.workers.PostprocessPool`
    *while the next step's forward pass executes* (pipeline overlap);
    results are reassembled in input order, and any worker failure falls
-   back to an in-process retry (counted in ``BatchStats.postprocess_fallbacks``).
+   back to an in-process retry (counted in ``BatchStats.postprocess_fallbacks``);
+6. **reports** each computed circuit's word-level structure with
+   :func:`~repro.reasoning.wordlevel.analyze_adder_trees` (timed into
+   ``BatchStats.report_seconds``).  Every outcome carries its report,
+   whichever route served it: fresh, in-batch duplicate, cache hit,
+   streamed or OOM-degraded.
 
 Scaling knobs
 -------------
@@ -63,9 +68,10 @@ guarded by an exact node-numbering fingerprint (see
 under a different variable numbering.  Result-cache entries additionally
 key on the *normalized* post-processing options (``lsb_outputs`` is
 ignored when ``correct_lsb`` is off, because it has no effect then).
-When the result cache is enabled, cache hits share label arrays and
-extraction objects between outcomes and the label arrays are frozen
-(mutation raises instead of silently poisoning later hits); with
+A result-cache entry is the ``(labels, extraction, report)`` triple.
+When the result cache is enabled, cache hits share label arrays,
+extraction and report objects between outcomes and the label arrays are
+frozen (mutation raises instead of silently poisoning later hits); with
 ``result_cache_size=0`` nothing is stored and the labels stay writable,
 matching sequential :meth:`Gamora.reason`.
 
@@ -131,7 +137,7 @@ class BatchStats:
     assemble_seconds: float = 0.0  # block-diagonal merges, summed over shards
     inference_seconds: float = 0.0  # forward passes, summed over shards
     postprocess_seconds: float = 0.0  # summed over unique circuits
-    report_seconds: float = 0.0  # batched word-level analysis (with_report)
+    report_seconds: float = 0.0  # word-level reports of the computed circuits
     total_seconds: float = 0.0
     num_nodes: int = 0  # total nodes inferred, summed over shards
     num_edges: int = 0
@@ -145,7 +151,6 @@ class BatchStats:
     postprocess_workers: int = 0  # effective worker processes (0: in-process)
     postprocess_fallbacks: int = 0  # worker failures recovered in-process
     postprocess_restarts: int = 0  # broken executors replaced mid-batch
-    reports_built: int = 0  # word-level reports computed this call
 
     def summary(self) -> str:
         extra = ""
@@ -372,8 +377,8 @@ class ReasoningService:
 
     # ------------------------------------------------------------------
     def reason_many(self, circuits, root_filter: bool = False,
-                    correct_lsb: bool = True, lsb_outputs: int = 4,
-                    with_report: bool = False) -> BatchReasoningOutcome:
+                    correct_lsb: bool = True,
+                    lsb_outputs: int = 4) -> BatchReasoningOutcome:
         """Batched equivalent of calling :meth:`Gamora.reason` per circuit.
 
         Returns one outcome per input circuit (input order preserved) with
@@ -381,15 +386,11 @@ class ReasoningService:
         module docstring for the pipeline, the scaling knobs (set on the
         constructor), and the caching semantics.
 
-        ``with_report=True`` additionally fills each outcome's
-        ``.report`` with its :class:`~repro.reasoning.wordlevel.WordLevelReport`
-        — computed for the *whole batch* in one concatenated
-        :func:`~repro.reasoning.wordlevel.analyze_adder_trees` pass, not
-        one ``analyze_adder_tree`` call per outcome — and stores it in the
-        cached payload, so later hits carry their report for free.  The
-        report is a pure function of the extraction, so it shares the
-        cache entry rather than splitting the options key; an entry cached
-        without a report is upgraded in place on the first reporting hit.
+        Every outcome also carries its word-level ``.report``
+        (:class:`~repro.reasoning.wordlevel.WordLevelReport`, equal to
+        :func:`~repro.reasoning.wordlevel.analyze_adder_tree` on its
+        tree).  Reports are built once per computed structure and stored
+        in the cached payload, so cache hits carry theirs for free.
         """
         stats = BatchStats()
         with Timer() as total_timer:
@@ -400,8 +401,6 @@ class ReasoningService:
             outcomes: list[ReasoningOutcome | None] = [None] * len(aigs)
             # First occurrence index of each still-uncached structure.
             pending: dict[tuple[str, str], list[int]] = {}
-            # Cache hits whose stored payload predates with_report.
-            stale_hits: dict[tuple[str, str], list[int]] = {}
             for index, aig in enumerate(aigs):
                 key = _circuit_key(aig)
                 cached = self.result_cache.get((key[0], options), key[1])
@@ -413,8 +412,6 @@ class ReasoningService:
                         report=report,
                     )
                     stats.result_hits += 1
-                    if with_report and report is None:
-                        stale_hits.setdefault(key, []).append(index)
                 else:
                     pending.setdefault(key, []).append(index)
 
@@ -422,46 +419,17 @@ class ReasoningService:
                 self._reason_pending(
                     aigs, pending, outcomes, options, stats,
                     root_filter=root_filter, correct_lsb=correct_lsb,
-                    lsb_outputs=lsb_outputs, with_report=with_report,
+                    lsb_outputs=lsb_outputs,
                 )
-
-            if stale_hits:
-                self._backfill_reports(aigs, stale_hits, outcomes, options,
-                                       stats)
 
             stats.unique_circuits = len(pending)
         stats.total_seconds = total_timer.elapsed
         return BatchReasoningOutcome(outcomes, stats)
 
-    def _backfill_reports(self, aigs, stale_hits, outcomes, options,
-                          stats) -> None:
-        """Upgrade report-less cache hits in one batched word-level pass.
-
-        Entries cached by a ``with_report=False`` call carry ``None``; the
-        first reporting call analyzes all of them together and re-puts the
-        payload, so every later hit is served with its report attached.
-        """
-        groups = list(stale_hits.items())
-        with Timer() as report_timer:
-            reports = analyze_adder_trees(
-                (aigs[positions[0]], outcomes[positions[0]].tree)
-                for _, positions in groups
-            )
-        stats.report_seconds += report_timer.elapsed
-        stats.reports_built += len(groups)
-        for (key, positions), report in zip(groups, reports):
-            for position in positions:
-                outcomes[position].report = report
-            first = outcomes[positions[0]]
-            self.result_cache.put(
-                (key[0], options), key[1],
-                (first.labels, first.extraction, report),
-            )
-
     def _reason_pending(self, aigs, pending, outcomes, options, stats, *,
-                        root_filter: bool, correct_lsb: bool, lsb_outputs: int,
-                        with_report: bool) -> None:
-        """Encode → plan → run steps → parallel-extract → reassemble."""
+                        root_filter: bool, correct_lsb: bool,
+                        lsb_outputs: int) -> None:
+        """Encode → plan → run steps → extract → report → reassemble."""
         graph_hits_before = self.graph_cache.hits
         with Timer() as encode_timer:
             datas = [
@@ -515,19 +483,14 @@ class ReasoningService:
                         root_filter, correct_lsb, lsb_outputs,
                     )
 
-            # Drain every handle first: the batched word-level pass below
-            # needs all extractions, and collection order matches input
-            # order either way.
+            # Collection order matches input order however the plan ran.
             results = [handle.get() for handle in handles]
-            reports: list = [None] * len(keys)
-            if with_report:
-                with Timer() as report_timer:
-                    reports = analyze_adder_trees(
-                        (aigs[pending[key][0]], results[data_index][0].tree)
-                        for data_index, key in enumerate(keys)
-                    )
-                stats.report_seconds += report_timer.elapsed
-                stats.reports_built += len(keys)
+            with Timer() as report_timer:
+                reports = analyze_adder_trees(
+                    (aigs[pending[key][0]], results[data_index][0].tree)
+                    for data_index, key in enumerate(keys)
+                )
+            stats.report_seconds += report_timer.elapsed
 
             store_results = self.result_cache.capacity > 0
             for data_index, key in enumerate(keys):
@@ -586,14 +549,15 @@ class ReasoningService:
     # v3: the extraction payload carries the array-core AdderTree
     #     (struct-of-arrays slices + candidate rows, lazy detection).
     # v4: the payload is a (labels, extraction, report) triple — the
-    #     word-level report computed by the batched with_report path (None
-    #     when the entry was cached by a non-reporting call).
+    #     word-level report of the extraction (None when the entry was
+    #     cached by a call that skipped reports).
     # v5: labels come from the shared float32 deployment kernel (padded
     #     row-stable GEMMs) instead of the float64 training-path forward —
     #     label bits can differ from v4 entries on argmax-tie nodes.
     # v6: the engine field left the options key (one post-processing
     #     implementation), so keys are (root_filter, correct_lsb, lsb_outputs).
-    _CACHE_FORMAT = _CACHE_FORMAT_FAMILY + "v6"
+    # v7: every payload carries its report (v6 entries could hold None).
+    _CACHE_FORMAT = _CACHE_FORMAT_FAMILY + "v7"
 
     # The encoded-graph cache persists separately: encodings depend only on
     # the encoding configuration (feature mode / direction), not on the

@@ -68,6 +68,32 @@ class TestTrainReason:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "{out}", "--epochs", "0"],
+         "train: --epochs must be at least 1, got 0"),
+        (["train", "{out}", "--epochs", "-3"],
+         "train: --epochs must be at least 1, got -3"),
+        (["train", "{out}", "--width", "0"],
+         "train: --width must be at least 1 for a csa multiplier, got 0"),
+        (["gen", "{out}", "--width", "0"],
+         "gen: --width must be at least 1 for a csa multiplier, got 0"),
+        (["gen", "{out}", "--width", "1", "--kind", "booth"],
+         "gen: --width must be at least 2 for a booth multiplier, got 1"),
+        (["verify", "--width", "0"],
+         "verify: --width must be at least 1 for a csa multiplier, got 0"),
+    ], ids=["train-epochs-0", "train-epochs-neg", "train-width-0",
+            "gen-width-0", "gen-booth-width-1", "verify-width-0"])
+    def test_out_of_range_numbers_are_clean_errors(self, tmp_path, capsys,
+                                                   argv, message):
+        out = tmp_path / "written.npz"
+        code = main([arg.format(out=out) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""  # refused before any work
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBatchReason:
     @pytest.fixture(scope="class")
     def trained_model(self, tmp_path_factory):
@@ -246,3 +272,10 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["synthesize"])
+
+    def test_serve_no_report_flag_is_gone(self, tmp_path, capsys):
+        """Every served result carries its report; there is no opt-out."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(tmp_path / "model.npz"), "--no-report"])
+        assert exit_info.value.code == 2
+        assert "--no-report" in capsys.readouterr().err

@@ -28,7 +28,10 @@ from repro.learn import (
     estimate_batch_memory,
     unbatch_predictions,
 )
-from repro.serve import ReasoningService
+from repro.reasoning import analyze_adder_tree
+from repro.serve import FaultPlan, GamoraDaemon, ReasoningService, resilience
+from repro.serve.cache import exact_fingerprint
+from repro.serve.service import _normalize_options
 
 # Small circuits keep per-example reasoning fast; the mix intentionally
 # spans CSA/Booth multipliers, adder trees, and datapath blocks.
@@ -265,6 +268,147 @@ class TestServiceCaching:
             stats.inference_seconds + stats.postprocess_seconds
         )
         assert "batch=2" in stats.summary()
+
+
+def _route_fresh(gamora, tmp_path):
+    circuit = csa_multiplier(4)
+    batch = ReasoningService(gamora).reason_many([circuit])
+    assert batch.stats.unique_circuits == 1
+    return [(circuit.aig, batch[0])]
+
+
+def _route_in_batch_duplicate(gamora, tmp_path):
+    circuit = csa_multiplier(4)
+    batch = ReasoningService(gamora).reason_many([circuit, csa_multiplier(4)])
+    assert batch.stats.unique_circuits == 1
+    return [(circuit.aig, outcome) for outcome in batch]
+
+
+def _route_result_cache_hit(gamora, tmp_path):
+    service = ReasoningService(gamora)
+    service.reason_many([booth_multiplier(3)])
+    batch = service.reason_many([booth_multiplier(3)])
+    assert batch.stats.result_hits == 1
+    return [(booth_multiplier(3).aig, batch[0])]
+
+
+def _route_uncached_duplicates(gamora, tmp_path):
+    service = ReasoningService(gamora, result_cache_size=0)
+    batch = service.reason_many([squarer(4), squarer(4)])
+    first, second = batch
+    # Nothing is cached, so twins own distinct (but equal) reports.
+    assert first.report is not second.report
+    assert first.report == second.report
+    return [(squarer(4).aig, outcome) for outcome in batch]
+
+
+def _route_streamed(gamora, tmp_path):
+    circuit = csa_multiplier(5)
+    size = estimate_batch_memory(gamora.inference_kernel(),
+                                 [gamora.prepare(circuit, False)])
+    service = ReasoningService(gamora, max_shard_bytes=size - 1,
+                               max_window_bytes=size // 8)
+    outcome = service.reason_many([circuit])[0]
+    assert outcome.streamed
+    return [(circuit.aig, outcome)]
+
+
+def _route_forced_oom(gamora, tmp_path):
+    circuit = csa_multiplier(5)
+    resilience.install_plan(FaultPlan.from_dict({"seed": 0, "faults": [
+        {"point": "infer.forward", "kind": "memory", "at": [1]},
+    ]}))
+    try:
+        outcome = ReasoningService(gamora).reason_many([circuit])[0]
+    finally:
+        resilience.install_plan(None)
+    assert outcome.degraded
+    return [(circuit.aig, outcome)]
+
+
+def _route_persistent_round_trip(gamora, tmp_path):
+    circuit = dot_product(3, 2)
+    writer = ReasoningService(gamora)
+    writer.reason_many([circuit])
+    assert writer.save_result_cache(tmp_path / "results") == 1
+    reader = ReasoningService(gamora)
+    assert reader.load_result_cache(tmp_path / "results") == 1
+    batch = reader.reason_many([dot_product(3, 2)])
+    assert batch.stats.result_hits == 1
+    return [(circuit.aig, batch[0])]
+
+
+def _route_gamora_reason_many(gamora, tmp_path):
+    circuits = [multi_operand_adder(4, 3), csa_multiplier(3)]
+    batch = gamora.reason_many(circuits)
+    return [(circuit.aig, outcome) for circuit, outcome in zip(circuits, batch)]
+
+
+def _route_daemon(gamora, tmp_path):
+    circuit = multiply_accumulate(3)
+    with GamoraDaemon(gamora, batch_window_ms=1) as daemon:
+        first, _ = daemon.submit(circuit.aig)
+        second, stats = daemon.submit(circuit.aig)
+    assert stats.result_hit
+    return [(circuit.aig, first), (circuit.aig, second)]
+
+
+REPORT_ROUTES = {
+    "fresh": _route_fresh,
+    "in_batch_duplicate": _route_in_batch_duplicate,
+    "result_cache_hit": _route_result_cache_hit,
+    "uncached_duplicates": _route_uncached_duplicates,
+    "streamed": _route_streamed,
+    "forced_oom": _route_forced_oom,
+    "persistent_round_trip": _route_persistent_round_trip,
+    "gamora_reason_many": _route_gamora_reason_many,
+    "daemon": _route_daemon,
+}
+
+
+class TestReportOnEveryRoute:
+    """Every served outcome carries its word-level report, whichever route
+    produced it, and the report is the one the tree itself yields."""
+
+    @pytest.mark.parametrize("route", sorted(REPORT_ROUTES))
+    def test_report_matches_tree(self, gamora, tmp_path, route):
+        served = REPORT_ROUTES[route](gamora, tmp_path)
+        assert served
+        for aig, outcome in served:
+            assert outcome.report is not None
+            assert outcome.report == analyze_adder_tree(aig, outcome.tree)
+
+    def test_v6_result_dir_is_not_served(self, gamora, tmp_path,
+                                         monkeypatch):
+        """v6 entries could hold ``report=None``: a v6-stamped directory
+        loads nothing, and the next save purges its entries."""
+        spill = tmp_path / "results"
+        circuit = csa_multiplier(4)
+        old = ReasoningService(gamora)
+        outcome = old.reason_many([circuit])[0]
+        key = (circuit.aig.structural_hash(),
+               _normalize_options(False, True, 4))
+        old.result_cache.put(key, exact_fingerprint(circuit.aig),
+                             (outcome.labels, outcome.extraction, None))
+        with monkeypatch.context() as patch:
+            patch.setattr(ReasoningService, "_CACHE_FORMAT",
+                          ReasoningService._CACHE_FORMAT_FAMILY + "v6")
+            assert old.save_result_cache(spill) == 1
+        assert (spill / "MODEL.tag").read_text().startswith(
+            "gamora-result-cache-v6:")
+        v6_entries = sorted(spill.glob("*.npz"))
+        assert len(v6_entries) == 1
+
+        service = ReasoningService(gamora)
+        assert ReasoningService._CACHE_FORMAT.endswith("v7")
+        assert service.load_result_cache(spill) == 0
+        fresh = service.reason_many([circuit])
+        assert fresh.stats.result_hits == 0
+        assert fresh[0].report == analyze_adder_tree(circuit.aig,
+                                                     fresh[0].tree)
+        assert service.save_result_cache(spill) == 1
+        assert not any(path.exists() for path in v6_entries)
+        assert ReasoningService(gamora).load_result_cache(spill) == 1
 
 
 class TestUnbatchPredictions:

@@ -20,6 +20,7 @@ Three invariant families the always-on daemon depends on:
 import contextlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -572,6 +573,33 @@ class TestSocketProtocol:
         finally:
             server.close()
             daemon.close()
+
+    def test_invalid_utf8_line_is_bad_request(self, gamora, tmp_path,
+                                              monkeypatch):
+        """A non-UTF-8 line gets a clean error; the connection lives on."""
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        socket_path = tmp_path / "gamora.sock"
+        daemon = GamoraDaemon(gamora, batch_window_ms=1).start()
+        server = DaemonServer(daemon, socket_path).start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(30)
+                sock.connect(str(socket_path))
+                sock.sendall(b'{"op":"ping","id":"\xff"}\n'
+                             b'{"op":"ping","id":2}\n')
+                with sock.makefile("rb") as reader:
+                    rejected = json.loads(reader.readline())
+                    pong = json.loads(reader.readline())
+        finally:
+            server.close()
+            daemon.close()
+        assert rejected["ok"] is False
+        assert rejected["error"]["type"] == "bad_request"
+        assert rejected["error"]["retriable"] is False
+        assert "invalid UTF-8" in rejected["error"]["message"]
+        assert pong["ok"] and pong["pong"] and pong["id"] == 2
+        assert thread_errors == []
 
     def test_idle_server_closes_promptly(self, gamora, tmp_path):
         """close() must wake the accept thread without a client connecting."""

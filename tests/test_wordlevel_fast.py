@@ -143,11 +143,11 @@ class TestPipelineDifferential:
 
 
 class TestBatchedAnalysis:
-    """One concatenated analyze_adder_trees pass == per-tree analysis.
+    """analyze_adder_trees == per-tree analysis, in input order.
 
-    The serving daemon computes every micro-batch's word-level reports
-    through the merged block-diagonal core; the reports must be exactly
-    the ones per-circuit ``analyze_adder_tree`` would produce.
+    The serving layer builds every batch's word-level reports through
+    ``analyze_adder_trees``; the reports must be exactly the ones
+    per-circuit ``analyze_adder_tree`` would produce.
     """
 
     def test_mixed_batch_matches_per_tree(self):
