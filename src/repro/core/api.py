@@ -196,9 +196,9 @@ class Gamora:
         :class:`ReasoningOutcome` per input circuit (input order preserved,
         labels and extractions identical to sequential :meth:`reason`, and
         each carrying its word-level ``report``) plus per-stage timing in
-        ``.stats``.  The service (and its caches)
-        persists across calls and is dropped on :meth:`fit`.  Shard and
-        window budgets or a fixed worker count are service settings: build
+        ``.stats``.  The service (and its caches) persists across calls and
+        is dropped on :meth:`fit`.  Shard and window budgets or a fixed
+        worker count are service settings: build
         ``ReasoningService(gamora, max_shard_bytes=..., ...)`` for those.
         """
         return self._serving().reason_many(
