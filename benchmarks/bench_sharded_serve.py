@@ -5,10 +5,10 @@ post-processing-heavy request stream — 16 mixed 8–16-bit multipliers, cold
 caches — comparing:
 
 * the **monolithic** path: one block-diagonal mega-pass, in-process
-  extraction (exactly the PR 1 behavior, ``max_shard_bytes=None``,
+  extraction (exactly the PR 1 behavior, ``max_window_bytes=None``,
   ``postprocess_workers=0``);
 * the **sharded + parallel** path: forward passes bounded by a
-  ``max_shard_bytes`` budget (~total/4, so the stream genuinely splits)
+  ``max_window_bytes`` budget (~total/4, so the stream genuinely splits)
   and extraction fanned out to worker processes overlapped with the next
   shard's inference.
 
@@ -47,7 +47,7 @@ def sharded_comparison():
     circuits = [bench_multiplier(w) for w in STREAM_WIDTHS]
 
     # Budget ~ a quarter of the full mega-batch (but never below the largest
-    # single design, so nothing lands in an oversize shard).  Derived through
+    # single design, so no circuit streams).  Derived through
     # throwaway services so both measured services start cold.
     planner = ReasoningService(gamora)
     total_bytes = planner.plan(circuits).peak_shard_bytes
@@ -56,13 +56,13 @@ def sharded_comparison():
         for c in circuits
     ]
     budget = max(max(standalone), total_bytes // 4)
-    plan = ReasoningService(gamora, max_shard_bytes=budget).plan(circuits)
+    plan = ReasoningService(gamora, max_window_bytes=budget).plan(circuits)
 
     monolithic_service = ReasoningService(gamora)
     monolithic = monolithic_service.reason_many(circuits)
 
     sharded_service = ReasoningService(
-        gamora, max_shard_bytes=budget, postprocess_workers=WORKERS
+        gamora, max_window_bytes=budget, postprocess_workers=WORKERS
     )
     sharded = sharded_service.reason_many(circuits)
 
@@ -86,7 +86,7 @@ def test_sharded_memory_stays_under_budget(sharded_comparison, benchmark):
     budget = sharded_comparison["budget"]
     plan = sharded_comparison["plan"]
     assert len(plan) > 1, "budget must genuinely split this stream"
-    assert plan.num_oversize == 0
+    assert plan.num_streamed == 0
     for step in plan:
         assert step.window_plan.peak_window_bytes <= budget
     executed = sharded_comparison["sharded"]
@@ -155,7 +155,7 @@ def test_sharded_serve_kernel(benchmark):
 
     def run():
         service = ReasoningService(
-            gamora, max_shard_bytes=budget, postprocess_workers=WORKERS
+            gamora, max_window_bytes=budget, postprocess_workers=WORKERS
         )
         return service.reason_many(circuits)
 

@@ -37,7 +37,7 @@ from common import (
     keep_under_benchmark_only,
 )
 from repro.core import Gamora
-from repro.learn import TrainConfig, plan_training_windows, train_model
+from repro.learn import TrainConfig, train_model
 from repro.learn.infer import estimate_training_memory
 from repro.learn.trainer import epoch_gradients
 
@@ -72,7 +72,7 @@ def train_streaming_row(width: int, check_gradients: bool = True) -> dict:
         model, data.num_nodes, data.num_edges
     )
     budget = full_estimate // BUDGET_DIV
-    plan = plan_training_windows(data, model, budget)
+    plan = data.window_plan(budget, model, training=True)
 
     full_grads, full_peak, full_seconds = measure_peak(
         lambda: epoch_gradients(model, data, TrainConfig())
@@ -157,7 +157,7 @@ def test_train_streaming_memory(benchmark, series):
     budget = estimate_training_memory(
         gamora.net, data.num_nodes, data.num_edges
     ) // BUDGET_DIV
-    plan = plan_training_windows(data, gamora.net, budget)
+    plan = data.window_plan(budget, gamora.net, training=True)
     benchmark.pedantic(
         lambda: train_model(
             data, None,

@@ -11,8 +11,9 @@ Demonstrates the serving layer added on top of :class:`repro.core.Gamora`:
   traffic, where popular designs repeat);
 * one planner, one executor — ``ReasoningService.plan`` turns a batch into
   steps, each a block-diagonal merge plus the window plan that runs it;
-  ``max_shard_bytes`` splits the mega-batch so every forward pass fits an
-  explicit inference-memory budget;
+  ``max_window_bytes`` splits the mega-batch so every forward pass fits an
+  explicit inference-memory budget (a circuit larger than the budget
+  streams window by window under it);
 * parallel post-processing — ``postprocess_workers`` fans the dominant
   per-circuit extraction stage out to worker processes, overlapped with the
   next shard's inference.
@@ -75,7 +76,7 @@ def main() -> None:
     # shard's inference).  Results are bit-identical to the paths above.
     budget = service.plan(stream).peak_shard_bytes // 2
     workers = min(2, os.cpu_count() or 1)
-    scaled = ReasoningService(gamora, max_shard_bytes=budget,
+    scaled = ReasoningService(gamora, max_window_bytes=budget,
                               postprocess_workers=workers)
     plan = scaled.plan(stream)
     print(f"\nsharded serving (budget {budget / 1024 ** 2:.1f}MiB, "

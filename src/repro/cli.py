@@ -33,6 +33,10 @@ __all__ = ["main", "build_parser"]
 _KERNEL_HELP = ("hot-path kernel backend (default: REPRO_KERNEL env var, "
                 "else auto = c when it builds, else numpy); backends are "
                 "bit-identical, so results and caches do not depend on it")
+_BUDGET_HELP = ("estimated bytes any one forward-pass window may use: "
+                "circuits are packed into merges under it, and a circuit "
+                "larger than it streams level-windowed under it (default: "
+                "one full-graph pass)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,13 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encoded-graph LRU capacity (0 disables)")
     batch.add_argument("--result-cache", type=int, default=256,
                        help="reasoning-result LRU capacity (0 disables)")
-    batch.add_argument("--max-shard-bytes", type=int, default=None,
-                       help="memory budget per block-diagonal shard "
-                            "(default: no sharding, one monolithic pass)")
-    batch.add_argument("--max-window-bytes", type=int, default=None,
-                       help="memory budget per streaming window: netlists "
-                            "too large for any shard run level-windowed "
-                            "under this budget (default: full-graph pass)")
+    batch.add_argument("--max-window-bytes", "--max-shard-bytes",
+                       dest="max_window_bytes", type=int, default=None,
+                       help=_BUDGET_HELP)
     batch.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for per-netlist post-processing "
                             "(default: auto-size from cpu count and batch "
@@ -144,14 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encoded-graph LRU capacity (0 disables)")
     serve.add_argument("--result-cache", type=int, default=512,
                        help="reasoning-result LRU capacity (0 disables)")
-    serve.add_argument("--max-shard-bytes", type=int, default=None,
-                       help="memory budget per block-diagonal shard "
-                            "(default: one monolithic pass per micro-batch)")
-    serve.add_argument("--max-window-bytes", type=int, default=None,
-                       help="memory budget per streaming window: circuits "
-                            "too large for any shard are still admitted and "
-                            "run level-windowed under this budget (default: "
-                            "full-graph pass)")
+    serve.add_argument("--max-window-bytes", "--max-shard-bytes",
+                       dest="max_window_bytes", type=int, default=None,
+                       help=_BUDGET_HELP)
     serve.add_argument("--postprocess-workers", type=int, default=None,
                        help="worker processes for post-processing (default: "
                             "auto-size per batch; 0 forces in-process)")
@@ -252,7 +247,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train(args) -> int:
     from repro.core import Gamora
-    from repro.learn import TrainConfig, plan_training_windows
+    from repro.learn import TrainConfig
 
     if not _check_width(args, "train"):
         return 2
@@ -276,7 +271,7 @@ def _cmd_train(args) -> int:
                         checkpoint_path=checkpoint,
                     ))
     data = gamora.prepare(make_multiplier(args.width, args.kind))
-    plan = plan_training_windows(data, gamora.net, args.max_window_bytes)
+    plan = data.window_plan(args.max_window_bytes, gamora.net, training=True)
     if args.max_window_bytes is not None:
         print(f"window plan: {plan.summary()}"
               + ("" if plan.within_budget else " — OVER BUDGET"))
@@ -385,13 +380,16 @@ def _cmd_batch_reason(args) -> int:
         except (OSError, ValueError) as error:
             print(f"batch-reason: cannot read {path}: {error}", file=sys.stderr)
             return 2
-    service = ReasoningService(
-        gamora, graph_cache_size=args.graph_cache,
-        result_cache_size=args.result_cache,
-        max_shard_bytes=args.max_shard_bytes,
-        max_window_bytes=args.max_window_bytes,
-        postprocess_workers=args.postprocess_workers,
-    )
+    try:
+        service = ReasoningService(
+            gamora, graph_cache_size=args.graph_cache,
+            result_cache_size=args.result_cache,
+            max_window_bytes=args.max_window_bytes,
+            postprocess_workers=args.postprocess_workers,
+        )
+    except ValueError as error:  # a non-positive budget
+        print(f"batch-reason: {error}", file=sys.stderr)
+        return 2
     if args.cache_dir:
         loaded = service.load_result_cache(args.cache_dir)
         print(f"result cache: loaded {loaded} entries from {args.cache_dir}")
@@ -464,14 +462,13 @@ def _cmd_serve(args) -> int:
             run_dir=args.run_dir,
             graph_cache_size=args.graph_cache,
             result_cache_size=args.result_cache,
-            max_shard_bytes=args.max_shard_bytes,
             max_window_bytes=args.max_window_bytes,
             postprocess_workers=args.postprocess_workers,
             default_deadline_ms=args.default_deadline_ms,
             watchdog_timeout_seconds=args.watchdog_timeout_s or None,
             fault_plan=fault_plan,
         )
-    except ValueError as error:  # out-of-range batching/deadline numbers
+    except ValueError as error:  # out-of-range batching/budget/deadline
         print(f"serve: {error}", file=sys.stderr)
         return 2
     daemon.start()

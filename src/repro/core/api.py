@@ -197,9 +197,9 @@ class Gamora:
         labels and extractions identical to sequential :meth:`reason`, and
         each carrying its word-level ``report``) plus per-stage timing in
         ``.stats``.  The service (and its caches) persists across calls and
-        is dropped on :meth:`fit`.  Shard and window budgets or a fixed
-        worker count are service settings: build
-        ``ReasoningService(gamora, max_shard_bytes=..., ...)`` for those.
+        is dropped on :meth:`fit`.  A memory budget or a fixed worker
+        count are service settings: build
+        ``ReasoningService(gamora, max_window_bytes=..., ...)`` for those.
         """
         return self._serving().reason_many(
             circuits, root_filter=root_filter,

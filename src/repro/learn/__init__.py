@@ -26,7 +26,6 @@ from repro.learn.trainer import (
     epoch_gradients,
     evaluate_model,
     load_checkpoint,
-    plan_training_windows,
     save_checkpoint,
     train_model,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "epoch_gradients",
     "evaluate_model",
     "load_checkpoint",
-    "plan_training_windows",
     "save_checkpoint",
     "train_model",
     "confusion_matrix",

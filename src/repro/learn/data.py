@@ -221,9 +221,15 @@ class GraphData:
         window.mask = np.ascontiguousarray(self.node_mask()[window.targets])
         return window
 
-    def window_plan(self, max_window_bytes: int, model,
+    def window_plan(self, max_window_bytes: int | None, model,
                     training: bool = False) -> WindowPlan:
         """Slice this graph into memory-bounded streaming windows.
+
+        ``max_window_bytes=None`` is the degenerate one-window plan: the
+        whole graph as one window, priced as the full-graph pass (see
+        :meth:`WindowPlan.one_window`).  It is what the trainer runs when
+        no byte budget is set — budgeted and unbudgeted passes share one
+        executor.
 
         Nodes are taken in topological-level-major order (stable, so window
         boundaries may land mid-level) and packed greedily: each window
@@ -253,8 +259,15 @@ class GraphData:
         """
         from repro.learn.infer import estimate_window_memory
 
-        if max_window_bytes is None or max_window_bytes <= 0:
-            raise ValueError("max_window_bytes must be a positive byte count")
+        if max_window_bytes is None:
+            plan = WindowPlan.one_window(model, self.num_nodes,
+                                         self.num_edges, training=training)
+            if training:
+                self._attach_training_slices(plan.windows[0])
+            return plan
+        if max_window_bytes <= 0:
+            raise ValueError(f"max_window_bytes must be a positive byte "
+                             f"count, got {max_window_bytes}")
         num_hops = model.config.num_layers
         order = np.argsort(self.node_levels(), kind="stable")
         indptr = self.adjacency.indptr.astype(np.int64)
@@ -301,21 +314,6 @@ class GraphData:
             pos += size
             chunk = 2 * size
         return WindowPlan(total, num_hops, int(max_window_bytes), windows)
-
-    def full_window_plan(self, model, training: bool = False) -> WindowPlan:
-        """The degenerate one-window plan: the whole graph as one window.
-
-        This is what the trainer runs when no byte budget is set, and what
-        the serving planner gives every packed block-diagonal merge — the
-        full-graph pass expressed as a trivial execution plan, so budgeted
-        and unbudgeted passes share one executor.  ``peak_window_bytes``
-        reports the full-graph footprint (see :meth:`WindowPlan.one_window`).
-        """
-        plan = WindowPlan.one_window(model, self.num_nodes, self.num_edges,
-                                     training=training)
-        if training:
-            self._attach_training_slices(plan.windows[0])
-        return plan
 
 
 def adjacency_operator(aig: AIG, direction: str = "in") -> sp.csr_matrix:

@@ -127,7 +127,8 @@ def estimate_batch_memory(model: GamoraNet | FastInference,
 
     The block-diagonal merge concatenates nodes and edges, so the estimate
     is :func:`estimate_inference_memory` at the summed sizes — the quantity
-    the serving layer's shard planner keeps under ``max_shard_bytes``.
+    the serving layer's planner keeps each packed merge under
+    ``max_window_bytes``.
     """
     return estimate_inference_memory(
         model,

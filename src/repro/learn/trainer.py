@@ -5,13 +5,14 @@ graphs, Adam, and the weighted multi-task NLL ``L = alpha*l1 + beta*l2 +
 gamma*l3`` with ``alpha = 0.8``, ``beta = gamma = 1`` — but runs it over
 the same level-windowed execution plan streamed inference uses:
 
-* With no byte budget (``TrainConfig.max_window_bytes is None``) the epoch
-  driver runs the degenerate one-window plan — the classic full-batch loop,
-  same numerics, same code path.
-* With a budget, :meth:`~repro.learn.data.GraphData.window_plan` (in
-  training mode, which prices the backward tape and carries per-window
-  label/mask slices) covers the node set with memory-bounded windows; each
-  epoch shuffles the window order (seeded), computes the loss on every
+* Every epoch iterates one plan,
+  :meth:`~repro.learn.data.GraphData.window_plan` at
+  ``TrainConfig.max_window_bytes`` in training mode (which prices the
+  backward tape and carries per-window label/mask slices).
+* With no byte budget (``None``) that is the degenerate one-window plan —
+  the classic full-batch loop, same numerics, same code path.
+* With a budget the plan covers the node set with memory-bounded windows;
+  each epoch shuffles the window order (seeded), computes the loss on every
   window's targets with gradients flowing through its K-hop halo, and
   accumulates gradients across windows.  Because each window's NLL is
   normalized by the *whole-graph* mask total, the accumulate-all-then-step
@@ -50,7 +51,6 @@ __all__ = [
     "TrainConfig",
     "train_model",
     "evaluate_model",
-    "plan_training_windows",
     "epoch_gradients",
     "save_checkpoint",
     "load_checkpoint",
@@ -81,19 +81,6 @@ class TrainConfig:
     # --- checkpoint/resume ---------------------------------------------
     checkpoint_every: int = 0  # epochs between checkpoints (0 = off)
     checkpoint_path: str | None = None  # resumed from when it exists
-
-
-def plan_training_windows(data: GraphData, model: GamoraNet,
-                          max_window_bytes: int | None) -> WindowPlan:
-    """The execution plan one training epoch iterates.
-
-    ``None`` budget: the degenerate one-window plan (full-batch training).
-    Otherwise the level-windowed cover priced with the backward-pass cost
-    model, each window carrying its label/mask slices.
-    """
-    if max_window_bytes is None:
-        return data.full_window_plan(model, training=True)
-    return data.window_plan(max_window_bytes, model, training=True)
 
 
 def _window_labels(data: GraphData, window) -> dict[str, np.ndarray]:
@@ -147,7 +134,7 @@ def epoch_gradients(model: GamoraNet, data: GraphData,
     """
     config = train_config or TrainConfig()
     if plan is None:
-        plan = plan_training_windows(data, model, config.max_window_bytes)
+        plan = data.window_plan(config.max_window_bytes, model, training=True)
     total_weight = float(data.node_mask().astype(np.float64).sum())
     model.zero_grad()
     for window in plan.windows:
@@ -278,7 +265,7 @@ def train_model(train_graphs: list[GraphData] | GraphData,
                      weight_decay=config.weight_decay)
     rng = seeded_rng(config.seed)
     if plan is None:
-        plan = plan_training_windows(data, model, config.max_window_bytes)
+        plan = data.window_plan(config.max_window_bytes, model, training=True)
     plan_record = {
         "num_windows": plan.num_windows,
         "peak_window_bytes": plan.peak_window_bytes,

@@ -2,17 +2,18 @@
 
 ``ReasoningService`` plans each batch with
 :func:`repro.serve.sharding.plan_shards` — a :class:`BatchPlan` of steps,
-each a block-diagonal merge under an explicit inference-memory budget
-(``max_shard_bytes``) plus the :class:`repro.learn.data.WindowPlan` that
-runs it — and executes every step through one streamed forward pass.  It
-deduplicates structurally identical requests, caches encodings and
-results in structural-hash keyed LRUs, and fans per-circuit
-post-processing out to worker processes (``postprocess_workers``, via
+each a block-diagonal merge plus the :class:`repro.learn.data.WindowPlan`
+that runs it — and executes every step through one streamed forward pass.
+One inference-memory budget, ``max_window_bytes``, bounds every window:
+merges are packed under it, and a circuit whose standalone estimate
+exceeds it is still admitted, streamed level window by level window under
+the same budget — bit-identical labels, peak activation memory bounded by
+the budget instead of the circuit size.  The service deduplicates
+structurally identical requests, caches encodings and results in
+structural-hash keyed LRUs, and fans per-circuit post-processing out to
+worker processes (``postprocess_workers``, via
 :class:`repro.serve.workers.PostprocessPool`) overlapped with the next
-step's forward pass.  Circuits too large for *any* merge are admitted
-anyway when ``max_window_bytes`` is set: their steps stream level window
-by level window — bit-identical labels, peak activation memory bounded
-by the window budget.  See :mod:`repro.serve.service` for the pipeline
+step's forward pass.  See :mod:`repro.serve.service` for the pipeline
 and caching semantics.
 
 On top of the batch service sits the always-on daemon

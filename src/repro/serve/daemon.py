@@ -37,11 +37,12 @@ Wire protocol (one JSON object per ``\\n``-terminated line)::
 Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error":
 {"type": ..., "retriable": ..., "message": ...}}``; a full queue maps to
 ``type="queue_full", retriable=true`` so clients can back off and retry.
-Unknown options, and option values of the wrong type (``root_filter`` and
-``correct_lsb`` must be JSON booleans, ``lsb_outputs`` a non-negative
-integer), are rejected with a non-retriable ``bad_request`` before the
-request is queued; so is a line that is not UTF-8 or not JSON, and the
-connection keeps serving the lines after it.
+``options`` that is not a JSON object (only a missing key or ``null``
+means "no options"), unknown options, and option values of the wrong
+type (``root_filter`` and ``correct_lsb`` must be JSON booleans,
+``lsb_outputs`` a non-negative integer) are rejected with a non-retriable
+``bad_request`` before the request is queued; so is a line that is not
+UTF-8 or not JSON, and the connection keeps serving the lines after it.
 ``deadline_ms`` (optional, or the daemon's ``--default-deadline-ms``) is
 the caller's total patience: a request still queued past it is dropped at
 dequeue — its forward pass never runs — and answered with the retriable
@@ -104,7 +105,6 @@ class GamoraDaemon:
                  cache_dir: str | Path | None = None,
                  run_dir: str | Path | None = None,
                  graph_cache_size: int = 256, result_cache_size: int = 512,
-                 max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None,
                  default_deadline_ms: float | None = None,
@@ -119,7 +119,6 @@ class GamoraDaemon:
         self.service = ReasoningService(
             gamora, graph_cache_size=graph_cache_size,
             result_cache_size=result_cache_size,
-            max_shard_bytes=max_shard_bytes,
             max_window_bytes=max_window_bytes,
             postprocess_workers=postprocess_workers,
         )
@@ -357,8 +356,10 @@ class GamoraDaemon:
             return _error_response(request_id, "bad_request",
                                    f"unparsable netlist: {error}")
         parse_seconds = time.perf_counter() - started
-        options = message.get("options") or {}
-        if not isinstance(options, dict):
+        options = message.get("options")
+        if options is None:
+            options = {}
+        elif not isinstance(options, dict):
             return _error_response(request_id, "bad_request",
                                    "'options' must be an object")
         unknown = set(options) - {"root_filter", "correct_lsb",

@@ -14,10 +14,10 @@ independent circuits and
 3. **plans** the forward passes with :func:`repro.serve.sharding.plan_shards`:
    a list of steps, each one block-diagonal merge plus one
    :class:`~repro.learn.data.WindowPlan` over it.  Packed merges stay under
-   ``max_shard_bytes`` of analytic
+   ``max_window_bytes`` of analytic
    :func:`~repro.learn.infer.estimate_inference_memory` and get the
-   one-window plan; a circuit too large for *any* merge gets a
-   level-windowed plan under ``max_window_bytes`` when that is set;
+   one-window plan; a circuit whose standalone estimate exceeds the budget
+   gets a level-windowed plan under the same budget;
 4. **executes** every step the same way — assemble the merge, run
    :meth:`~repro.learn.fast.FastInference.predict_streamed` over its plan
    (a one-window plan is the full-graph pass, labels bit-identical either
@@ -38,17 +38,15 @@ independent circuits and
 
 Scaling knobs
 -------------
-``max_shard_bytes``
-    Peak estimated bytes one block-diagonal merge may use.  ``None``
-    (default) runs the whole batch as one step.  Circuits whose
-    standalone estimate exceeds the budget still run, each as its own
-    oversize step.
 ``max_window_bytes``
-    Peak estimated bytes one *streaming window* may use.  ``None``
-    (default) runs oversize steps as unbounded full-graph passes; set,
-    every oversize step streams level-window by level-window under this
-    budget (``BatchStats.streamed_graphs`` / ``num_windows`` /
-    ``peak_window_bytes`` report what actually ran).
+    Peak estimated bytes of any one forward-pass window.  ``None``
+    (default) runs the whole batch as one full-graph step.  Set, circuits
+    are packed into block-diagonal merges whose estimate stays within the
+    budget, and a circuit whose standalone estimate exceeds it streams
+    level-window by level-window under the same budget
+    (``BatchStats.streamed_graphs`` / ``num_windows`` /
+    ``peak_window_bytes`` report what actually ran).  A budget of zero or
+    less raises ``ValueError``.
 ``postprocess_workers``
     Worker processes for extraction.  ``None`` (default) auto-sizes per
     batch via :func:`repro.serve.workers.resolve_workers` — one worker per
@@ -57,7 +55,7 @@ Scaling knobs
     ``0`` forces in-process; platforms without ``fork`` degrade to
     in-process automatically.
 
-All three are set once, on the constructor; every :meth:`reason_many`
+Both are set once, on the constructor; every :meth:`reason_many`
 and :meth:`plan` call runs under them.
 
 Caching semantics
@@ -143,8 +141,7 @@ class BatchStats:
     num_edges: int = 0
     num_shards: int = 0  # forward passes this call (0 if fully cached)
     peak_shard_bytes: int = 0  # largest estimated shard footprint
-    oversize_shards: int = 0  # lone circuits that exceeded the budget
-    streamed_graphs: int = 0  # oversize circuits run window-by-window
+    streamed_graphs: int = 0  # circuits run window-by-window
     num_windows: int = 0  # streaming windows executed, summed over shards
     peak_window_bytes: int = 0  # largest estimated window footprint
     degraded_shards: int = 0  # full-graph passes that OOMed and re-ran windowed
@@ -263,23 +260,24 @@ class ReasoningService:
 
     ``graph_cache_size`` bounds the encoded-:class:`GraphData` LRU and
     ``result_cache_size`` the full-outcome LRU; either can be 0 to disable
-    that cache.  ``max_shard_bytes`` and ``postprocess_workers`` are the
-    scaling knobs described in the module docstring; sharding defaults to
-    the PR 1 behavior (one monolithic pass) and workers default to
-    per-batch auto-sizing (in-process whenever the batch is small).
+    that cache.  ``max_window_bytes`` and ``postprocess_workers`` are the
+    scaling knobs described in the module docstring; the budget defaults
+    to one monolithic pass and workers default to per-batch auto-sizing
+    (in-process whenever the batch is small).
     Everything upstream of :meth:`reason_many` only ever sees circuit
     objects, and everything downstream only sees per-circuit outcomes.
     """
 
     def __init__(self, gamora: Gamora, graph_cache_size: int = 128,
                  result_cache_size: int = 256,
-                 max_shard_bytes: int | None = None,
                  max_window_bytes: int | None = None,
                  postprocess_workers: int | None = None) -> None:
+        if max_window_bytes is not None and max_window_bytes <= 0:
+            raise ValueError(f"max_window_bytes must be a positive byte "
+                             f"count, got {max_window_bytes}")
         self.gamora = gamora
         self.graph_cache = StructuralHashCache(graph_cache_size)
         self.result_cache = StructuralHashCache(result_cache_size)
-        self.max_shard_bytes = max_shard_bytes
         self.max_window_bytes = max_window_bytes
         self.postprocess_workers = postprocess_workers
         self._model_fp: str | None = None  # lazy model fingerprint
@@ -361,7 +359,7 @@ class ReasoningService:
         Deduplicates and encodes exactly as :meth:`reason_many` does (first
         occurrence of each :func:`_circuit_key`, through the graph LRU, so
         planning a batch warms the same cache serving it would) and packs
-        the unique structures against the service's byte budgets, so the
+        the unique structures against the service's byte budget, so the
         plan matches what :meth:`reason_many` would execute on a cold
         cache.  Priced against the deployment kernel
         (:meth:`Gamora.inference_kernel`), the path that actually runs.
@@ -373,7 +371,7 @@ class ReasoningService:
             unique.setdefault(_circuit_key(aig), aig)
         datas = [self._encode(aig, *key) for key, aig in unique.items()]
         return plan_shards(self.gamora.inference_kernel(), datas,
-                           self.max_shard_bytes, self.max_window_bytes)
+                           self.max_window_bytes)
 
     # ------------------------------------------------------------------
     def reason_many(self, circuits, root_filter: bool = False,
@@ -442,12 +440,10 @@ class ReasoningService:
 
         kernel = self.gamora.inference_kernel()
         with Timer() as plan_timer:
-            plan = plan_shards(kernel, datas, self.max_shard_bytes,
-                               self.max_window_bytes)
+            plan = plan_shards(kernel, datas, self.max_window_bytes)
         stats.plan_seconds += plan_timer.elapsed
         stats.num_shards = len(plan)
         stats.peak_shard_bytes = plan.peak_shard_bytes
-        stats.oversize_shards = plan.num_oversize
 
         # Alignment: pending's insertion order == datas' order; handles,
         # labels, and how each forward pass ran are indexed the same way so
@@ -805,7 +801,6 @@ class ReasoningService:
         return (
             f"ReasoningService({self.gamora!r}, graph_cache="
             f"{self.graph_cache!r}, result_cache={self.result_cache!r}, "
-            f"max_shard_bytes={self.max_shard_bytes}, "
             f"max_window_bytes={self.max_window_bytes}, "
             f"postprocess_workers={self.postprocess_workers})"
         )

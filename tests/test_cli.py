@@ -121,7 +121,7 @@ class TestBatchReason:
 
     def test_batch_reason_sharded_with_workers(self, trained_model, tmp_path,
                                                capsys):
-        """The scaling knobs: tiny shard budget + 2 post-processing workers."""
+        """The scaling knobs: tiny memory budget + 2 post-processing workers."""
         paths = []
         for width in (4, 5):
             path = tmp_path / f"m{width}.aag"
@@ -130,11 +130,12 @@ class TestBatchReason:
         capsys.readouterr()
         assert main([
             "batch-reason", str(trained_model), *paths,
-            "--max-shard-bytes", "1", "--postprocess-workers", "2",
+            "--max-window-bytes", "1", "--postprocess-workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert out.count("FA") == 2
         assert "shards=2" in out  # 1-byte budget: every circuit its own shard
+        assert "streamed=2" in out  # ... streamed under that same budget
         from repro.serve import fork_available
 
         if fork_available():
@@ -218,6 +219,30 @@ class TestBatchReason:
             assert err.startswith(f"batch-reason: cannot read {bad}")
             assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("command", ["batch-reason", "serve"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_is_clean_error(self, trained_model,
+                                                tmp_path, capsys, command,
+                                                budget):
+        """A budget of zero or less is refused, never read as "no budget"."""
+        netlist = tmp_path / "m4.aag"
+        assert main(["gen", str(netlist), "--width", "4"]) == 0
+        capsys.readouterr()
+        argv = {
+            "batch-reason": ["batch-reason", str(trained_model),
+                             str(netlist)],
+            "serve": ["serve", str(trained_model),
+                      "--socket", str(tmp_path / "gamora.sock")],
+        }[command]
+        assert main([*argv, "--max-window-bytes", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"{command}: max_window_bytes must be a positive byte count, "
+            f"got {budget}"
+        )
+        assert captured.out == ""  # refused before any batch ran
+        assert not (tmp_path / "gamora.sock").exists()
+
 
 class TestMapCec:
     def test_map_reports_cells(self, mult_file, tmp_path, capsys):
@@ -272,6 +297,16 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["synthesize"])
+
+    @pytest.mark.parametrize("command", ["batch-reason", "serve"])
+    def test_old_budget_flag_spells_the_one_budget(self, command):
+        """The old flag name is an alternate spelling of the one budget."""
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            [command, "model.npz", "--max-shard-bytes", "4096"])
+        assert args.max_window_bytes == 4096
+        assert not any("shard" in name for name in vars(args))
 
     def test_serve_no_report_flag_is_gone(self, tmp_path, capsys):
         """Every served result carries its report; there is no opt-out."""

@@ -113,8 +113,7 @@ class TestBatchedEquivalence:
         sizes = [estimate_batch_memory(kernel, [gamora.prepare(c, False)])
                  for c in circuits]
         service = ReasoningService(
-            gamora, result_cache_size=0, max_shard_bytes=max(sizes) - 1,
-            max_window_bytes=max(sizes) // 8,
+            gamora, result_cache_size=0, max_window_bytes=max(sizes) - 1,
         )
         assert service.plan(circuits).num_streamed == 1
         batch = service.reason_many(circuits)
@@ -306,8 +305,7 @@ def _route_streamed(gamora, tmp_path):
     circuit = csa_multiplier(5)
     size = estimate_batch_memory(gamora.inference_kernel(),
                                  [gamora.prepare(circuit, False)])
-    service = ReasoningService(gamora, max_shard_bytes=size - 1,
-                               max_window_bytes=size // 8)
+    service = ReasoningService(gamora, max_window_bytes=size // 8)
     outcome = service.reason_many([circuit])[0]
     assert outcome.streamed
     return [(circuit.aig, outcome)]

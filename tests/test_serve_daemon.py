@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.aig.aiger import dumps_aag
 from repro.core import Gamora
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.learn import TrainConfig
@@ -48,6 +49,8 @@ from repro.serve import (
 from repro.serve.workers import MAX_EXECUTOR_RESTARTS
 
 from tests.test_serve_batching import assert_outcome_equal, tree_key
+
+MISSING = object()  # a message without the key at all
 
 
 @pytest.fixture(scope="module")
@@ -574,6 +577,32 @@ class TestSocketProtocol:
             server.close()
             daemon.close()
 
+    @pytest.mark.parametrize("options, accepted", [
+        (MISSING, True), (None, True), ({}, True),
+        ([], False), (0, False), ("", False), (False, False),
+        ([1], False), ("x", False),
+    ])
+    def test_only_missing_or_null_options_mean_none(self, gamora, circuits,
+                                                    options, accepted):
+        """A falsy non-object is rejected like any other non-object."""
+        message = {"op": "reason", "id": "opts",
+                   "netlist": dumps_aag(circuits[0])}
+        if options is not MISSING:
+            message["options"] = options
+        with GamoraDaemon(gamora, batch_window_ms=1) as daemon:
+            response = daemon.handle(message)
+            queued = daemon.scheduler.stats()["accepted"]
+        if accepted:
+            assert response["ok"], response
+            assert queued == 1
+        else:
+            assert not response["ok"]
+            assert response["error"]["type"] == "bad_request"
+            assert response["error"]["retriable"] is False
+            assert "'options' must be an object" in \
+                response["error"]["message"]
+            assert queued == 0
+
     def test_invalid_utf8_line_is_bad_request(self, gamora, tmp_path,
                                               monkeypatch):
         """A non-UTF-8 line gets a clean error; the connection lives on."""
@@ -684,16 +713,15 @@ class TestServeCli:
     @pytest.mark.slow
     def test_serve_subprocess_streams_oversize_circuit(self, gamora,
                                                        tmp_path):
-        """A circuit larger than any shard budget is admitted by a real
-        ``python -m repro serve`` process and streamed under the window
-        budget, with the same answer as sequential ``reason``."""
+        """A circuit larger than the memory budget is admitted by a real
+        ``python -m repro serve`` process and streamed under that budget,
+        with the same answer as sequential ``reason``."""
         model_path = tmp_path / "model.npz"
         gamora.save(model_path)
         socket_path = tmp_path / "gamora.sock"
         run_dir = tmp_path / "runs"
         aig = csa_multiplier(12).aig
         with serve_subprocess(model_path, socket_path,
-                              "--max-shard-bytes", 400000,
                               "--max-window-bytes", 100000,
                               "--run-dir", run_dir) as process:
             with SocketDaemonClient(socket_path, timeout=300) as client:

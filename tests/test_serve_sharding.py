@@ -2,7 +2,7 @@
 
 The scaling knobs added on top of the batched service must never change
 answers: for any budget (including budgets that split the batch at every
-boundary or mark circuits oversize) and any worker count (including worker
+boundary or stream oversize circuits) and any worker count (including worker
 crashes), ``reason_many`` must return labels and extractions identical to
 sequential ``Gamora.reason``.  The planner itself is checked as a pure
 function: budget respected, exact partition, deterministic.
@@ -78,24 +78,29 @@ def assert_outcome_equal(batched, sequential):
 
 class TestShardPlanner:
     def test_no_budget_is_single_shard(self, gamora, zoo_graphs):
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=None)
+        plan = plan_shards(gamora.net, zoo_graphs, max_window_bytes=None)
         assert len(plan) == 1
         assert sorted(plan.steps[0].indices) == list(range(len(zoo_graphs)))
         assert plan.steps[0].window_plan.num_nodes == sum(g.num_nodes for g in zoo_graphs)
-        assert plan.num_oversize == 0
-        assert plan_shards(gamora.net, zoo_graphs, max_shard_bytes=0).max_shard_bytes is None
+        assert plan.num_streamed == 0
+        # A non-positive budget is an error, never "no budget".
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="positive byte count"):
+                plan_shards(gamora.net, zoo_graphs, max_window_bytes=budget)
+            with pytest.raises(ValueError, match=f"got {budget}"):
+                ReasoningService(gamora, max_window_bytes=budget)
 
     def test_empty_input(self, gamora):
-        assert len(plan_shards(gamora.net, [], max_shard_bytes=1024)) == 0
+        assert len(plan_shards(gamora.net, [], max_window_bytes=1024)) == 0
 
     def test_budget_respected_and_partition_exact(self, gamora, zoo_graphs):
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         budget = max(standalone) + min(standalone) // 2
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
+        plan = plan_shards(gamora.net, zoo_graphs, max_window_bytes=budget)
         assert len(plan) > 1  # the budget genuinely splits this batch
         covered = sorted(i for step in plan for i in step.indices)
         assert covered == list(range(len(zoo_graphs)))  # exact partition
-        assert plan.num_oversize == 0
+        assert plan.num_streamed == 0
         for step in plan:
             assert step.window_plan.peak_window_bytes <= budget
             assert step.window_plan.peak_window_bytes == estimate_batch_memory(
@@ -106,50 +111,59 @@ class TestShardPlanner:
     def test_oversize_singletons_get_own_shard(self, gamora, zoo_graphs):
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         plan = plan_shards(gamora.net, zoo_graphs,
-                           max_shard_bytes=min(standalone) - 1)
+                           max_window_bytes=min(standalone) - 1)
         assert len(plan) == len(zoo_graphs)
         assert all(len(step) == 1 for step in plan)
-        assert plan.num_oversize == len(zoo_graphs)
-        assert "oversize" in plan.summary()
+        assert plan.num_streamed == len(zoo_graphs)
+        assert f"{len(zoo_graphs)} streamed" in plan.summary()
 
     def test_mixed_oversize_and_packed(self, gamora, zoo_graphs):
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         # Budget admits everything but the largest graph.
         budget = sorted(standalone)[-2] + 1
-        plan = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        oversized = [step for step in plan
-                     if step.window_plan.peak_window_bytes > budget]
+        plan = plan_shards(gamora.net, zoo_graphs, max_window_bytes=budget)
+        oversized = [step for step in plan if step.streamed]
         assert len(oversized) == 1
-        assert plan.num_oversize == 1
+        assert plan.num_streamed == 1
         assert standalone[oversized[0].indices[0]] == max(standalone)
+        # The oversize graph streams under the same budget the packs obey.
+        assert oversized[0].window_plan.max_window_bytes == budget
+        for step in plan:
+            if step.window_plan.within_budget:
+                assert step.window_plan.peak_window_bytes <= budget
 
-    @pytest.mark.parametrize("shard_div,window_div", [(1, 4), (2, 8), (4, 16)])
+    @pytest.mark.parametrize("loose_div,tight_div", [(1, 4), (2, 8), (4, 16)])
     def test_every_step_is_a_bounded_window_plan(self, gamora, zoo_graphs,
-                                                 shard_div, window_div):
-        """Both budgets set: an exact partition into steps, packed steps
-        under the shard budget, streamed steps singletons."""
+                                                 loose_div, tight_div):
+        """At any budget: an exact partition into steps, packed steps under
+        the budget, streamed steps exactly the oversize singletons — and a
+        tighter budget streams a superset of what a looser one does."""
         kernel = gamora.inference_kernel()
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
-        shard_budget = max(standalone) // shard_div
-        plan = plan_shards(kernel, zoo_graphs, shard_budget,
-                           max(standalone) // window_div)
-        covered = sorted(i for step in plan for i in step.indices)
-        assert covered == list(range(len(zoo_graphs)))
-        for step in plan:
-            assert step.indices == sorted(step.indices)
-            if step.streamed:
-                assert len(step) == 1
-                assert standalone[step.indices[0]] > shard_budget
-            else:
-                assert step.window_plan.peak_window_bytes <= shard_budget
-        assert plan.num_streamed == sum(s > shard_budget for s in standalone)
+        streamed_sets = []
+        for budget in (max(standalone) // loose_div,
+                       max(standalone) // tight_div):
+            plan = plan_shards(kernel, zoo_graphs, budget)
+            covered = sorted(i for step in plan for i in step.indices)
+            assert covered == list(range(len(zoo_graphs)))
+            for step in plan:
+                assert step.indices == sorted(step.indices)
+                if step.streamed:
+                    assert len(step) == 1
+                    assert standalone[step.indices[0]] > budget
+                    assert step.window_plan.max_window_bytes == budget
+                else:
+                    assert step.window_plan.peak_window_bytes <= budget
+            assert plan.num_streamed == sum(s > budget for s in standalone)
+            streamed_sets.append({step.indices[0] for step in plan
+                                  if step.streamed})
+        assert streamed_sets[0] <= streamed_sets[1]
 
     def test_summary_flags_unsatisfiable_window_budget(self, gamora,
                                                        zoo_graphs):
         kernel = gamora.inference_kernel()
         assert "OVER BUDGET" not in plan_shards(kernel, zoo_graphs).summary()
-        plan = plan_shards(kernel, zoo_graphs, max_shard_bytes=1,
-                           max_window_bytes=1)
+        plan = plan_shards(kernel, zoo_graphs, max_window_bytes=1)
         assert plan.num_streamed == len(zoo_graphs)
         assert plan.summary().endswith(" — OVER BUDGET")
 
@@ -157,15 +171,15 @@ class TestShardPlanner:
         """plan() must predict what reason_many actually executes."""
         standalone = [estimate_batch_memory(gamora.net, [g]) for g in zoo_graphs]
         budget = max(standalone) + 1
-        service = ReasoningService(gamora, max_shard_bytes=budget)
+        service = ReasoningService(gamora, max_window_bytes=budget)
         plan = service.plan([spec() for spec in ZOO])
-        assert plan.max_shard_bytes == budget
+        assert plan.max_window_bytes == budget
         assert len(plan) > 1
 
     def test_deterministic(self, gamora, zoo_graphs):
         budget = estimate_batch_memory(gamora.net, zoo_graphs) // 2
-        first = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
-        second = plan_shards(gamora.net, zoo_graphs, max_shard_bytes=budget)
+        first = plan_shards(gamora.net, zoo_graphs, max_window_bytes=budget)
+        second = plan_shards(gamora.net, zoo_graphs, max_window_bytes=budget)
         assert [s.indices for s in first] == [s.indices for s in second]
         # Streaming order follows input order through the first member.
         firsts = [s.indices[0] for s in first]
@@ -175,17 +189,18 @@ class TestShardPlanner:
 class TestShardedEquivalence:
     def test_single_graph_shards_match_sequential(self, gamora, zoo_graphs,
                                                   sequential_memo):
-        """Budget below every standalone estimate: one circuit per shard."""
+        """Budget below every standalone estimate: each circuit streams
+        as its own step."""
         # Budgets for the service come from the deployment kernel's pricing
         # (float32) — the estimator the service itself plans with.
         kernel = gamora.inference_kernel()
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=min(standalone) - 1)
+                                   max_window_bytes=min(standalone) - 1)
         spec_ids = list(range(len(ZOO)))
         batch = service.reason_many([ZOO[i]() for i in spec_ids])
         assert batch.stats.num_shards == len(ZOO)
-        assert batch.stats.oversize_shards == len(ZOO)
+        assert batch.stats.streamed_graphs == len(ZOO)
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
 
@@ -196,7 +211,7 @@ class TestShardedEquivalence:
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         budget = max(standalone) + min(standalone) // 2
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=budget)
+                                   max_window_bytes=budget)
         spec_ids = [0, 1, 2, 3, 4, 1, 0]  # includes within-batch duplicates
         batch = service.reason_many([ZOO[i]() for i in spec_ids])
         assert 1 < batch.stats.num_shards < len(ZOO)
@@ -208,7 +223,7 @@ class TestShardedEquivalence:
         kernel = gamora.inference_kernel()
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=max(standalone) + 1)
+                                   max_window_bytes=max(standalone) + 1)
         batch = service.reason_many([spec() for spec in ZOO])
         stats = batch.stats
         assert stats.num_shards > 1
@@ -222,7 +237,7 @@ class TestShardedEquivalence:
     def test_gamora_reason_many_keeps_service_budget(self, gamora,
                                                      sequential_memo):
         """Gamora.reason_many runs under its service's configured budget."""
-        gamora._service = ReasoningService(gamora, max_shard_bytes=1,
+        gamora._service = ReasoningService(gamora, max_window_bytes=1,
                                            postprocess_workers=0)
         batch = gamora.reason_many([ZOO[0](), ZOO[1]()])
         assert batch.stats.num_shards == 2
@@ -236,14 +251,37 @@ class TestShardedEquivalence:
     def test_property_sharded_matches_unsharded(self, spec_ids, budget_div,
                                                 gamora, zoo_graphs,
                                                 sequential_memo):
-        """Any batch x any budget: identical to sequential reason()."""
-        total = estimate_batch_memory(gamora.inference_kernel(), zoo_graphs)
+        """Any batch x any budget: identical to sequential reason(), under
+        a plan that honours the one budget."""
+        kernel = gamora.inference_kernel()
+        total = estimate_batch_memory(kernel, zoo_graphs)
         budget = None if budget_div == 0 else max(total // budget_div, 1)
         service = ReasoningService(gamora, result_cache_size=0,
-                                   max_shard_bytes=budget)
-        batch = service.reason_many([ZOO[i]() for i in spec_ids])
+                                   max_window_bytes=budget)
+        circuits = [ZOO[i]() for i in spec_ids]
+        plan = service.plan(circuits)
+        batch = service.reason_many(circuits)
         for spec_id, outcome in zip(spec_ids, batch):
             assert_outcome_equal(outcome, sequential_memo(spec_id))
+
+        # Plan members index the unique circuits in first-occurrence order.
+        standalone = [estimate_batch_memory(kernel, [zoo_graphs[i]])
+                      for i in dict.fromkeys(spec_ids)]
+        oversize = set() if budget is None else {
+            index for index, size in enumerate(standalone) if size > budget
+        }
+        streamed = [step for step in plan if step.streamed]
+        assert all(len(step) == 1 for step in streamed)
+        assert {step.indices[0] for step in streamed} == oversize
+        for step in plan:
+            if step.streamed:
+                window_plan = step.window_plan
+                assert all(window.estimated_bytes <= budget
+                           for window in window_plan.windows) \
+                    or not window_plan.within_budget
+            elif budget is not None:
+                assert step.window_plan.peak_window_bytes <= budget
+        assert batch.stats.streamed_graphs == len(oversize)
 
 
 class TestParallelPostprocess:
@@ -264,7 +302,7 @@ class TestParallelPostprocess:
         standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
         service = ReasoningService(
             gamora, result_cache_size=0,
-            max_shard_bytes=max(standalone) + 1, postprocess_workers=2,
+            max_window_bytes=max(standalone) + 1, postprocess_workers=2,
         )
         spec_ids = [0, 1, 2, 3, 4]
         batch = service.reason_many([ZOO[i]() for i in spec_ids])

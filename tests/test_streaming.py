@@ -199,7 +199,7 @@ class TestBitIdentity:
         assert plan.num_windows == 1
         assert_bit_identical(kernel, data, plan)
 
-    def test_full_window_plan_skips_halo_blocks(self, kernel, monkeypatch):
+    def test_one_window_plan_skips_halo_blocks(self, kernel, monkeypatch):
         """The one-window plan runs the full-graph loop: no halo gathers."""
         import repro.learn.data as data_module
 
@@ -212,7 +212,7 @@ class TestBitIdentity:
 
         monkeypatch.setattr(data_module, "halo_blocks", counting)
         data = build_graph_data(csa_multiplier(6).aig, with_labels=False)
-        plan = data.full_window_plan(kernel)
+        plan = data.window_plan(None, kernel)
         assert plan.peak_window_bytes == full_budget(kernel, data)
         assert_bit_identical(kernel, data, plan)
         assert calls == []
@@ -545,8 +545,7 @@ class TestServingIntegration:
         sequential = gamora.reason(big)
         data = gamora.prepare(big, with_labels=False)
         full = full_budget(gamora.inference_kernel(), data)
-        service = ReasoningService(gamora, max_shard_bytes=full // 2,
-                                   max_window_bytes=full // 8)
+        service = ReasoningService(gamora, max_window_bytes=full // 8)
         result = service.reason_many([big])
         assert result.stats.streamed_graphs == 1
         assert result.stats.num_windows > 1
@@ -570,7 +569,22 @@ class TestServingIntegration:
         gamora._service = None
         gamora._kernel = None
         small = csa_multiplier(4)
-        result = ReasoningService(gamora, max_window_bytes=1).reason_many(
-            [small])
+        sequential = gamora.reason(small)
+        full = full_budget(gamora.inference_kernel(),
+                           gamora.prepare(small, with_labels=False))
+        # The budget alone streams a circuit whose estimate exceeds it ...
+        result = ReasoningService(gamora, max_window_bytes=full // 2) \
+            .reason_many([small])
+        assert result.stats.streamed_graphs == 1
+        assert result[0].streamed
+        assert result.stats.num_windows > 1
+        assert 0 < result.stats.peak_window_bytes <= full // 2
+        for task in sequential.labels:
+            np.testing.assert_array_equal(
+                result[0].labels[task], sequential.labels[task]
+            )
+        # ... and leaves one that fits it as a full-graph pass.
+        result = ReasoningService(gamora, max_window_bytes=full) \
+            .reason_many([small])
         assert result.stats.streamed_graphs == 0
         assert not result[0].streamed

@@ -21,7 +21,6 @@ from repro.learn import (
     build_graph_data,
     epoch_gradients,
     load_checkpoint,
-    plan_training_windows,
     save_checkpoint,
     train_model,
 )
@@ -54,7 +53,7 @@ class TestGradientEquivalence:
     def test_windowed_gradients_match_full_batch(self, csa6_data, tight_budget):
         """Accumulated window gradients == full-batch gradient, per parameter."""
         model = GamoraNet(SMALL)
-        plan = plan_training_windows(csa6_data, model, tight_budget)
+        plan = csa6_data.window_plan(tight_budget, model, training=True)
         assert plan.num_windows > 1, "budget must force multiple windows"
         full = epoch_gradients(model, csa6_data, TrainConfig())
         windowed = epoch_gradients(
@@ -105,7 +104,7 @@ class TestDegeneratePlan:
     def test_one_window_plan_is_bitwise_full_batch(self, csa6_data):
         """A huge budget yields one window and bit-identical training."""
         model = GamoraNet(SMALL)
-        plan = plan_training_windows(csa6_data, model, 1 << 40)
+        plan = csa6_data.window_plan(1 << 40, model, training=True)
         assert plan.num_windows == 1
         config = dict(epochs=3)
         model_none, _ = train_model(csa6_data, SMALL, TrainConfig(**config))
@@ -117,7 +116,7 @@ class TestDegeneratePlan:
 
     def test_single_window_carries_training_slices(self, csa6_data):
         model = GamoraNet(SMALL)
-        plan = csa6_data.full_window_plan(model, training=True)
+        plan = csa6_data.window_plan(None, model, training=True)
         window = plan.windows[0]
         assert window.labels is not None and window.mask is not None
         assert window.mask.shape == (csa6_data.num_nodes,)
