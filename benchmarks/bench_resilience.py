@@ -3,18 +3,17 @@
 The same 4-client mixed request stream as ``bench_daemon.py`` runs twice
 against an in-process :class:`GamoraDaemon` with the result cache off (so
 every request really computes): once clean, once with a
-:class:`~repro.serve.resilience.FaultPlan` arming hard crashes
-(``exit`` kind — an OOM-kill / segfault, not a polite exception) on the
-``postprocess.worker`` fault point: every worker's first task plus a 10%
-sustained rate after that.  Each crash breaks the whole
-``ProcessPoolExecutor``; the pool's bounded executor replacement and the
-in-process fallback are what keep requests flowing.
+:class:`~repro.serve.resilience.FaultPlan` arming out-of-memory faults
+(``memory`` kind, a ``MemoryError``) on the ``infer.forward`` fault
+point: the first forward pass plus a 10% sustained rate after that.
+Each fault hits an unbudgeted full-graph pass, which the service
+re-plans at half its estimate and reruns windowed; that degradation rung
+is what keeps requests flowing.
 
 Asserted: the faulted run loses **zero** requests, every answer stays
 bit-identical to the sequential path, and end-to-end throughput stays
 within 2x of the clean baseline.  Reported: both throughputs, the
-slowdown factor, and the recovery counters (fallbacks, degraded
-requests).  The JSON record lands in
+slowdown factor, and the recovery counter (degraded shards).  The JSON record lands in
 ``benchmarks/results/BENCH_resilience.json`` for trajectory plots.
 """
 
@@ -41,42 +40,39 @@ CLIENTS = 4
 REQUESTS_PER_CLIENT = 16 if FULL else 6
 POOL_WIDTHS = (8, 10, 12)
 WINDOW_MS = 25.0
-CRASH_RATE = 0.1
+OOM_RATE = 0.1
 
 FAULT_PLAN = {
     "seed": 2023,
     "faults": [
-        # Every worker's very first task dies outright, so even the
-        # short-mode run provably exercises pool replacement and the
-        # in-process fallback (a pure rate draw could miss at this
-        # volume).  Subsequent tasks crash at the sustained rate.
-        {"point": "postprocess.worker", "kind": "exit", "at": [1]},
-        {"point": "postprocess.worker", "kind": "exit",
-         "rate": CRASH_RATE},
+        # The very first forward pass runs out of memory, so even the
+        # short-mode run provably exercises the windowed re-plan (a pure
+        # rate draw could miss at this volume).  Later passes fail at the
+        # sustained rate.
+        {"point": "infer.forward", "kind": "memory", "at": [1]},
+        {"point": "infer.forward", "kind": "memory", "rate": OOM_RATE},
     ],
 }
 
 
 def _run_load(gamora, pool, expected, fault_plan=None) -> dict:
     mismatches = []
-    fallbacks = 0
+    degraded = 0
     barrier = threading.Barrier(CLIENTS)
     lock = threading.Lock()
 
     with GamoraDaemon(gamora, batch_window_ms=WINDOW_MS, max_batch=64,
-                      result_cache_size=0, postprocess_workers=2,
+                      result_cache_size=0,
                       fault_plan=fault_plan) as daemon:
         def client(client_id: int) -> None:
-            nonlocal fallbacks
+            nonlocal degraded
             barrier.wait()
             for index in range(REQUESTS_PER_CLIENT):
                 which = (client_id + index) % len(pool)
                 outcome, stats = daemon.submit(pool[which])
                 want = expected[which]
                 with lock:
-                    fallbacks += stats.batch_stats.get(
-                        "postprocess_fallbacks", 0
-                    )
+                    degraded += stats.batch_stats["degraded_shards"]
                 if (outcome.tree.num_full_adders != want.tree.num_full_adders
                         or outcome.num_mismatches != want.num_mismatches):
                     mismatches.append((client_id, index))
@@ -94,7 +90,7 @@ def _run_load(gamora, pool, expected, fault_plan=None) -> dict:
         "wall_seconds": wall.elapsed,
         "scheduler": snapshot,
         "mismatches": mismatches,
-        "fallback_observations": fallbacks,
+        "degraded_observations": degraded,
     }
 
 
@@ -109,22 +105,22 @@ def resilience_run():
     return {"clean": clean, "faulted": faulted}
 
 
-def test_throughput_under_worker_crashes(resilience_run, benchmark):
-    """A 10% worker-crash rate costs latency, never requests or answers."""
+def test_throughput_under_forward_pass_oom(resilience_run, benchmark):
+    """A 10% forward-pass OOM rate costs latency, never requests or answers."""
     keep_under_benchmark_only(benchmark)
     clean = resilience_run["clean"]
     faulted = resilience_run["faulted"]
     total = CLIENTS * REQUESTS_PER_CLIENT
 
     # Zero lost requests, bit-identical answers, no typed failures: the
-    # crashes were absorbed by executor replacement + in-process fallback.
+    # OOMs were absorbed by re-planning each failed pass windowed.
     for run in (clean, faulted):
         assert run["mismatches"] == []
         assert run["scheduler"]["completed"] == total
         assert run["scheduler"]["failed"] == 0
         assert run["scheduler"]["rejected"] == 0
-    # The guaranteed first-task crash means recovery provably ran.
-    assert faulted["fallback_observations"] >= 1
+    # The guaranteed first-pass OOM means recovery provably ran.
+    assert faulted["degraded_observations"] >= 1
 
     clean_rps = total / max(clean["wall_seconds"], 1e-9)
     faulted_rps = total / max(faulted["wall_seconds"], 1e-9)
@@ -137,7 +133,7 @@ def test_throughput_under_worker_crashes(resilience_run, benchmark):
     emit(
         "resilience_serve",
         format_table(
-            f"Daemon under {CRASH_RATE:.0%} worker-crash rate "
+            f"Daemon under {OOM_RATE:.0%} forward-pass OOM rate "
             f"({CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, "
             f"window {WINDOW_MS:.0f}ms)",
             ["metric", "clean", "faulted"],
@@ -151,9 +147,9 @@ def test_throughput_under_worker_crashes(resilience_run, benchmark):
                  faulted["scheduler"]["completed"]],
                 ["failed", clean["scheduler"]["failed"],
                  faulted["scheduler"]["failed"]],
-                ["fallback observations",
-                 clean["fallback_observations"],
-                 faulted["fallback_observations"]],
+                ["degraded observations",
+                 clean["degraded_observations"],
+                 faulted["degraded_observations"]],
             ],
         ),
     )
@@ -164,7 +160,7 @@ def test_throughput_under_worker_crashes(resilience_run, benchmark):
             "full": FULL,
             "clients": CLIENTS,
             "requests": total,
-            "crash_rate": CRASH_RATE,
+            "oom_rate": OOM_RATE,
             "window_ms": WINDOW_MS,
             "clean_wall_seconds": clean["wall_seconds"],
             "faulted_wall_seconds": faulted["wall_seconds"],
@@ -174,6 +170,6 @@ def test_throughput_under_worker_crashes(resilience_run, benchmark):
             "clean_completed": clean["scheduler"]["completed"],
             "faulted_completed": faulted["scheduler"]["completed"],
             "faulted_failed": faulted["scheduler"]["failed"],
-            "fallback_observations": faulted["fallback_observations"],
+            "degraded_observations": faulted["degraded_observations"],
         },
     )

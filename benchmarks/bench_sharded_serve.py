@@ -1,30 +1,22 @@
-"""Sharded + parallel serving vs the monolithic batched path (PR 1).
+"""Sharded serving vs the monolithic batched path.
 
-End-to-end throughput of ``ReasoningService.reason_many`` on a
-post-processing-heavy request stream — 16 mixed 8–16-bit multipliers, cold
-caches — comparing:
+End-to-end throughput of ``ReasoningService.reason_many`` on a mixed
+request stream — 16 8–16-bit multipliers, cold caches — comparing:
 
-* the **monolithic** path: one block-diagonal mega-pass, in-process
-  extraction (exactly the PR 1 behavior, ``max_window_bytes=None``,
-  ``postprocess_workers=0``);
-* the **sharded + parallel** path: forward passes bounded by a
-  ``max_window_bytes`` budget (~total/4, so the stream genuinely splits)
-  and extraction fanned out to worker processes overlapped with the next
-  shard's inference.
+* the **monolithic** path: one block-diagonal mega-pass
+  (``max_window_bytes=None``);
+* the **sharded** path: forward passes bounded by a ``max_window_bytes``
+  budget (~total/4, so the stream genuinely splits).
 
-Reported per path: total wall time, speedup, per-stage breakdown, and the
-peak estimated shard memory against the configured budget.  Asserted
-always: every executed shard stays within the budget, and both paths
-produce identical adder trees.  The >=1.5x end-to-end speedup claim is
-asserted on parallel hardware (>= 2 CPUs, e.g. CI runners); on a single
-CPU there is nothing for the workers to run on, so only a bounded-overhead
-claim holds — the documented deviation, mirroring the CPU-backend notes on
-the Fig. 8 benchmark.
+Both extract every circuit in process.  Reported per path: total wall
+time, speed ratio, per-stage breakdown, and the peak estimated shard
+memory against the configured budget.  Asserted: every executed shard
+stays within the budget, both paths produce identical adder trees, and
+the sharded path costs at most 1.35x the monolithic wall time (bounded
+overhead: sharding trades peak memory for a few more, smaller passes).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -33,12 +25,10 @@ from repro.learn import estimate_batch_memory
 from repro.serve import ReasoningService
 from repro.utils.timing import format_seconds
 
-# 16 requests, 9 unique structures: wide enough that post-processing
-# dominates (~30:1 over inference) and repeats exercise the dedup path.
+# 16 requests, 9 unique structures: repeats exercise the dedup path.
 STREAM_WIDTHS = (16, 8, 12, 14, 16, 10, 12, 8, 15, 11, 16, 13, 9, 14, 10, 12)
-NUM_CPUS = os.cpu_count() or 1
-WORKERS = min(4, max(2, NUM_CPUS))
-PARALLEL_HARDWARE = NUM_CPUS >= 2
+# Largest allowed sharded / monolithic wall-time ratio.
+MAX_OVERHEAD = 1.35
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +51,10 @@ def sharded_comparison():
     monolithic_service = ReasoningService(gamora)
     monolithic = monolithic_service.reason_many(circuits)
 
-    sharded_service = ReasoningService(
-        gamora, max_window_bytes=budget, postprocess_workers=WORKERS
-    )
+    sharded_service = ReasoningService(gamora, max_window_bytes=budget)
     sharded = sharded_service.reason_many(circuits)
 
-    # The scaling knobs must not change answers.
+    # The budget must not change answers.
     for left, right in zip(monolithic, sharded):
         assert left.tree.num_full_adders == right.tree.num_full_adders
         assert left.tree.num_half_adders == right.tree.num_half_adders
@@ -96,16 +84,8 @@ def test_sharded_memory_stays_under_budget(sharded_comparison, benchmark):
     assert sharded_comparison["monolithic"].peak_shard_bytes > budget
 
 
-def test_sharded_parallel_throughput(sharded_comparison, benchmark):
-    """End-to-end: sharded + parallel >= 1.5x over the monolithic PR 1 path.
-
-    The speedup comes from fanning the dominant stage (per-circuit
-    extraction) across worker processes while the next shard's forward
-    pass runs.  It requires hardware parallelism: on >= 2 CPUs the 1.5x
-    floor is asserted; on a single CPU the same configuration must instead
-    stay within 1.35x of the monolithic path (fork + pickle overhead with
-    no cores to spend it on — the documented deviation).
-    """
+def test_sharded_overhead_is_bounded(sharded_comparison, benchmark):
+    """End-to-end: the sharded path stays within 1.35x of monolithic."""
     keep_under_benchmark_only(benchmark)
     monolithic = sharded_comparison["monolithic"]
     sharded = sharded_comparison["sharded"]
@@ -114,37 +94,29 @@ def test_sharded_parallel_throughput(sharded_comparison, benchmark):
     emit(
         "sharded_serve",
         format_table(
-            f"Sharded + parallel serving vs monolithic "
+            f"Sharded serving vs monolithic "
             f"({len(STREAM_WIDTHS)} mixed multipliers, "
-            f"budget {budget / 1024 ** 2:.1f}MiB, "
-            f"{WORKERS} workers on {NUM_CPUS} CPU(s))",
+            f"budget {budget / 1024 ** 2:.1f}MiB)",
             ["path", "total", "speedup", "peak shard", "detail"],
             [
-                ["monolithic (PR 1)", format_seconds(monolithic.total_seconds),
+                ["monolithic", format_seconds(monolithic.total_seconds),
                  "1.00x", f"{monolithic.peak_shard_bytes / 1024 ** 2:.1f}MiB",
                  monolithic.summary()],
-                ["sharded + parallel", format_seconds(sharded.total_seconds),
+                ["sharded", format_seconds(sharded.total_seconds),
                  f"{speedup:.2f}x", f"{sharded.peak_shard_bytes / 1024 ** 2:.1f}MiB",
                  sharded.summary()],
             ],
         ),
     )
-    assert sharded.postprocess_fallbacks == 0
-    if PARALLEL_HARDWARE:
-        assert speedup >= 1.5, (
-            f"sharded+parallel {sharded.total_seconds:.3f}s vs monolithic "
-            f"{monolithic.total_seconds:.3f}s — only {speedup:.2f}x on "
-            f"{NUM_CPUS} CPUs"
-        )
-    else:
-        assert speedup >= 1 / 1.35, (
-            f"single-CPU overhead too high: {1 / max(speedup, 1e-12):.2f}x "
-            f"slower than monolithic"
-        )
+    assert speedup >= 1 / MAX_OVERHEAD, (
+        f"sharded {sharded.total_seconds:.3f}s is "
+        f"{1 / max(speedup, 1e-12):.2f}x the monolithic "
+        f"{monolithic.total_seconds:.3f}s (bound {MAX_OVERHEAD}x)"
+    )
 
 
 def test_sharded_serve_kernel(benchmark):
-    """The representative kernel: one sharded, worker-backed batch."""
+    """The representative kernel: one sharded batch."""
     gamora = trained_gamora(train_widths=(8,))
     circuits = [bench_multiplier(w) for w in (8, 10, 12, 8)]
     encoder = ReasoningService(gamora)
@@ -154,9 +126,7 @@ def test_sharded_serve_kernel(benchmark):
     )
 
     def run():
-        service = ReasoningService(
-            gamora, max_window_bytes=budget, postprocess_workers=WORKERS
-        )
+        service = ReasoningService(gamora, max_window_bytes=budget)
         return service.reason_many(circuits)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

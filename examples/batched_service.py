@@ -13,17 +13,12 @@ Demonstrates the serving layer added on top of :class:`repro.core.Gamora`:
   steps, each a block-diagonal merge plus the window plan that runs it;
   ``max_window_bytes`` splits the mega-batch so every forward pass fits an
   explicit inference-memory budget (a circuit larger than the budget
-  streams window by window under it);
-* parallel post-processing — ``postprocess_workers`` fans the dominant
-  per-circuit extraction stage out to worker processes, overlapped with the
-  next shard's inference.
+  streams window by window under it).
 
 Run with::
 
     PYTHONPATH=src python examples/batched_service.py
 """
-
-import os
 
 from repro.core import Gamora
 from repro.generators import csa_multiplier
@@ -71,21 +66,18 @@ def main() -> None:
           f"(structural-hash dedup: {cold.stats.batch_size} requests -> "
           f"{cold.stats.unique_circuits} unique designs)")
 
-    # Scaling knobs: bound each forward pass's memory to half the full
-    # mega-batch and extract in worker processes (overlapped with the next
-    # shard's inference).  Results are bit-identical to the paths above.
+    # Scaling knob: bound each forward pass's memory to half the full
+    # mega-batch.  Results are bit-identical to the paths above.
     budget = service.plan(stream).peak_shard_bytes // 2
-    workers = min(2, os.cpu_count() or 1)
-    scaled = ReasoningService(gamora, max_window_bytes=budget,
-                              postprocess_workers=workers)
+    scaled = ReasoningService(gamora, max_window_bytes=budget)
     plan = scaled.plan(stream)
-    print(f"\nsharded serving (budget {budget / 1024 ** 2:.1f}MiB, "
-          f"{workers} workers): {plan.summary()}")
+    print(f"\nsharded serving (budget {budget / 1024 ** 2:.1f}MiB): "
+          f"{plan.summary()}")
     for index, step in enumerate(plan):
         print(f"  step {index}: unique designs {step.indices}, "
               f"{step.window_plan.summary()}")
     bounded = scaled.reason_many(stream)
-    print(f"sharded + parallel:       "
+    print(f"sharded:                  "
           f"{format_seconds(bounded.stats.total_seconds)}"
           f"  [{bounded.stats.summary()}]")
     for left, right in zip(cold, bounded):

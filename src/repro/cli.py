@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-window-bytes", "--max-shard-bytes",
                        dest="max_window_bytes", type=int, default=None,
                        help=_BUDGET_HELP)
-    batch.add_argument("--postprocess-workers", type=int, default=None,
-                       help="worker processes for per-netlist post-processing "
-                            "(default: auto-size from cpu count and batch "
-                            "size; 0 forces in-process)")
     batch.add_argument("--cache-dir", default=None,
                        help="persistent cache directory: reasoning results "
                             "(and encoded graphs, under graphs/) are "
@@ -147,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-window-bytes", "--max-shard-bytes",
                        dest="max_window_bytes", type=int, default=None,
                        help=_BUDGET_HELP)
-    serve.add_argument("--postprocess-workers", type=int, default=None,
-                       help="worker processes for post-processing (default: "
-                            "auto-size per batch; 0 forces in-process)")
     serve.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
                        help=_KERNEL_HELP)
     serve.add_argument("--default-deadline-ms", type=float, default=None,
@@ -385,7 +378,6 @@ def _cmd_batch_reason(args) -> int:
             gamora, graph_cache_size=args.graph_cache,
             result_cache_size=args.result_cache,
             max_window_bytes=args.max_window_bytes,
-            postprocess_workers=args.postprocess_workers,
         )
     except ValueError as error:  # a non-positive budget
         print(f"batch-reason: {error}", file=sys.stderr)
@@ -463,7 +455,6 @@ def _cmd_serve(args) -> int:
             graph_cache_size=args.graph_cache,
             result_cache_size=args.result_cache,
             max_window_bytes=args.max_window_bytes,
-            postprocess_workers=args.postprocess_workers,
             default_deadline_ms=args.default_deadline_ms,
             watchdog_timeout_seconds=args.watchdog_timeout_s or None,
             fault_plan=fault_plan,

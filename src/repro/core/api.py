@@ -190,16 +190,14 @@ class Gamora:
         Runs :meth:`repro.serve.ReasoningService.reason_many` on a lazily
         built service with the default configuration: circuits are
         deduplicated by structural hash, encoded through an LRU cache, run
-        as one block-diagonal forward pass, and post-processed (auto-sized
-        workers; small batches stay in-process).  Returns a
-        :class:`repro.serve.BatchReasoningOutcome` — a sequence with one
-        :class:`ReasoningOutcome` per input circuit (input order preserved,
-        labels and extractions identical to sequential :meth:`reason`, and
-        each carrying its word-level ``report``) plus per-stage timing in
-        ``.stats``.  The service (and its caches) persists across calls and
-        is dropped on :meth:`fit`.  A memory budget or a fixed worker
-        count are service settings: build
-        ``ReasoningService(gamora, max_window_bytes=..., ...)`` for those.
+        as one block-diagonal forward pass, and post-processed in process.
+        Returns a :class:`repro.serve.BatchReasoningOutcome` — a sequence
+        with one :class:`ReasoningOutcome` per input circuit (input order
+        preserved, labels and extractions identical to sequential
+        :meth:`reason`, and each carrying its word-level ``report``) plus
+        per-stage timing in ``.stats``.  The service (and its caches) persists across calls and
+        is dropped on :meth:`fit`.  A memory budget is a service setting:
+        build ``ReasoningService(gamora, max_window_bytes=...)`` for one.
         """
         return self._serving().reason_many(
             circuits, root_filter=root_filter,

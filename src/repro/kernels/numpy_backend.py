@@ -81,9 +81,7 @@ _SLOT_BIT = np.array([1, 2, 4, 0, 0, 0], dtype=np.uint8)
 # Upper bound on candidate cells materialized per vectorized chunk; keeps
 # peak scratch memory level-independent on huge levels.  The merge holds a
 # handful of (cells, 6) int32/int64 scratch arrays at once, so 2^18 cells
-# bounds the transient footprint to a few tens of MiB — which also keeps
-# forked post-processing workers (one sweep each) within the serving
-# layer's memory budgeting.
+# bounds the transient footprint to a few tens of MiB.
 _CHUNK_CELLS = 1 << 18
 
 

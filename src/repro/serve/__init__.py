@@ -1,4 +1,4 @@
-"""Serving layer: planned, parallel, cached reasoning over trained Gamoras.
+"""Serving layer: planned, cached reasoning over trained Gamoras.
 
 ``ReasoningService`` plans each batch with
 :func:`repro.serve.sharding.plan_shards` — a :class:`BatchPlan` of steps,
@@ -10,10 +10,8 @@ exceeds it is still admitted, streamed level window by level window under
 the same budget — bit-identical labels, peak activation memory bounded by
 the budget instead of the circuit size.  The service deduplicates
 structurally identical requests, caches encodings and results in
-structural-hash keyed LRUs, and fans per-circuit post-processing out to
-worker processes (``postprocess_workers``, via
-:class:`repro.serve.workers.PostprocessPool`) overlapped with the next
-step's forward pass.  See :mod:`repro.serve.service` for the pipeline
+structural-hash keyed LRUs, and post-processes each circuit in process as
+its step's forward pass finishes.  See :mod:`repro.serve.service` for the pipeline
 and caching semantics.
 
 On top of the batch service sits the always-on daemon
@@ -27,7 +25,7 @@ Unix domain socket (``python -m repro serve``).
 Resilience (:mod:`repro.serve.resilience`) makes the stack's failure
 behavior first-class: requests carry deadlines that the scheduler honors
 at dequeue, clients retry retriable errors under a jittered
-``RetryPolicy``, a deterministic ``FaultPlan`` injects crashes / slow
+``RetryPolicy``, a deterministic ``FaultPlan`` injects errors / slow
 stages / socket drops / cache corruption / OOMs at named fault points for
 chaos testing, and degradation paths (streamed OOM fallback, cache
 quarantine, scheduler watchdog) keep the daemon answering when parts of
@@ -58,7 +56,6 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import BatchReasoningOutcome, BatchStats, ReasoningService
 from repro.serve.sharding import BatchPlan, PlanStep, plan_shards
-from repro.serve.workers import PostprocessPool, fork_available, resolve_workers
 
 __all__ = [
     "StructuralHashCache",
@@ -69,9 +66,6 @@ __all__ = [
     "BatchPlan",
     "PlanStep",
     "plan_shards",
-    "PostprocessPool",
-    "fork_available",
-    "resolve_workers",
     "MicroBatchScheduler",
     "QueueFullError",
     "RequestStats",

@@ -106,7 +106,6 @@ class GamoraDaemon:
                  run_dir: str | Path | None = None,
                  graph_cache_size: int = 256, result_cache_size: int = 512,
                  max_window_bytes: int | None = None,
-                 postprocess_workers: int | None = None,
                  default_deadline_ms: float | None = None,
                  watchdog_timeout_seconds: float | None = 300.0,
                  fault_plan: FaultPlan | None = None) -> None:
@@ -120,7 +119,6 @@ class GamoraDaemon:
             gamora, graph_cache_size=graph_cache_size,
             result_cache_size=result_cache_size,
             max_window_bytes=max_window_bytes,
-            postprocess_workers=postprocess_workers,
         )
         self.scheduler = MicroBatchScheduler(
             self.service, batch_window_ms=batch_window_ms,

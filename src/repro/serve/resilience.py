@@ -2,20 +2,20 @@
 
 The serving layers (scheduler → daemon → transport → clients) promise
 graceful behavior under load and failure — retriable ``queue_full``
-backpressure, drained shutdowns, worker-crash recovery.  This module
+backpressure, drained shutdowns, out-of-memory recovery.  This module
 provides the machinery that makes those promises *testable* and extends
 them end to end:
 
 * :class:`FaultPlan` / :func:`fire` — a general deterministic
   fault-injection framework.  Production code calls ``faults.fire(point)``
-  at named fault points (``"infer.forward"``, ``"postprocess.worker"``,
-  ``"server.send"``, ...); with no plan armed that is a dict lookup and a
-  ``None`` check, nothing more.  A plan — installed programmatically, via
+  at named fault points (``"infer.forward"``, ``"server.send"``, ...);
+  with no plan armed that is a dict lookup and a ``None`` check, nothing
+  more.  A plan — installed programmatically, via
   the ``REPRO_FAULT_PLAN`` environment variable (inline JSON or a path to
   a JSON file), or through ``serve --fault-plan`` — arms rules that
   trigger deterministically by per-point hit counts (explicit ``at``
   indices, ``every`` N-th, or a seeded Bernoulli ``rate``) and act by
-  raising, sleeping, hard-exiting, or signaling the call site
+  raising, sleeping, or signaling the call site
   (``drop``/``corrupt``, whose effect only the call site can apply).
 * :class:`RetryPolicy` — exponential backoff with full jitter and a
   deadline-aware budget, built into both daemon clients so retriable
@@ -29,9 +29,6 @@ them end to end:
 
 Determinism: every trigger decision is a pure function of the plan (its
 seed) and the per-point hit counter, so a chaos run replays exactly.
-Worker processes fork with the parent's installed plan but count their
-own hits — ``at``/``every`` triggers are per-process, which is what a
-"crash the Nth extraction in this worker" test wants.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ import os
 import random
 import threading
 import time
+import warnings
 import zlib
 
 __all__ = [
@@ -60,12 +58,11 @@ __all__ = [
 # Inline JSON (starts with "{") or a path to a JSON file.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-# The named fault points production code consults.  Not enforced at
-# check time (a plan may name new points a branch adds), but rules whose
-# point matches nothing would silently never fire, so FaultPlan warns on
-# unknown names at parse time via `known=`.
+# The named fault points production code consults.  Not enforced (a plan
+# may name new points a branch adds), but rules whose point matches
+# nothing would silently never fire, so FaultPlan.from_dict warns on
+# unknown names at parse time.
 KNOWN_POINTS = (
-    "postprocess.worker",  # worker-side extraction task (raise / exit)
     "infer.forward",       # forward pass inside reason_many (memory)
     "scheduler.execute",   # micro-batch execution (sleep: slow stage)
     "server.send",         # response write on the socket server (drop)
@@ -73,7 +70,7 @@ KNOWN_POINTS = (
     "cache.load",          # daemon cache preload on start (raise)
 )
 
-_KINDS = ("raise", "memory", "exit", "sleep", "drop", "corrupt")
+_KINDS = ("raise", "memory", "sleep", "drop", "corrupt")
 
 
 class InjectedFaultError(RuntimeError):
@@ -135,10 +132,7 @@ class FaultRule:
     * ``every`` — every N-th hit (``1``: every hit);
     * ``rate`` — per-hit Bernoulli draw from a :class:`random.Random`
       seeded by the plan seed and the point name, so a given (seed,
-      point, hit-count) always decides the same way.  In a forked
-      worker the child's pid is mixed into the seed once, because every
-      sibling inherits the same RNG state and short-lived pools would
-      otherwise all replay one identical prefix.
+      point, hit-count) always decides the same way.
 
     ``limit`` optionally caps total fires; ``seconds`` parameterizes
     ``sleep``-kind rules.
@@ -165,8 +159,6 @@ class FaultRule:
         self.limit = int(limit) if limit is not None else None
         self.hits = 0
         self.fires = 0
-        self._seed = int(seed)
-        self._pid = os.getpid()
         # Seeded per-rule stream: deterministic for a (seed, point) pair
         # regardless of what other points do in between.
         self._rng = random.Random(seed ^ zlib.crc32(point.encode("utf-8")))
@@ -179,19 +171,6 @@ class FaultRule:
         if self.at is not None:
             fire_now = self.hits in self.at
         elif self.rate is not None:
-            if os.getpid() != self._pid:
-                # A forked worker inherited the parent's RNG state — as
-                # did every sibling, so short-lived pools would all
-                # replay the same (possibly never-firing) prefix.  Mix
-                # the child pid in once so each worker draws its own
-                # Bernoulli stream; the parent's stream stays exactly
-                # replayable.
-                self._pid = os.getpid()
-                self._rng = random.Random(
-                    self._seed
-                    ^ zlib.crc32(self.point.encode("utf-8"))
-                    ^ os.getpid()
-                )
             fire_now = self._rng.random() < self.rate
         else:
             fire_now = self.hits % self.every == 0
@@ -212,11 +191,15 @@ class FaultPlan:
     JSON shape (``seed`` is optional, rules list required)::
 
         {"seed": 7, "faults": [
-            {"point": "postprocess.worker", "kind": "exit", "at": [2]},
+            {"point": "infer.forward", "kind": "memory", "at": [2]},
             {"point": "scheduler.execute", "kind": "sleep",
              "seconds": 0.2, "every": 3},
             {"point": "server.send", "kind": "drop", "rate": 0.1}
         ]}
+
+    A rule naming a point outside :data:`KNOWN_POINTS` parses, but
+    :meth:`from_dict` emits a ``RuntimeWarning`` for it: nothing consults
+    that point, so the rule would never fire.
 
     Thread-safe: hit counting is lock-guarded, so concurrent connection
     threads hitting one point still count (and fire) deterministically
@@ -252,6 +235,13 @@ class FaultPlan:
                 raise ValueError(
                     f"unknown fault rule keys: {sorted(unknown)}"
                 )
+            if entry["point"] not in KNOWN_POINTS:
+                warnings.warn(
+                    f"fault plan names unknown point {entry['point']!r}; "
+                    f"no code consults it, so the rule never fires "
+                    f"(known points: {', '.join(KNOWN_POINTS)})",
+                    RuntimeWarning, stacklevel=2,
+                )
             rules.append(FaultRule(
                 str(entry["point"]), str(entry["kind"]),
                 at=entry.get("at"), every=entry.get("every"),
@@ -272,8 +262,7 @@ class FaultPlan:
     def fire(self, point: str) -> str | None:
         """Count a hit at ``point`` and act on the first rule that fires.
 
-        ``raise``/``memory`` raise, ``exit`` kills the process (worker
-        crash), ``sleep`` blocks for the rule's ``seconds``; ``drop`` and
+        ``raise``/``memory`` raise, ``sleep`` blocks for the rule's ``seconds``; ``drop`` and
         ``corrupt`` only *signal* — the kind is returned for the call
         site to apply (close the socket, mangle the file).  Returns the
         fired kind, or ``None`` when nothing fired.
@@ -293,8 +282,6 @@ class FaultPlan:
             raise InjectedFaultError(point)
         if fired.kind == "memory":
             raise MemoryError(f"injected MemoryError at {point!r}")
-        if fired.kind == "exit":
-            os._exit(1)
         if fired.kind == "sleep":
             time.sleep(fired.seconds)
         return fired.kind

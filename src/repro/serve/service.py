@@ -1,4 +1,4 @@
-"""Batched reasoning service: one planner, one executor, parallel extraction.
+"""Batched reasoning service: one planner, one executor, one extraction path.
 
 :class:`ReasoningService` is the serving layer over a trained
 :class:`~repro.core.api.Gamora`.  A call to :meth:`reason_many` takes N
@@ -24,20 +24,18 @@ independent circuits and
    way) — and hands the step's per-circuit predictions to post-processing.
    A step that runs out of memory is re-planned at half its estimate and
    rerun;
-5. **post-processes in parallel** — with ``postprocess_workers > 0`` the
-   per-circuit :func:`~repro.core.postprocess.extract_from_predictions`
-   calls run in a fork-based :class:`~repro.serve.workers.PostprocessPool`
-   *while the next step's forward pass executes* (pipeline overlap);
-   results are reassembled in input order, and any worker failure falls
-   back to an in-process retry (counted in ``BatchStats.postprocess_fallbacks``);
+5. **post-processes** each circuit in process, as its step finishes, with
+   :func:`~repro.core.postprocess.extract_from_predictions` (through
+   :func:`repro.serve.workers.timed_extraction`); results are reassembled
+   in input order;
 6. **reports** each computed circuit's word-level structure with
    :func:`~repro.reasoning.wordlevel.analyze_adder_trees` (timed into
    ``BatchStats.report_seconds``).  Every outcome carries its report,
    whichever route served it: fresh, in-batch duplicate, cache hit,
    streamed or OOM-degraded.
 
-Scaling knobs
--------------
+Scaling knob
+------------
 ``max_window_bytes``
     Peak estimated bytes of any one forward-pass window.  ``None``
     (default) runs the whole batch as one full-graph step.  Set, circuits
@@ -47,16 +45,9 @@ Scaling knobs
     (``BatchStats.streamed_graphs`` / ``num_windows`` /
     ``peak_window_bytes`` report what actually ran).  A budget of zero or
     less raises ``ValueError``.
-``postprocess_workers``
-    Worker processes for extraction.  ``None`` (default) auto-sizes per
-    batch via :func:`repro.serve.workers.resolve_workers` — one worker per
-    unique circuit capped at ``cpu_count() - 1``, collapsing to in-process
-    for single-circuit or tiny batches where fork overhead would dominate;
-    ``0`` forces in-process; platforms without ``fork`` degrade to
-    in-process automatically.
 
-Both are set once, on the constructor; every :meth:`reason_many`
-and :meth:`plan` call runs under them.
+It is set once, on the constructor; every :meth:`reason_many` and
+:meth:`plan` call runs under it.
 
 Caching semantics
 -----------------
@@ -87,8 +78,8 @@ retrained model reloads its encodings while a different feature mode or
 direction invalidates them.  ``batch-reason --cache-dir`` wires both up
 (results at the directory root, graphs under ``graphs/``).
 
-The invariant that makes all of this safe — planned/parallel/batched
-predictions are identical to sequential ones — is enforced by
+The invariant that makes all of this safe — planned/batched predictions
+are identical to sequential ones — is enforced by
 ``tests/test_serve_batching.py`` and ``tests/test_serve_sharding.py``.
 """
 
@@ -108,7 +99,7 @@ from repro.reasoning.wordlevel import analyze_adder_trees
 from repro.serve import resilience
 from repro.serve.cache import StructuralHashCache, exact_fingerprint
 from repro.serve.sharding import BatchPlan, plan_shards
-from repro.serve.workers import PostprocessPool
+from repro.serve.workers import timed_extraction
 from repro.utils.timing import Timer
 
 __all__ = ["BatchStats", "BatchReasoningOutcome", "ReasoningService"]
@@ -120,9 +111,7 @@ class BatchStats:
 
     Stage timings accumulate across shards: ``inference_seconds`` is the
     sum of every shard's forward pass and ``postprocess_seconds`` the sum
-    of per-circuit extraction times (worker-side wall clock in parallel
-    mode, so it can exceed the batch's total wall time — it is a CPU-time
-    sum, not a span).
+    of per-circuit extraction times.
     """
 
     batch_size: int = 0
@@ -145,9 +134,6 @@ class BatchStats:
     num_windows: int = 0  # streaming windows executed, summed over shards
     peak_window_bytes: int = 0  # largest estimated window footprint
     degraded_shards: int = 0  # full-graph passes that OOMed and re-ran windowed
-    postprocess_workers: int = 0  # effective worker processes (0: in-process)
-    postprocess_fallbacks: int = 0  # worker failures recovered in-process
-    postprocess_restarts: int = 0  # broken executors replaced mid-batch
 
     def summary(self) -> str:
         extra = ""
@@ -161,11 +147,6 @@ class BatchStats:
                 f" streamed={self.streamed_graphs} "
                 f"windows={self.num_windows} "
                 f"peak_window={self.peak_window_bytes / 1024 ** 2:.1f}MiB"
-            )
-        if self.postprocess_workers:
-            extra += (
-                f" workers={self.postprocess_workers}"
-                f" fallbacks={self.postprocess_fallbacks}"
             )
         return (
             f"batch={self.batch_size} unique={self.unique_circuits} "
@@ -256,22 +237,19 @@ def _freeze_arrays(value) -> None:
 
 
 class ReasoningService:
-    """Sharded, parallel, block-diagonal batched reasoning over a Gamora.
+    """Sharded, block-diagonal batched reasoning over a Gamora.
 
     ``graph_cache_size`` bounds the encoded-:class:`GraphData` LRU and
     ``result_cache_size`` the full-outcome LRU; either can be 0 to disable
-    that cache.  ``max_window_bytes`` and ``postprocess_workers`` are the
-    scaling knobs described in the module docstring; the budget defaults
-    to one monolithic pass and workers default to per-batch auto-sizing
-    (in-process whenever the batch is small).
+    that cache.  ``max_window_bytes`` is the scaling knob described in the
+    module docstring; it defaults to one monolithic pass.
     Everything upstream of :meth:`reason_many` only ever sees circuit
     objects, and everything downstream only sees per-circuit outcomes.
     """
 
     def __init__(self, gamora: Gamora, graph_cache_size: int = 128,
                  result_cache_size: int = 256,
-                 max_window_bytes: int | None = None,
-                 postprocess_workers: int | None = None) -> None:
+                 max_window_bytes: int | None = None) -> None:
         if max_window_bytes is not None and max_window_bytes <= 0:
             raise ValueError(f"max_window_bytes must be a positive byte "
                              f"count, got {max_window_bytes}")
@@ -279,7 +257,6 @@ class ReasoningService:
         self.graph_cache = StructuralHashCache(graph_cache_size)
         self.result_cache = StructuralHashCache(result_cache_size)
         self.max_window_bytes = max_window_bytes
-        self.postprocess_workers = postprocess_workers
         self._model_fp: str | None = None  # lazy model fingerprint
         # Guards the lazy fingerprint init: two daemon threads racing the
         # first save/load would otherwise both digest the full weight
@@ -311,8 +288,7 @@ class ReasoningService:
         """The one executor: run each step, yield its per-graph labels.
 
         Yields ``(step, labels per member, seconds, degraded)`` in plan order
-        as each step finishes, so a consumer can overlap its own work with
-        the next step's forward pass.  A step that raises
+        as each step finishes.  A step that raises
         :class:`MemoryError` is re-planned at half its estimate and rerun
         (labels are bit-identical); a step already planned under a window
         budget has nothing cheaper to fall back to, so its error propagates.
@@ -445,90 +421,75 @@ class ReasoningService:
         stats.num_shards = len(plan)
         stats.peak_shard_bytes = plan.peak_shard_bytes
 
-        # Alignment: pending's insertion order == datas' order; handles,
+        # Alignment: pending's insertion order == datas' order; results,
         # labels, and how each forward pass ran are indexed the same way so
-        # results reassemble in input order however the planner grouped them.
+        # they reassemble in input order however the planner grouped them.
         keys = list(pending)
-        handles: list = [None] * len(datas)
+        results: list = [None] * len(datas)
         per_labels: list = [None] * len(datas)
         ran: list = [None] * len(datas)  # per-circuit outcome fields
 
-        # Workload hints for auto-sizing (postprocess_workers=None): one
-        # worker per unique circuit, in-process when the batch is tiny.
-        total_ands = sum(
-            aigs[positions[0]].num_ands for positions in pending.values()
-        )
-        with PostprocessPool(self.postprocess_workers,
-                             num_payloads=len(pending),
-                             total_ands=total_ands) as pool:
-            stats.postprocess_workers = pool.workers
-            for step_index, (step, step_labels, seconds, degraded) in \
-                    enumerate(self._run_plan(kernel, datas, plan, stats)):
-                # Queue this step's extractions; with workers they run
-                # while the next step's forward pass executes.
-                for data_index, labels in zip(step.indices, step_labels):
-                    per_labels[data_index] = labels
-                    ran[data_index] = {
-                        "inference_seconds": seconds / len(step),
-                        "shard_index": step_index,
-                        "streamed": step.streamed or degraded,
-                        "degraded": degraded,
-                    }
-                    handles[data_index] = pool.submit(
-                        aigs[pending[keys[data_index]][0]], labels,
-                        root_filter, correct_lsb, lsb_outputs,
-                    )
-
-            # Collection order matches input order however the plan ran.
-            results = [handle.get() for handle in handles]
-            with Timer() as report_timer:
-                reports = analyze_adder_trees(
-                    (aigs[pending[key][0]], results[data_index][0].tree)
-                    for data_index, key in enumerate(keys)
+        for step_index, (step, step_labels, seconds, degraded) in \
+                enumerate(self._run_plan(kernel, datas, plan, stats)):
+            for data_index, labels in zip(step.indices, step_labels):
+                per_labels[data_index] = labels
+                ran[data_index] = {
+                    "inference_seconds": seconds / len(step),
+                    "shard_index": step_index,
+                    "streamed": step.streamed or degraded,
+                    "degraded": degraded,
+                }
+                results[data_index] = timed_extraction(
+                    aigs[pending[keys[data_index]][0]], labels,
+                    root_filter, correct_lsb, lsb_outputs,
                 )
-            stats.report_seconds += report_timer.elapsed
 
-            store_results = self.result_cache.capacity > 0
-            for data_index, key in enumerate(keys):
-                extraction, post_seconds = results[data_index]
-                report = reports[data_index]
-                stats.postprocess_seconds += post_seconds
-                labels = per_labels[data_index]
-                if store_results:
-                    # The cached labels — and the extraction's array-core
-                    # tree — alias the arrays handed to callers; freeze
-                    # them so accidental mutation raises instead of
-                    # silently poisoning later cache hits.  With the cache
-                    # disabled nothing is stored, so the arrays stay
-                    # writable like sequential reason()'s.
-                    for array in labels.values():
-                        array.setflags(write=False)
-                    _freeze_arrays(extraction)
-                    self.result_cache.put(
-                        (key[0], options), key[1], (labels, extraction, report)
-                    )
-                for slot, position in enumerate(pending[key]):
-                    if store_results or slot == 0:
-                        outcome_labels = labels
-                        outcome_extraction = extraction
-                        outcome_report = report
-                    else:
-                        # Unfrozen results must not alias between duplicate
-                        # outcomes: sequential reason() gives every call its
-                        # own writable labels and extraction, so mutating
-                        # one twin must not touch the other.
-                        outcome_labels = {
-                            task: array.copy() for task, array in labels.items()
-                        }
-                        outcome_extraction = copy.deepcopy(extraction)
-                        outcome_report = copy.deepcopy(report)
-                    outcomes[position] = ReasoningOutcome(
-                        extraction=outcome_extraction, labels=outcome_labels,
-                        postprocess_seconds=post_seconds,
-                        report=outcome_report, **ran[data_index],
-                    )
-            stats.postprocess_fallbacks = pool.fallbacks
-            stats.postprocess_restarts = pool.restarts
+        with Timer() as report_timer:
+            reports = analyze_adder_trees(
+                (aigs[pending[key][0]], results[data_index][0].tree)
+                for data_index, key in enumerate(keys)
+            )
+        stats.report_seconds += report_timer.elapsed
+
+        store_results = self.result_cache.capacity > 0
+        for data_index, key in enumerate(keys):
+            extraction, post_seconds = results[data_index]
+            report = reports[data_index]
+            stats.postprocess_seconds += post_seconds
+            labels = per_labels[data_index]
+            if store_results:
+                # The cached labels — and the extraction's array-core
+                # tree — alias the arrays handed to callers; freeze them
+                # so accidental mutation raises instead of silently
+                # poisoning later cache hits.  With the cache disabled
+                # nothing is stored, so the arrays stay writable like
+                # sequential reason()'s.
+                for array in labels.values():
+                    array.setflags(write=False)
+                _freeze_arrays(extraction)
+                self.result_cache.put(
+                    (key[0], options), key[1], (labels, extraction, report)
+                )
+            for slot, position in enumerate(pending[key]):
+                if store_results or slot == 0:
+                    outcome_labels = labels
+                    outcome_extraction = extraction
+                    outcome_report = report
+                else:
+                    # Unfrozen results must not alias between duplicate
+                    # outcomes: sequential reason() gives every call its
+                    # own writable labels and extraction, so mutating one
+                    # twin must not touch the other.
+                    outcome_labels = {
+                        task: array.copy() for task, array in labels.items()
+                    }
+                    outcome_extraction = copy.deepcopy(extraction)
+                    outcome_report = copy.deepcopy(report)
+                outcomes[position] = ReasoningOutcome(
+                    extraction=outcome_extraction, labels=outcome_labels,
+                    postprocess_seconds=post_seconds,
+                    report=outcome_report, **ran[data_index],
+                )
 
     # ------------------------------------------------------------------
     _MODEL_MARKER = "MODEL.tag"
@@ -801,6 +762,5 @@ class ReasoningService:
         return (
             f"ReasoningService({self.gamora!r}, graph_cache="
             f"{self.graph_cache!r}, result_cache={self.result_cache!r}, "
-            f"max_window_bytes={self.max_window_bytes}, "
-            f"postprocess_workers={self.postprocess_workers})"
+            f"max_window_bytes={self.max_window_bytes})"
         )

@@ -75,20 +75,3 @@ def booth8() -> GeneratedMultiplier:
 @pytest.fixture(scope="session")
 def booth4() -> GeneratedMultiplier:
     return booth_multiplier(4)
-
-
-@pytest.fixture()
-def worker_fault():
-    """Arm a ``postprocess.worker`` fault rule: ``worker_fault("raise")``
-    fails every worker-side extraction, ``worker_fault("exit")`` kills the
-    worker.  Forked workers inherit the plan; the parent's in-process
-    fallback never hits the point.  ``worker_fault(None)`` disarms, and
-    the plan is always disarmed after the test."""
-    from repro.serve.resilience import FaultPlan, FaultRule, install_plan
-
-    def arm(kind: str | None) -> None:
-        install_plan(FaultPlan([FaultRule("postprocess.worker", kind)])
-                     if kind else None)
-
-    yield arm
-    install_plan(None)

@@ -1,10 +1,9 @@
-"""Sharded + parallel serving: planner properties and equivalence.
+"""Sharded serving: planner properties and equivalence.
 
-The scaling knobs added on top of the batched service must never change
+The memory budget on top of the batched service must never change
 answers: for any budget (including budgets that split the batch at every
-boundary or stream oversize circuits) and any worker count (including worker
-crashes), ``reason_many`` must return labels and extractions identical to
-sequential ``Gamora.reason``.  The planner itself is checked as a pure
+boundary or stream oversize circuits), ``reason_many`` must return labels
+and extractions identical to sequential ``Gamora.reason``.  The planner itself is checked as a pure
 function: budget respected, exact partition, deterministic.
 """
 
@@ -16,12 +15,7 @@ from hypothesis import strategies as st
 from repro.core import Gamora
 from repro.generators import booth_multiplier, csa_multiplier, squarer
 from repro.learn import TrainConfig, estimate_batch_memory
-from repro.serve import PostprocessPool, ReasoningService, plan_shards
-from repro.serve.workers import (
-    AUTO_MIN_TOTAL_ANDS,
-    fork_available,
-    resolve_workers,
-)
+from repro.serve import ReasoningService, plan_shards
 
 ZOO = [
     lambda: csa_multiplier(3),
@@ -237,8 +231,7 @@ class TestShardedEquivalence:
     def test_gamora_reason_many_keeps_service_budget(self, gamora,
                                                      sequential_memo):
         """Gamora.reason_many runs under its service's configured budget."""
-        gamora._service = ReasoningService(gamora, max_window_bytes=1,
-                                           postprocess_workers=0)
+        gamora._service = ReasoningService(gamora, max_window_bytes=1)
         batch = gamora.reason_many([ZOO[0](), ZOO[1]()])
         assert batch.stats.num_shards == 2
         assert_outcome_equal(batch[0], sequential_memo(0))
@@ -282,77 +275,6 @@ class TestShardedEquivalence:
             elif budget is not None:
                 assert step.window_plan.peak_window_bytes <= budget
         assert batch.stats.streamed_graphs == len(oversize)
-
-
-class TestParallelPostprocess:
-    def test_workers_match_sequential(self, gamora, sequential_memo):
-        service = ReasoningService(gamora, result_cache_size=0,
-                                   postprocess_workers=2)
-        spec_ids = [0, 3, 4, 0]
-        batch = service.reason_many([ZOO[i]() for i in spec_ids])
-        assert batch.stats.postprocess_fallbacks == 0
-        for spec_id, outcome in zip(spec_ids, batch):
-            assert_outcome_equal(outcome, sequential_memo(spec_id))
-        # Cache disabled: labels stay writable, like sequential reason().
-        assert batch[0].labels["root"].flags.writeable
-
-    def test_workers_with_sharding_match_sequential(self, gamora, zoo_graphs,
-                                                    sequential_memo):
-        kernel = gamora.inference_kernel()
-        standalone = [estimate_batch_memory(kernel, [g]) for g in zoo_graphs]
-        service = ReasoningService(
-            gamora, result_cache_size=0,
-            max_window_bytes=max(standalone) + 1, postprocess_workers=2,
-        )
-        spec_ids = [0, 1, 2, 3, 4]
-        batch = service.reason_many([ZOO[i]() for i in spec_ids])
-        assert batch.stats.num_shards > 1
-        for spec_id, outcome in zip(spec_ids, batch):
-            assert_outcome_equal(outcome, sequential_memo(spec_id))
-
-    def test_worker_crash_falls_back_in_process(self, gamora, sequential_memo,
-                                                worker_fault):
-        """Injected worker faults: every circuit is recovered in-process."""
-        worker_fault("raise")
-        service = ReasoningService(gamora, result_cache_size=0,
-                                   postprocess_workers=2)
-        spec_ids = [0, 3]
-        batch = service.reason_many([ZOO[i]() for i in spec_ids])
-        assert batch.stats.postprocess_fallbacks == len(spec_ids)
-        for spec_id, outcome in zip(spec_ids, batch):
-            assert_outcome_equal(outcome, sequential_memo(spec_id))
-
-    def test_worker_hard_crash_falls_back_in_process(self, gamora,
-                                                     sequential_memo,
-                                                     worker_fault):
-        """A worker that dies outright (simulated OOM-kill) must not hang:
-        the broken executor surfaces the loss and every circuit is
-        recovered in-process."""
-        worker_fault("exit")
-        service = ReasoningService(gamora, result_cache_size=0,
-                                   postprocess_workers=2)
-        spec_ids = [0, 3]
-        batch = service.reason_many([ZOO[i]() for i in spec_ids])
-        assert batch.stats.postprocess_fallbacks == len(spec_ids)
-        for spec_id, outcome in zip(spec_ids, batch):
-            assert_outcome_equal(outcome, sequential_memo(spec_id))
-
-    def test_fork_unavailable_degrades_to_in_process(self, gamora,
-                                                     sequential_memo,
-                                                     monkeypatch):
-        monkeypatch.setattr("repro.serve.workers.fork_available", lambda: False)
-        service = ReasoningService(gamora, result_cache_size=0,
-                                   postprocess_workers=4)
-        batch = service.reason_many([ZOO[0]()])
-        assert batch.stats.postprocess_workers == 0  # degraded, not failed
-        assert_outcome_equal(batch[0], sequential_memo(0))
-
-    def test_pool_lifecycle(self):
-        pool = PostprocessPool(0)
-        assert not pool.parallel and pool.workers == 0
-        with PostprocessPool(1) as live:
-            assert live.parallel == (live.workers > 0)  # False only without fork
-        assert not live.parallel  # closed on exit
 
 
 class TestPersistentResultCache:
@@ -465,55 +387,3 @@ class TestPersistentGraphCache:
             service.save_graph_cache(foreign)
         assert keep.read_bytes() == b"user data, not ours"
         assert ReasoningService.validate_graph_cache_dir(foreign) is not None
-
-
-class TestAdaptiveWorkerSizing:
-    def test_explicit_request_wins(self):
-        assert resolve_workers(3, num_payloads=1, total_ands=1) == 3
-        assert resolve_workers(0, num_payloads=64, total_ands=10**9) == 0
-        assert resolve_workers(-2) == 0
-
-    def test_auto_stays_in_process_for_tiny_workloads(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.workers.os.cpu_count", lambda: 8)
-        # Single unique circuit: nothing to overlap.
-        assert resolve_workers(None, num_payloads=1, total_ands=10**9) == 0
-        # Tiny total workload: fork overhead dominates.
-        assert resolve_workers(None, num_payloads=4, total_ands=100) == 0
-
-    def test_auto_scales_with_cpus_and_payloads(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.workers.os.cpu_count", lambda: 8)
-        if not fork_available():
-            pytest.skip("no fork on this platform")
-        big = AUTO_MIN_TOTAL_ANDS
-        # One worker per circuit, capped at cpu_count - 1.
-        assert resolve_workers(None, num_payloads=3, total_ands=big) == 3
-        assert resolve_workers(None, num_payloads=64, total_ands=big) == 7
-
-    def test_auto_zero_without_fork_or_on_single_core(self, monkeypatch):
-        monkeypatch.setattr("repro.serve.workers.fork_available", lambda: False)
-        assert resolve_workers(None, num_payloads=8,
-                               total_ands=AUTO_MIN_TOTAL_ANDS) == 0
-        monkeypatch.setattr("repro.serve.workers.fork_available", lambda: True)
-        monkeypatch.setattr("repro.serve.workers.os.cpu_count", lambda: 1)
-        assert resolve_workers(None, num_payloads=8,
-                               total_ands=AUTO_MIN_TOTAL_ANDS) == 0
-
-    def test_service_default_autosizes_small_batches_in_process(self, gamora,
-                                                                sequential_memo):
-        """The zoo circuits are tiny, so the default (None) resolves to 0
-        workers — results still identical to sequential."""
-        service = ReasoningService(gamora, result_cache_size=0)
-        assert service.postprocess_workers is None
-        batch = service.reason_many([ZOO[0](), ZOO[1]()])
-        assert batch.stats.postprocess_workers == 0
-        assert_outcome_equal(batch[0], sequential_memo(0))
-        assert_outcome_equal(batch[1], sequential_memo(1))
-
-    def test_results_cached_through_parallel_path(self, gamora):
-        service = ReasoningService(gamora, postprocess_workers=2)
-        cold = service.reason_many([ZOO[0](), ZOO[1]()])
-        assert cold.stats.result_hits == 0
-        warm = service.reason_many([ZOO[1](), ZOO[0]()])
-        assert warm.stats.result_hits == 2
-        assert_outcome_equal(warm[0], cold[1])
-        assert_outcome_equal(warm[1], cold[0])
