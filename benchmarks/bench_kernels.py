@@ -1,20 +1,24 @@
 """Kernel backends head-to-head: numpy reference vs the C lane.
 
-Micro-benchmarks each of the five registered hot-path kernels
+Micro-benchmarks each of the six registered hot-path kernels
 (:mod:`repro.kernels`) in isolation on the 64-bit CSA multiplier — the
-per-level cut merge, the cone frontier sweep, the packed-key FA join,
-the Kahn longest-path wavefront and the window planner's per-prefix halo
-counts — with the *same* prebuilt inputs for every backend, so the
-comparison times nothing but the kernel.
+whole-graph cut merge, the structural hash's mixing sweep, the cone
+frontier sweep, the packed-key FA join, the Kahn longest-path wavefront
+and the window planner's per-prefix halo counts — with the *same*
+prebuilt inputs for every backend, so the comparison times nothing but
+the kernel.  The two bottom-up sweeps are timed as the one call per
+graph that serving makes; their level batches are computed once up
+front, as numpy consumes them and C ignores them.
 
 The numpy baseline always runs and appends a record to
 ``BENCH_kernels.json``.  The C lane needs only a working system C
-compiler: one smoke test times the three kernels the ``c`` backend
-implements (``merge_level``, ``kahn_propagate``, ``halo_prefix_counts``)
-on the same inputs, asserts their outputs are **bit-identical** to the
-numpy reference (here, not just in the unit suite), prints the table,
-and pins >= 5x on ``merge_level``.  Each kernel gets one untimed warmup call before timing,
-like the serving daemon's boot-time warmup.
+compiler: one smoke test times the four kernels the ``c`` backend
+implements (``merge_level``, ``shash_sweep``, ``kahn_propagate``,
+``halo_prefix_counts``) on the same inputs, asserts their outputs — and
+the structural-hash digest — are **bit-identical** to the numpy
+reference (here, not just in the unit suite), prints the table, and
+pins >= 5x on ``merge_level``.  Each kernel gets one untimed warmup
+call before timing, like the serving daemon's boot-time warmup.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from common import (
     keep_under_benchmark_only,
     bench_multiplier,
 )
+from repro.aig.aiger import dumps_aag, loads_aag
 from repro.aig.cuts import TRIVIAL_TRUTH
-from repro.kernels import registry
+from repro.kernels import registry, set_backend
 from repro.kernels.numpy_backend import _SAFE_PACK_LIMIT
 from repro.learn import build_graph_data
 from repro.reasoning.fast_pairing import (
@@ -45,7 +50,8 @@ WIDTH = 64
 K, MAX_CUTS = 3, 10
 REPEATS = 3
 # What the c backend ports.
-C_KERNELS = ("merge_level", "kahn_propagate", "halo_prefix_counts")
+C_KERNELS = ("merge_level", "shash_sweep", "kahn_propagate",
+             "halo_prefix_counts")
 HALO_HOPS = 4  # the shallow model's conv layers
 C_SMOKE_MIN_SPEEDUP = 5.0  # CI smoke bar, on merge_level
 
@@ -75,6 +81,10 @@ def inputs():
     num_vars = aig.num_vars
     first = 1 + aig.num_inputs
     batches = list(aig.and_level_batches())
+    # structural_hash's seeds for the constant and the inputs: the sweep
+    # fills everything after them.
+    shash_seed = np.zeros(num_vars, dtype=np.uint64)
+    shash_seed[:first] = np.arange(1, first + 1, dtype=np.uint64)
 
     # cone_sweep / fa_join inputs: the real matched-FA frontier of this
     # multiplier, reconstructed through the (backend-independent) pairing
@@ -99,6 +109,8 @@ def inputs():
         "f0v": fanin0 >> 1,
         "f1v": fanin1 >> 1,
         "batches": batches,
+        "nodes": np.arange(first, num_vars, dtype=np.int64),
+        "shash_seed": shash_seed,
         "num_ands": aig.num_ands,
         "root_vars": np.concatenate([fa_xor, fa_maj]),
         "root_owner": np.concatenate([owner, owner]),
@@ -127,11 +139,16 @@ def run_merge_level(impl, inp):
     truths[boundary, 0] = TRIVIAL_TRUTH
     sizes[boundary, 0] = 1
     counts[boundary] = 1
-    for batch in inp["batches"]:
-        impl(batch, inp["fanin0"], inp["fanin1"], leaves, truths, sizes,
-             counts, k=K, max_cuts=MAX_CUTS, include_trivial=True,
-             pad=pad, pack_limit=_SAFE_PACK_LIMIT)
+    impl(inp["nodes"], inp["batches"], inp["fanin0"], inp["fanin1"], leaves,
+         truths, sizes, counts, k=K, max_cuts=MAX_CUTS, include_trivial=True,
+         pad=pad, pack_limit=_SAFE_PACK_LIMIT)
     return leaves, truths, sizes, counts
+
+
+def run_shash_sweep(impl, inp):
+    node = inp["shash_seed"].copy()
+    impl(inp["fanin0"], inp["fanin1"], inp["first_and"], node, inp["batches"])
+    return (node,)
 
 
 def run_cone_sweep(impl, inp):
@@ -167,6 +184,7 @@ def run_halo_prefix_counts(impl, inp):
 
 RUNNERS = {
     "merge_level": run_merge_level,
+    "shash_sweep": run_shash_sweep,
     "cone_sweep": run_cone_sweep,
     "fa_join": run_fa_join,
     "kahn_propagate": run_kahn_propagate,
@@ -225,6 +243,8 @@ def test_kernels_numpy_baseline(benchmark, inputs, numpy_times):
     keep_under_benchmark_only(benchmark)
     (leaves, _, _, counts), _ = numpy_times["merge_level"]
     assert int(counts.sum()) > inputs["num_vars"]  # cuts actually stored
+    (node,), _ = numpy_times["shash_sweep"]
+    assert len(np.unique(node)) > inputs["num_ands"]  # every AND mixed
     (nodes, owners), _ = numpy_times["cone_sweep"]
     assert len(nodes) == len(owners) > 0
     (edge_maj, edge_xor, _), _ = numpy_times["fa_join"]
@@ -246,6 +266,15 @@ def test_kernels_c_smoke(benchmark, inputs):
     """CI guard: the C merge must clear 5x, and every C kernel matches."""
     keep_under_benchmark_only(benchmark)
     rows, speedups = compare_backend("c", C_KERNELS, inputs)
+    text = dumps_aag(inputs["aig"])
+    digests = {}
+    try:
+        for backend in ("numpy", "c"):
+            set_backend(backend)
+            digests[backend] = loads_aag(text).structural_hash()
+    finally:
+        set_backend(None)
+    assert digests["c"] == digests["numpy"], digests
     emit("kernels_backends_c_smoke", format_table(
         f"C kernel backend, {WIDTH}-bit CSA (best of {REPEATS})",
         ["kernel", "numpy ms", "c ms", "speedup"], rows,

@@ -2,9 +2,11 @@
 
 This is the array-shaped twin of :mod:`repro.aig.cuts`: instead of per-node
 Python loops over :class:`~repro.aig.cuts.Cut` dataclasses, the whole graph
-is swept bottom-up one topological level at a time and every step of the
-merge — leaf union, feasibility, truth recomputation, dedup, dominance
-filtering, ranking — is a NumPy pass over all nodes of the level at once.
+is swept bottom-up in one registered-kernel call: the NumPy reference goes
+one topological level at a time, and every step of the merge — leaf union,
+feasibility, truth recomputation, dedup, dominance filtering, ranking — is
+a NumPy pass over all nodes of the level at once; the compiled backend
+walks the nodes once in variable-id order.
 With k ≤ 3 every cut function fits in a uint8 and every truth manipulation
 becomes a table lookup, which is what makes the sweep array-shaped.
 
@@ -101,13 +103,14 @@ def enumerate_cuts_arrays(aig: AIG, k: int = 3, max_cuts: int = 8,
 
     Produces exactly the cuts (and slot order) of
     :func:`repro.aig.cuts.enumerate_cuts` with the same parameters, but as
-    :class:`CutArrays` and with all per-level work vectorized.  Only
+    :class:`CutArrays` and with all per-node work in one kernel call.  Only
     ``k ∈ {2, 3}`` is supported — larger cuts do not fit the uint8 truth
     domain; use the Cut-object enumerator for those.
 
-    ``pack_limit`` overrides the int64-packing threshold that triggers
-    per-level leaf compaction on huge graphs (testing hook: a small value
-    forces the compaction path on small graphs).
+    ``pack_limit`` overrides the int64-packing threshold that triggers the
+    NumPy merge's per-level leaf compaction on huge graphs (testing hook: a
+    small value forces the compaction path on small graphs; the compiled
+    merge never packs keys).
 
     ``restrict_to`` limits the sweep to the transitive fan-in cones of the
     given root variables: nodes outside the cones keep ``counts == 0``.
@@ -156,23 +159,33 @@ def enumerate_cuts_arrays(aig: AIG, k: int = 3, max_cuts: int = 8,
             f"pack_limit must be at least {6 * slots + 2} "
             f"for max_cuts={max_cuts}, got {pack_limit}"
         )
-    cone_mask = None
-    if restrict_to is not None:
-        cone_mask = np.zeros(num_vars, dtype=bool)
-        cone_mask[list(aig.transitive_fanin(restrict_to))] = True
-    # The per-level merge is a registered kernel (repro.kernels): the
-    # numpy implementation chunks the level internally, a compiled one
-    # loops the nodes; both fill the same columns bit-identically.
-    merge = get_kernel("merge_level")
-    for batch in aig.and_level_batches():
-        if cone_mask is not None:
-            batch = batch[cone_mask[batch]]
-            if not len(batch):
-                continue
-        merge(batch, fanin0, fanin1, leaves, truths, sizes, counts,
-              k=k, max_cuts=max_cuts, include_trivial=include_trivial,
-              pad=pad, pack_limit=pack_limit)
+    first = 1 + aig.num_inputs
+    if restrict_to is None:
+        nodes = np.arange(first, num_vars, dtype=np.int64)
+        level_batches = aig.and_level_batches()
+    else:
+        cone = aig.transitive_fanin_array(restrict_to)
+        nodes = cone[cone >= first]
+        level_batches = _cone_level_batches(aig, nodes)
+    # The sweep's merge is a registered kernel (repro.kernels): a compiled
+    # one walks `nodes` in id order in one call, the numpy one merges the
+    # lazy level batches; both fill the same columns bit-identically.
+    if len(nodes):
+        get_kernel("merge_level")(
+            nodes, level_batches, fanin0, fanin1, leaves, truths, sizes,
+            counts, k=k, max_cuts=max_cuts, include_trivial=include_trivial,
+            pad=pad, pack_limit=pack_limit)
     return CutArrays(leaves, truths, sizes, counts, k, max_cuts)
+
+
+def _cone_level_batches(aig: AIG, nodes: np.ndarray):
+    """:meth:`AIG.and_level_batches` narrowed to ``nodes``, empties dropped."""
+    in_cone = np.zeros(aig.num_vars, dtype=bool)
+    in_cone[nodes] = True
+    for batch in aig.and_level_batches():
+        batch = batch[in_cone[batch]]
+        if len(batch):
+            yield batch
 
 
 def classify_cut_arrays(cuts: CutArrays) -> tuple[np.ndarray, np.ndarray]:

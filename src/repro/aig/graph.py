@@ -493,12 +493,19 @@ class AIG:
         in one vectorized step and keeps only the never-seen ones, so the
         Python-level iteration count is the cone depth, not its size.
         Same membership as the set-based walk (roots included, PIs and
-        the constant included where reached).
+        the constant included where reached).  A root that is not a
+        variable of this graph raises ``ValueError`` (a negative one
+        would otherwise index from the end).
         """
         import numpy as np
 
         seen = np.zeros(self.num_vars, dtype=bool)
         frontier = np.fromiter(roots, dtype=np.int64)
+        if frontier.size and (frontier.min() < 0
+                              or frontier.max() >= self.num_vars):
+            raise ValueError(f"roots must be variables in "
+                             f"[0, {self.num_vars}), got {frontier.min()}"
+                             f"..{frontier.max()}")
         fanin0, fanin1 = self.fanin_arrays()
         first_and = 1 + self._num_inputs
         while frontier.size:
@@ -519,9 +526,11 @@ class AIG:
         """Yield AND variables grouped by topological level, as int64 arrays.
 
         Levels come in ascending order and variables keep their index order
-        within a level.  This is the wavefront every vectorized bottom-up
-        sweep iterates (cut enumeration, structural hashing): a level's
-        nodes depend only on values already computed for earlier batches.
+        within a level.  This is the wavefront the NumPy bottom-up sweeps
+        iterate (cut enumeration, structural hashing): a level's nodes
+        depend only on values already computed for earlier batches.
+        Compiled sweeps walk variable-id order instead and never consume
+        it, so callers pass the generator unstarted.
         """
         import numpy as np
 
@@ -565,17 +574,20 @@ class AIG:
         derived only from its fan-ins' values (with complement bits folded
         in, commutatively combined) and one final ``hashlib.blake2b`` folds
         in a version tag, the input count, and every output value in
-        declaration order.  The per-node step is level-batched NumPy
-        (splitmix64-style avalanche over whole topological levels at once)
-        instead of a per-node ``blake2b`` loop, which is what keeps it
-        usable at millions of nodes.  Consequences:
+        declaration order.  The per-node step is the registered
+        ``shash_sweep`` kernel (:mod:`repro.kernels`), a splitmix64-style
+        avalanche instead of a per-node ``blake2b`` loop: the C backend
+        runs it as one scalar pass in variable-id order, the NumPy
+        reference one topological level at a time.  The level batches
+        are handed over as a lazy generator, so only the NumPy path ever
+        computes levels.  Consequences:
 
-        * it is deterministic across processes, runs and platforms (fixed
-          mixing constants, little-endian byte fold, no salting), so it can
-          key persistent or cross-process caches; the digest carries a
-          version-tagged prefix (``aig-shash-v2``) — bump it whenever the
-          mixing scheme changes so stale persistent entries can never be
-          mistaken for current ones;
+        * it is deterministic across processes, runs, platforms and kernel
+          backends (fixed mixing constants, little-endian byte fold, no
+          salting), so it can key persistent or cross-process caches; the
+          digest carries a version-tagged prefix (``aig-shash-v2``) — bump
+          it whenever the mixing scheme changes so stale persistent entries
+          can never be mistaken for current ones;
         * it is invariant under AND-node id permutation: two AIGs built from
           equivalent construction orders hash identically even though their
           variable numbering differs;
@@ -594,41 +606,32 @@ class AIG:
 
         import numpy as np
 
+        from repro.kernels.numpy_backend import SHASH_FLIP, splitmix
+
         key = (self.num_vars, self.num_outputs)
         if self._shash is not None and self._shash[0] == key:
             return self._shash[1]
 
-        def mix(x: "np.ndarray") -> "np.ndarray":
-            # splitmix64 finalizer: full-avalanche 64-bit mixing, wraps on
-            # overflow (uint64 arithmetic), endian-independent.
-            z = x + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-        flip = np.uint64(0xA5A5A5A5A5A5A5A5)  # complement-edge marker
         node = np.zeros(self.num_vars, dtype=np.uint64)
-        # 1-element array: uint64 *scalar* overflow would warn, arrays wrap.
-        node[0] = mix(np.array([0x636F6E737430], dtype=np.uint64))[0]  # "const0"
+        # The constant is seeded from "const0".  A 1-element array: uint64
+        # *scalar* overflow would warn, arrays wrap.
+        node[0] = splitmix(np.array([0x636F6E737430], dtype=np.uint64))[0]
         if self._num_inputs:
-            node[1:1 + self._num_inputs] = mix(
+            node[1:1 + self._num_inputs] = splitmix(
                 np.uint64(0x7069) + np.arange(self._num_inputs, dtype=np.uint64)
             )
         if self.num_ands:
             fanin0, fanin1 = self.fanin_arrays()
-            for batch in self.and_level_batches():
-                f0 = fanin0[batch]
-                f1 = fanin1[batch]
-                a = node[f0 >> 1] ^ (f0 & 1).astype(np.uint64) * flip
-                b = node[f1 >> 1] ^ (f1 & 1).astype(np.uint64) * flip
-                node[batch] = mix(mix(np.maximum(a, b)) ^ np.minimum(a, b))
+            get_kernel("shash_sweep")(fanin0, fanin1, 1 + self._num_inputs,
+                                      node, self.and_level_batches())
         digest = hashlib.blake2b(digest_size=16)
         digest.update(
             b"aig-shash-v2:%d:%d:" % (self._num_inputs, len(self._outputs))
         )
         if self._outputs:
             out = np.asarray(self._outputs, dtype=np.int64)
-            out_mix = node[out >> 1] ^ (out & 1).astype(np.uint64) * flip
+            out_mix = (node[out >> 1]
+                       ^ (out & 1).astype(np.uint64) * SHASH_FLIP)
             digest.update(out_mix.astype("<u8").tobytes())
         result = digest.hexdigest()
         self._shash = (key, result)

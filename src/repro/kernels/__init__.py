@@ -1,11 +1,12 @@
 """Pluggable compiled-kernel backends for the array hot paths.
 
-``repro.kernels`` dispatches the four post-GNN array kernels — the
-per-level cut merge, the cone frontier sweep, the packed-key FA join and
-the Kahn longest-path wavefront — and the streaming window planner's
-per-prefix halo counts to a selected backend: the pure-NumPy reference
-(always present) or the C backend (:mod:`repro.kernels.c_backend`:
-``merge_level``, ``kahn_propagate`` and ``halo_prefix_counts`` compiled
+``repro.kernels`` dispatches six array kernels — the two bottom-up graph
+sweeps (the priority-cut merge and the structural hash's mixing pass),
+the cone frontier sweep, the packed-key FA join, the Kahn longest-path
+wavefront and the streaming window planner's per-prefix halo counts — to
+a selected backend: the pure-NumPy reference (always present) or the C
+backend (:mod:`repro.kernels.c_backend`: ``merge_level``,
+``shash_sweep``, ``kahn_propagate`` and ``halo_prefix_counts`` compiled
 once with the system C compiler and loaded through ``ctypes``).
 ``auto``, the default, resolves c → numpy.  See :mod:`repro.kernels.registry` for selection semantics
 (``REPRO_KERNEL``, ``set_backend``, :data:`BACKEND_CHOICES`) and

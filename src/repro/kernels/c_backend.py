@@ -1,5 +1,5 @@
-"""C implementations of ``merge_level``, ``kahn_propagate`` and
-``halo_prefix_counts``, via ctypes.
+"""C implementations of ``merge_level``, ``shash_sweep``,
+``kahn_propagate`` and ``halo_prefix_counts``, via ctypes.
 
 Import-gated: importing this module compiles
 ``c_kernels.c`` with the system C compiler (``cc -O2 -shared -fPIC``) and
@@ -7,6 +7,13 @@ loads the result with :class:`ctypes.CDLL`.  No compiler, a compile error
 or a load error raises ``ImportError``, and the registry treats ``c`` as
 unavailable (numpy serves).  ``cone_sweep`` and ``fa_join`` are not
 ported; the registry serves them from numpy per kernel.
+
+The two bottom-up sweeps are one C call per graph in ascending id order
+(fan-ins precede their node in an AIG, so id order is topological):
+``merge_level`` walks its ``nodes`` list and ``shash_sweep`` walks
+``first .. num_vars - 1``.  Neither reads the ``level_batches`` the
+numpy reference consumes, so passing a lazy generator there costs the
+C path nothing.
 
 The build is cached as ``__pycache__/c_kernels-<key>.so`` beside this
 module, where ``<key>`` is a SHA-256 over the source, the compiler path
@@ -22,7 +29,9 @@ The C functions validate every index they dereference and keep no global
 state (scratch is allocated per call), and ctypes releases the GIL
 around each call.  The wrappers here check dtypes, C-contiguity, shapes,
 ``k`` and ``num_hops`` before any pointer reaches C, raising
-``TypeError`` or ``ValueError`` on a mismatch.
+``TypeError`` or ``ValueError`` on a mismatch; a node list that is not
+strictly ascending, or a fan-in that does not precede its node, is
+rejected by C before it writes anything and raised as ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from repro.kernels import numpy_backend
 from repro.kernels.registry import register
 
 __all__ = ["SOURCE", "CFLAGS", "CACHE_DIR", "cached_library",
-           "load_library", "merge_level", "kahn_propagate",
+           "load_library", "merge_level", "shash_sweep", "kahn_propagate",
            "halo_prefix_counts"]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -56,6 +65,7 @@ _WIDTH_MASK = np.ascontiguousarray(numpy_backend._WIDTH_MASK)
 # Status codes of the C entry points (0 is success); see c_kernels.c.
 _STATUS_EINDEX = -1
 _STATUS_ENOMEM = -2
+_STATUS_EORDER = -3
 
 # halo_prefix_counts keeps one byte per node for its depth 0..K+1.
 _MAX_HOPS = 254
@@ -171,6 +181,8 @@ _LIB.repro_merge_level.argtypes = [
     _I64, _I64, ctypes.c_int, ctypes.c_int32, ctypes.c_uint8, _PTR, _PTR,
 ]
 _LIB.repro_merge_level.restype = ctypes.c_int
+_LIB.repro_shash_sweep.argtypes = [_PTR, _PTR, _I64, _I64, _PTR]
+_LIB.repro_shash_sweep.restype = ctypes.c_int
 _LIB.repro_kahn_propagate.argtypes = [_PTR, _PTR, _I64, _PTR, _PTR, _I64]
 _LIB.repro_kahn_propagate.restype = ctypes.c_int
 _LIB.repro_halo_prefix_counts.argtypes = [
@@ -201,17 +213,21 @@ def _raise_for(status: int, kernel: str) -> None:
         raise MemoryError(f"{kernel}: scratch allocation failed")
     if status == _STATUS_EINDEX:
         raise ValueError(f"{kernel}: index or count out of range")
+    if status == _STATUS_EORDER:
+        raise ValueError(f"{kernel}: nodes must be strictly ascending and "
+                         "every fan-in must precede its node")
 
 
 @register("merge_level", "c")
-def merge_level(batch, fanin0, fanin1, leaves, truths, sizes, counts, *,
-                k, max_cuts, include_trivial, pad, pack_limit):
-    # pack_limit is a numpy-backend footprint knob (int64 key compaction);
-    # the scalar merge compares leaf triples directly and never packs.
-    del pack_limit
+def merge_level(nodes, level_batches, fanin0, fanin1, leaves, truths, sizes,
+                counts, *, k, max_cuts, include_trivial, pad, pack_limit):
+    # One scalar pass over `nodes` in id order: the level batches and
+    # pack_limit (int64 key compaction) only shape the numpy merge, and
+    # the scalar merge compares leaf triples directly.
+    del level_batches, pack_limit
     if k not in (2, 3):
         raise ValueError(f"merge_level handles k in {{2, 3}}, got k={k}")
-    _check("batch", batch, np.int64, 1)
+    _check("nodes", nodes, np.int64, 1)
     _check("fanin0", fanin0, np.int64, 1)
     _check("fanin1", fanin1, np.int64, 1)
     _check("leaves", leaves, np.int32, 3, writable=True)
@@ -229,7 +245,7 @@ def merge_level(batch, fanin0, fanin1, leaves, truths, sizes, counts, *,
     if not 0 <= pad <= np.iinfo(np.int32).max:
         raise ValueError(f"pad={pad} does not fit the int32 leaf column")
     status = _LIB.repro_merge_level(
-        batch.ctypes.data, len(batch), fanin0.ctypes.data,
+        nodes.ctypes.data, len(nodes), fanin0.ctypes.data,
         fanin1.ctypes.data, num_vars, slots, leaves.ctypes.data,
         truths.ctypes.data, sizes.ctypes.data, counts.ctypes.data,
         k, max_cuts, bool(include_trivial), pad,
@@ -237,6 +253,24 @@ def merge_level(batch, fanin0, fanin1, leaves, truths, sizes, counts, *,
         _WIDTH_MASK.ctypes.data,
     )
     _raise_for(status, "merge_level")
+
+
+@register("shash_sweep", "c")
+def shash_sweep(fanin0, fanin1, first, node, level_batches):
+    del level_batches  # one pass in id order needs no level batches
+    _check("fanin0", fanin0, np.int64, 1)
+    _check("fanin1", fanin1, np.int64, 1)
+    _check("node", node, np.uint64, 1, writable=True)
+    num_vars = len(node)
+    if fanin0.shape != (num_vars,) or fanin1.shape != (num_vars,):
+        raise ValueError("shash_sweep: node and fan-in arrays disagree on "
+                         "num_vars")
+    if not 0 <= first <= num_vars:
+        raise ValueError(f"shash_sweep: first={first} outside "
+                         f"[0, {num_vars}]")
+    status = _LIB.repro_shash_sweep(fanin0.ctypes.data, fanin1.ctypes.data,
+                                    first, num_vars, node.ctypes.data)
+    _raise_for(status, "shash_sweep")
 
 
 @register("kahn_propagate", "c")

@@ -1,15 +1,20 @@
 /*
- * Scalar C implementations of the merge_level, kahn_propagate and
- * halo_prefix_counts kernels.
+ * Scalar C implementations of the merge_level, shash_sweep,
+ * kahn_propagate and halo_prefix_counts kernels.
  *
  * Built once by repro/kernels/c_backend.py (``cc -O2 -shared -fPIC``) and
  * called through ctypes, which releases the GIL around every call.  The
  * outputs are bit-identical to the numpy reference in numpy_backend.py
  * (tests/test_kernels.py pins that).
  *
+ * The two bottom-up sweeps (merge_level, shash_sweep) run once per graph
+ * in ascending variable-id order: an AIG's fan-ins always precede their
+ * node, so id order is topological and no level batches are needed.
+ *
  * Every entry point validates each index before dereferencing it and
  * returns a status code instead of touching memory out of range;
- * merge_level and kahn_propagate validate before writing anything.  Scratch is allocated per call: no global state, so
+ * merge_level, shash_sweep and kahn_propagate validate before writing
+ * anything.  Scratch is allocated per call: no global state, so
  * concurrent calls on different arrays are safe.
  */
 
@@ -19,6 +24,7 @@
 #define REPRO_OK 0
 #define REPRO_EINDEX (-1) /* an index or count is out of range */
 #define REPRO_ENOMEM (-2)
+#define REPRO_EORDER (-3) /* nodes not ascending, or a fan-in after its node */
 
 /* ------------------------------------------------------------------------
  * merge_level
@@ -42,13 +48,16 @@ static int has_leaf(const int32_t *triple, int32_t leaf)
     return triple[0] == leaf || triple[1] == leaf || triple[2] == leaf;
 }
 
-/* Every fan-in variable, count and cut size the merge will read. */
-static int check_fanin_cuts(int64_t lit, int64_t num_vars, int64_t slots,
+/* Every fan-in variable, count and cut size the merge will read.  The
+ * fan-in must precede its node, so the sweep has already finished it. */
+static int check_fanin_cuts(int64_t lit, int64_t node, int64_t slots,
                             const int8_t *sizes, const int32_t *counts)
 {
-    if (lit < 0 || (lit >> 1) >= num_vars)
+    if (lit < 0)
         return REPRO_EINDEX;
     int64_t var = lit >> 1;
+    if (var >= node)
+        return REPRO_EORDER;
     int32_t count = counts[var];
     if (count < 0 || count > slots)
         return REPRO_EINDEX;
@@ -60,7 +69,9 @@ static int check_fanin_cuts(int64_t lit, int64_t num_vars, int64_t slots,
     return REPRO_OK;
 }
 
-int repro_merge_level(const int64_t *batch, int64_t batch_len,
+/* Merge, rank and store the priority cuts of every node in ``nodes``
+ * (strictly ascending AND ids), each after its fan-ins. */
+int repro_merge_level(const int64_t *nodes, int64_t num_nodes,
                       const int64_t *fanin0, const int64_t *fanin1,
                       int64_t num_vars, int64_t slots,
                       int32_t *leaves, uint8_t *truths, int8_t *sizes,
@@ -72,14 +83,19 @@ int repro_merge_level(const int64_t *batch, int64_t batch_len,
     if (k < 1 || k > 3 || max_cuts < 0
             || max_cuts + (include_trivial ? 1 : 0) > slots)
         return REPRO_EINDEX;
-    for (int64_t b = 0; b < batch_len; b++) {
-        int64_t node = batch[b];
-        if (node < 0 || node >= num_vars
-                || check_fanin_cuts(fanin0[node], num_vars, slots, sizes,
-                                    counts) != REPRO_OK
-                || check_fanin_cuts(fanin1[node], num_vars, slots, sizes,
-                                    counts) != REPRO_OK)
+    for (int64_t b = 0; b < num_nodes; b++) {
+        int64_t node = nodes[b];
+        if (node < 0 || node >= num_vars)
             return REPRO_EINDEX;
+        if (b > 0 && node <= nodes[b - 1])
+            return REPRO_EORDER;
+        int status = check_fanin_cuts(fanin0[node], node, slots, sizes,
+                                      counts);
+        if (status == REPRO_OK)
+            status = check_fanin_cuts(fanin1[node], node, slots, sizes,
+                                      counts);
+        if (status != REPRO_OK)
+            return status;
     }
 
     int64_t grid = slots * slots;
@@ -99,8 +115,8 @@ int repro_merge_level(const int64_t *batch, int64_t batch_len,
     }
     int32_t uni[3];
 
-    for (int64_t b = 0; b < batch_len; b++) {
-        int64_t node = batch[b];
+    for (int64_t b = 0; b < num_nodes; b++) {
+        int64_t node = nodes[b];
         int64_t lit0 = fanin0[node];
         int64_t lit1 = fanin1[node];
         int64_t v0 = lit0 >> 1;
@@ -249,6 +265,45 @@ int repro_merge_level(const int64_t *batch, int64_t batch_len,
     free(order);
     free(cand_truth);
     free(keep);
+    return REPRO_OK;
+}
+
+/* ------------------------------------------------------------------------
+ * shash_sweep
+ * ---------------------------------------------------------------------- */
+
+/* splitmix64 finalizer, wrapping in uint64 like the numpy reference. */
+static uint64_t splitmix(uint64_t x)
+{
+    uint64_t z = x + 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+#define SHASH_FLIP 0xA5A5A5A5A5A5A5A5ULL /* complement-edge marker */
+
+/* Fill node[first:] with each AND's structural mixing value, in id order:
+ * a commutative combination of its fan-ins' values with complement bits
+ * folded in. */
+int repro_shash_sweep(const int64_t *fanin0, const int64_t *fanin1,
+                      int64_t first, int64_t num_vars, uint64_t *node)
+{
+    if (first < 0 || first > num_vars)
+        return REPRO_EINDEX;
+    for (int64_t v = first; v < num_vars; v++) {
+        if (fanin0[v] < 0 || (fanin0[v] >> 1) >= v
+                || fanin1[v] < 0 || (fanin1[v] >> 1) >= v)
+            return REPRO_EORDER;
+    }
+    for (int64_t v = first; v < num_vars; v++) {
+        int64_t f0 = fanin0[v], f1 = fanin1[v];
+        uint64_t a = node[f0 >> 1] ^ ((f0 & 1) ? SHASH_FLIP : 0);
+        uint64_t b = node[f1 >> 1] ^ ((f1 & 1) ? SHASH_FLIP : 0);
+        uint64_t hi = a > b ? a : b;
+        uint64_t lo = a > b ? b : a;
+        node[v] = splitmix(splitmix(hi) ^ lo);
+    }
     return REPRO_OK;
 }
 

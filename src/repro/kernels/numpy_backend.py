@@ -1,18 +1,31 @@
-"""Pure-NumPy reference implementations of the five hot-path kernels.
+"""Pure-NumPy reference implementations of the six hot-path kernels.
 
 These are the always-present backend and the bit-identity oracle for any
 compiled backend.  Each kernel's signature is the pinned contract both
 backends implement:
 
-``merge_level(batch, fanin0, fanin1, leaves, truths, sizes, counts, *,
-k, max_cuts, include_trivial, pad, pack_limit)``
-    Merge, rank and store the priority cuts of one topological level's
-    AND nodes into the ``CutArrays`` columns, in place.  ``batch`` holds
-    the level's variable ids; ``fanin0/fanin1`` are the whole graph's
-    fanin *literal* arrays.  The NumPy implementation chunks the level to
-    bound scratch memory and compacts the leaf universe when ids would
-    overflow the packed int64 rank keys (``pack_limit``); a scalar
-    backend may ignore both knobs — they change footprint, not output.
+``merge_level(nodes, level_batches, fanin0, fanin1, leaves, truths, sizes,
+counts, *, k, max_cuts, include_trivial, pad, pack_limit)``
+    Merge, rank and store the priority cuts of a whole bottom-up sweep
+    into the ``CutArrays`` columns, in place.  ``nodes`` holds the swept
+    AND ids in strictly ascending order (every fan-in precedes its node,
+    so id order is topological); ``level_batches`` iterates the same
+    nodes grouped by topological level, in level order, and may be a
+    lazy generator.  ``fanin0/fanin1`` are the whole graph's fanin
+    *literal* arrays.  The NumPy implementation merges one level at a
+    time from ``level_batches``, chunks each level to bound scratch
+    memory and compacts the leaf universe when ids would overflow the
+    packed int64 rank keys (``pack_limit``).  A scalar backend walks
+    ``nodes`` once and may ignore ``level_batches`` and ``pack_limit`` —
+    they change cost and footprint, not output.
+
+``shash_sweep(fanin0, fanin1, first, node, level_batches)``
+    Fill ``node[first:]`` (uint64) in place with each AND's structural
+    mixing value: a splitmix64 avalanche over the commutative combination
+    of its fan-ins' values, complement bits folded in.  ``node[:first]``
+    (the constant and the inputs) is seeded by the caller;
+    ``level_batches`` groups the AND ids by topological level, may be
+    lazy, and is consumed only by the NumPy implementation.
 
 ``cone_sweep(first_and, f0v, f1v, root_vars, root_owner, leaf_matrix)``
     Interior ``(nodes, owners)`` pairs of many cones, sorted by
@@ -58,7 +71,10 @@ from repro.utils.arrays import in_sorted, ragged_gather, sorted_unique
 __all__ = [
     "EXPAND_LUT",
     "TRIVIAL_TRUTH",
+    "SHASH_FLIP",
     "merge_level",
+    "shash_sweep",
+    "splitmix",
     "cone_sweep",
     "fa_join",
     "kahn_propagate",
@@ -143,11 +159,18 @@ def _arange(n: int) -> np.ndarray:
 
 
 @register("merge_level", "numpy")
-def merge_level(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
-                leaves: np.ndarray, truths: np.ndarray, sizes: np.ndarray,
-                counts: np.ndarray, *, k: int, max_cuts: int,
-                include_trivial: bool, pad: int, pack_limit: int) -> None:
-    """One level's cut merge; chunked to bound scratch and key packing."""
+def merge_level(nodes: np.ndarray, level_batches, fanin0: np.ndarray,
+                fanin1: np.ndarray, leaves: np.ndarray, truths: np.ndarray,
+                sizes: np.ndarray, counts: np.ndarray, *, k: int,
+                max_cuts: int, include_trivial: bool, pad: int,
+                pack_limit: int) -> None:
+    """The sweep's cut merge, one topological level at a time.
+
+    ``nodes`` is implied by ``level_batches`` here: each level's nodes
+    depend only on earlier levels, so a level merges as vectorized
+    chunks.
+    """
+    del nodes
     slots = leaves.shape[1]
     # Chunk size bounds two things at once: scratch memory (fixed cell
     # budget per chunk) and — on graphs big enough to need per-level leaf
@@ -156,10 +179,12 @@ def merge_level(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
     step = max(1, min(_CHUNK_CELLS // (slots * slots),
                       (pack_limit - 2) // (6 * slots)))
     state = (leaves, truths, sizes, counts)
-    for chunk in range(0, len(batch), step):
-        _merge_chunk(batch[chunk:chunk + step], fanin0, fanin1, state,
-                     k=k, max_cuts=max_cuts, include_trivial=include_trivial,
-                     pad=pad, pack_limit=pack_limit)
+    for batch in level_batches:
+        for chunk in range(0, len(batch), step):
+            _merge_chunk(batch[chunk:chunk + step], fanin0, fanin1, state,
+                         k=k, max_cuts=max_cuts,
+                         include_trivial=include_trivial, pad=pad,
+                         pack_limit=pack_limit)
 
 
 def _merge_chunk(batch: np.ndarray, fanin0: np.ndarray, fanin1: np.ndarray,
@@ -350,6 +375,37 @@ def _dominated(cand_leaves: np.ndarray, cand_size: np.ndarray,
             hit = _member(pair_base + sub_pairs, keys)
             dominated |= triple & hit.any(axis=-1)
     return dominated
+
+
+# ---------------------------------------------------------------------------
+# shash_sweep — the structural hash's bottom-up mixing pass
+# ---------------------------------------------------------------------------
+
+SHASH_FLIP = np.uint64(0xA5A5A5A5A5A5A5A5)  # complement-edge marker
+
+
+def splitmix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer: full-avalanche 64-bit mixing.
+
+    Wraps on overflow (uint64 arithmetic) and is endian-independent.
+    """
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@register("shash_sweep", "numpy")
+def shash_sweep(fanin0: np.ndarray, fanin1: np.ndarray, first: int,
+                node: np.ndarray, level_batches) -> None:
+    """Level-batched mixing: every AND of one level in one NumPy pass."""
+    del first  # the batches name the AND ids themselves
+    for batch in level_batches:
+        f0 = fanin0[batch]
+        f1 = fanin1[batch]
+        a = node[f0 >> 1] ^ (f0 & 1).astype(np.uint64) * SHASH_FLIP
+        b = node[f1 >> 1] ^ (f1 & 1).astype(np.uint64) * SHASH_FLIP
+        node[batch] = splitmix(splitmix(np.maximum(a, b)) ^ np.minimum(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Backend registry for the array hot-path kernels.
 
-The hot paths run on five well-defined array contracts: four on the
-post-GNN path (the per-level cut merge, the cone frontier sweep, the
+The hot paths run on six well-defined array contracts: the two bottom-up
+graph sweeps (the priority-cut merge and the structural hash's mixing
+pass), three more on the post-GNN path (the cone frontier sweep, the
 packed-key FA join, and the Kahn longest-path wavefront) and the
 streaming window planner's per-prefix halo counts.  Each is a
 *registered kernel*: a name plus a pinned signature, with one
 implementation per *backend*.  Two backends ship:
 
 * ``numpy`` — always present, the reference and bit-identity oracle;
-* ``c`` — compiled ``merge_level``, ``kahn_propagate`` and
-  ``halo_prefix_counts``, built once with the system C compiler and
+  its bottom-up sweeps run one topological level per vectorized batch;
+* ``c`` — compiled ``merge_level``, ``shash_sweep``, ``kahn_propagate``
+  and ``halo_prefix_counts``, built once with the system C compiler and
   loaded through ``ctypes``, gated on the build succeeding
-  (:mod:`repro.kernels.c_backend`).
+  (:mod:`repro.kernels.c_backend`).  Each bottom-up sweep is one call
+  per graph in variable-id order, which an AIG guarantees is
+  topological.
 
 The compiled backend must be bit-identical to numpy — the differential
 suite in ``tests/test_kernels.py`` pins that, which is also what makes
@@ -68,10 +72,10 @@ _BACKEND_MODULES = {
     "c": "repro.kernels.c_backend",
 }
 
-# The five pinned kernel contracts (see numpy_backend for the reference
+# The six pinned kernel contracts (see numpy_backend for the reference
 # implementations and the signature documentation).
-KERNEL_NAMES = ("merge_level", "cone_sweep", "fa_join", "kahn_propagate",
-                "halo_prefix_counts")
+KERNEL_NAMES = ("merge_level", "shash_sweep", "cone_sweep", "fa_join",
+                "kahn_propagate", "halo_prefix_counts")
 
 # Below this many AND nodes, AIG.levels() keeps its per-node Python
 # recurrence: the wavefront kernel's per-round call overhead (a few µs per
@@ -248,9 +252,9 @@ def kernel_stats() -> dict:
 def warmup(backend: str | None = None) -> dict:
     """Prime the active backend on a tiny synthetic AIG; returns a record.
 
-    Runs the real pipeline — cut sweep, FA join, cone consumption,
-    word-level ranks — over a small CSA multiplier so every registered
-    kernel executes at least once (the C backend was already built when it
+    Runs the real pipeline — structural hash, cut sweep, FA join, cone
+    consumption, word-level ranks — over a small CSA multiplier so every
+    registered kernel executes at least once (the C backend was already built when it
     resolved; this pays its first-call costs).  Small graphs take the
     scalar ``levels()`` fallback and the pipeline plans no streaming
     windows, so the Kahn and halo-count kernels are additionally driven
@@ -273,6 +277,7 @@ def warmup(backend: str | None = None) -> dict:
     from repro.reasoning.wordlevel import analyze_adder_tree
 
     aig = csa_multiplier(4).aig
+    aig.structural_hash()
     tree = fast_extract_adder_tree(aig)
     analyze_adder_tree(aig, tree)
 

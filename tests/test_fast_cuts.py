@@ -266,6 +266,14 @@ class TestConeRestrictedSweep:
             else:
                 assert cone_only.counts[var] == 0
 
+    def test_out_of_range_roots_rejected(self, csa4):
+        """A negative root used to index from the end: the last AND was
+        swept without its cone and kept only its trivial cut."""
+        aig = csa4.aig
+        for roots in ([-1], [aig.num_vars], [1, aig.num_vars + 5]):
+            with pytest.raises(ValueError, match="roots"):
+                enumerate_cuts_arrays(aig, max_cuts=10, restrict_to=roots)
+
     def test_standalone_lsb_repair_engines_agree(self, csa4):
         from repro.core.postprocess import correct_lsb_region
 

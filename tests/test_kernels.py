@@ -66,7 +66,8 @@ needs_c = pytest.mark.skipif(
 # Every compiled backend and the kernels it implements itself (the rest
 # are served by numpy through the registry's per-kernel fallback).
 COMPILED = {
-    "c": ("merge_level", "kahn_propagate", "halo_prefix_counts"),
+    "c": ("merge_level", "shash_sweep", "kahn_propagate",
+          "halo_prefix_counts"),
 }
 COMPILED_BACKENDS = [
     pytest.param("c", marks=needs_c),
@@ -396,10 +397,20 @@ class TestCompiledBitIdentity:
         got = np.asarray(build().levels_array())
         assert np.array_equal(ref, got)
 
+    @pytest.mark.parametrize("name", sorted(CIRCUITS), ids=str)
+    def test_structural_hash_identical(self, name, backend):
+        build = CIRCUITS[name]
+        digests = {}
+        for served_by in ("numpy", backend):
+            set_backend(served_by)
+            digests[served_by] = build().structural_hash()
+        assert digests[backend] == digests["numpy"]
+
     def test_backend_actually_dispatches(self, backend):
         set_backend(backend)
         reset_dispatch_counts()
         aig = csa_multiplier(6).aig
+        aig.structural_hash()
         analyze_adder_tree(aig, fast_extract_adder_tree(aig))
         model = compile_inference(GamoraNet(shallow_config()))
         build_graph_data(aig, with_labels=False).window_plan(10**5, model)
@@ -497,12 +508,41 @@ def test_c_cut_columns_match_numpy(seed, num_inputs, num_ands, k, max_cuts,
     assert_same_cuts(*results)
 
 
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    num_inputs=st.integers(0, 8),
+    num_ands=st.integers(0, 150),
+    num_outputs=st.integers(0, 4),
+)
+def test_c_structural_hash_matches_numpy(seed, num_inputs, num_ands,
+                                        num_outputs):
+    """Property: the C hash sweep gives numpy's digest on random AIGs,
+    including graphs with no ANDs, no inputs and constant outputs."""
+    def build() -> AIG:
+        if num_inputs == 0:
+            aig = AIG()  # only constants to drive: no AND can exist
+            for index in range(num_outputs):
+                aig.add_output((seed >> index) & 1)
+            return aig
+        return random_aig(num_inputs=num_inputs, num_ands=num_ands,
+                          num_outputs=num_outputs, seed=seed,
+                          allow_constants=True)
+
+    digests = []
+    for backend in ("numpy", "c"):
+        set_backend(backend)
+        digests.append(build().structural_hash())
+    assert digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------------
 # C backend failure modes
 # ---------------------------------------------------------------------------
 
 def fresh_columns(aig: AIG, slots: int = 4):
-    """Valid merge_level arguments for ``aig``'s first AND level."""
+    """Valid merge_level arguments for a sweep of ``aig``'s first level."""
     fanin0, fanin1 = aig.fanin_arrays()
     num = aig.num_vars
     leaves = np.full((num, slots, 3), num, dtype=np.int32)
@@ -514,7 +554,7 @@ def fresh_columns(aig: AIG, slots: int = 4):
     sizes[boundary, 0] = 1
     counts[boundary] = 1
     batch = next(aig.and_level_batches())
-    return [batch, fanin0, fanin1, leaves, truths, sizes, counts]
+    return [batch, [batch], fanin0, fanin1, leaves, truths, sizes, counts]
 
 
 @needs_c
@@ -548,18 +588,18 @@ class TestCBackendFailureModes:
         merge = c_backend.merge_level
 
         args = fresh_columns(aig)
-        args[3] = args[3].astype(np.int64)  # leaves must be int32
+        args[4] = args[4].astype(np.int64)  # leaves must be int32
         with pytest.raises(TypeError, match="leaves"):
             merge(*args, **knobs)
 
         args = fresh_columns(aig)
-        args[0] = args[0].astype(np.int32)  # batch must be int64
-        with pytest.raises(TypeError, match="batch"):
+        args[0] = args[0].astype(np.int32)  # nodes must be int64
+        with pytest.raises(TypeError, match="nodes"):
             merge(*args, **knobs)
 
         args = fresh_columns(aig)
         wide = np.zeros((aig.num_vars, 8), dtype=np.uint8)
-        args[4] = wide[:, ::2]  # right shape, strided
+        args[5] = wide[:, ::2]  # right shape, strided
         with pytest.raises(ValueError, match="C-contiguous"):
             merge(*args, **knobs)
 
@@ -574,10 +614,10 @@ class TestCBackendFailureModes:
         # Out-of-range indices are caught inside C before any write.
         args = fresh_columns(aig)
         args[0] = np.array([aig.num_vars], dtype=np.int64)
-        before = [column.copy() for column in args[3:]]
+        before = [column.copy() for column in args[4:]]
         with pytest.raises(ValueError, match="out of range"):
             merge(*args, **knobs)
-        for old, new in zip(before, args[3:]):
+        for old, new in zip(before, args[4:]):
             assert np.array_equal(old, new)
 
         kahn = c_backend.kahn_propagate
@@ -624,6 +664,69 @@ class TestCBackendFailureModes:
         assert sizes.tolist() == [[3, 2, 1], [3, 3, 2]]
         assert edges.tolist() == [[2, 1], [2, 1]]
 
+    def test_merge_rejects_misordered_sweeps(self, c_backend):
+        """A node list out of id order, or a fan-in at or after its node,
+        is refused before C writes a single cut."""
+        aig = csa_multiplier(4).aig
+        knobs = dict(k=3, max_cuts=3, include_trivial=True,
+                     pad=aig.num_vars, pack_limit=1 << 20)
+        first = 1 + aig.num_inputs
+        ands = np.arange(first, aig.num_vars, dtype=np.int64)
+        fanin0, fanin1 = aig.fanin_arrays()
+        late = fanin1.copy()
+        late[first] = 2 * first  # reads itself
+        later = fanin0.copy()
+        later[first] = 2 * (first + 1) + 1  # reads the next AND
+        cases = [
+            (ands[::-1].copy(), fanin0, fanin1),  # descending
+            (np.r_[ands[:3], ands[2:]], fanin0, fanin1),  # repeated id
+            (ands, fanin0, late),
+            (ands, later, fanin1),
+        ]
+        for nodes, f0, f1 in cases:
+            args = fresh_columns(aig)
+            args[:4] = [nodes, [nodes], f0, f1]
+            before = [column.copy() for column in args[4:]]
+            with pytest.raises(ValueError, match="ascending.*precede"):
+                c_backend.merge_level(*args, **knobs)
+            for old, new in zip(before, args[4:]):
+                assert np.array_equal(old, new)
+
+    def test_shash_sweep_rejects_bad_arguments(self, c_backend):
+        aig = csa_multiplier(4).aig
+        first = 1 + aig.num_inputs
+        fanin0, fanin1 = aig.fanin_arrays()
+        sweep = c_backend.shash_sweep
+
+        def seeded():
+            node = np.zeros(aig.num_vars, dtype=np.uint64)
+            node[:first] = np.arange(1, first + 1, dtype=np.uint64)
+            return node
+
+        with pytest.raises(TypeError, match="node"):
+            sweep(fanin0, fanin1, first, seeded().astype(np.int64), None)
+        with pytest.raises(TypeError, match="fanin1"):
+            sweep(fanin0, fanin1.astype(np.int32), first, seeded(), None)
+        with pytest.raises(ValueError, match="disagree"):
+            sweep(fanin0[:-1], fanin1[:-1], first, seeded(), None)
+        with pytest.raises(ValueError, match="first"):
+            sweep(fanin0, fanin1, aig.num_vars + 1, seeded(), None)
+        late = fanin0.copy()
+        late[-1] = 2 * (aig.num_vars - 1)  # the last AND reads itself
+        negative = fanin1.copy()
+        negative[first] = -1
+        for f0, f1 in ((late, fanin1), (fanin0, negative)):
+            node = seeded()
+            before = node.copy()
+            with pytest.raises(ValueError, match="precede"):
+                sweep(f0, f1, first, node, None)
+            assert np.array_equal(node, before)
+        # A well-formed sweep fills exactly node[first:].
+        node = seeded()
+        sweep(fanin0, fanin1, first, node, None)
+        assert np.array_equal(node[:first], seeded()[:first])
+        assert np.all(node[first:] != 0)
+
     def test_threads_match_sequential(self, monkeypatch):
         """More sweeping threads than cores, on different graphs, with a
         short switch interval: every result equals the sequential one."""
@@ -637,7 +740,7 @@ class TestCBackendFailureModes:
         def sweep(build):
             aig = build()
             return (enumerate_cuts_arrays(aig, k=3, max_cuts=8),
-                    np.asarray(aig.levels_array()))
+                    np.asarray(aig.levels_array()), aig.structural_hash())
 
         expected = [sweep(build) for build in builds]
         results: dict[tuple[int, int], tuple] = {}
@@ -661,9 +764,10 @@ class TestCBackendFailureModes:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 3 * len(builds)
-        for (index, _), (cuts, levels) in results.items():
+        for (index, _), (cuts, levels, digest) in results.items():
             assert_same_cuts(expected[index][0], cuts)
             assert np.array_equal(expected[index][1], levels)
+            assert digest == expected[index][2]
 
     def test_truncated_cache_is_rebuilt(self, c_backend, tmp_path):
         cache = str(tmp_path / "rebuild")

@@ -6,9 +6,12 @@ under AND-node id permutation of equivalent construction orders, blind to
 names, and collision-free across the whole generator zoo.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.aig import AIG
+from repro.aig.aiger import read_aiger
 from repro.aig.graph import lit_not
 from repro.generators import (
     booth_multiplier,
@@ -18,8 +21,25 @@ from repro.generators import (
     multiply_accumulate,
     squarer,
 )
+from repro.kernels import registry, set_backend
 from repro.serve import StructuralHashCache, exact_fingerprint
 from repro.utils.random_circuits import random_aig
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# Digests of the checked-in AIGER fixtures under ``aig-shash-v2``.
+FIXTURE_DIGESTS = {
+    "csa2_mult": "be8208045052b857a16db05210365f7a",
+    "half_adder": "8fd240bf86b9886ee296a7b3071c78f1",
+    "toy_xor3": "7290c043a17747e54b8e994d2615578e",
+}
+
+BACKENDS = [
+    "numpy",
+    pytest.param("c", marks=pytest.mark.skipif(
+        not registry._load_backend("c"),
+        reason="C kernel backend unavailable (no working C compiler)")),
+]
 
 
 def toy_aig(name: str = "toy") -> AIG:
@@ -61,12 +81,23 @@ class TestStability:
 
         If this changes, every persistent cache keyed by the hash silently
         invalidates — bump deliberately, never accidentally.  Bumped once
-        with the version-tagged ``aig-shash-v2`` scheme (level-batched
+        with the version-tagged ``aig-shash-v2`` scheme (splitmix64
         uint64 mixing replacing the per-node blake2b loop).
         """
         assert toy_aig().structural_hash() == (
             "7290c043a17747e54b8e994d2615578e"
         )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("stem", sorted(FIXTURE_DIGESTS))
+    def test_fixture_golden_values(self, stem, backend):
+        """Every kernel backend reproduces the pinned fixture digests."""
+        try:
+            set_backend(backend)
+            aig = read_aiger(FIXTURES / f"{stem}.aag")
+            assert aig.structural_hash() == FIXTURE_DIGESTS[stem]
+        finally:
+            set_backend(None)
 
     def test_name_independent(self):
         assert toy_aig("x").structural_hash() == toy_aig("y").structural_hash()
