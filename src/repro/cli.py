@@ -20,9 +20,7 @@ Subcommands cover the release's day-to-day flows:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from repro.aig import read_aiger, write_aag, write_aig
 from repro.generators import make_multiplier
@@ -105,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_BUDGET_HELP)
     batch.add_argument("--cache-dir", default=None,
                        help="persistent cache directory: reasoning results "
-                            "(and encoded graphs, under graphs/) are "
-                            "preloaded before the batch and spilled back "
-                            "after, so restarts keep their hit rate")
+                            "and encoded graphs are preloaded before the "
+                            "batch and spilled back after, so restarts keep "
+                            "their hit rate")
     batch.add_argument("--compare-sequential", action="store_true",
                        help="also run per-netlist reason() and report speedup")
     batch.add_argument("--kernel", choices=BACKEND_CHOICES, default=None,
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "with a retriable queue_full error")
     serve.add_argument("--cache-dir", default=None,
                        help="persistent cache directory: warm results and "
-                            "encoded graphs (under graphs/) are preloaded "
-                            "on startup and spilled on shutdown")
+                            "encoded graphs are preloaded on startup and "
+                            "spilled on shutdown")
     serve.add_argument("--run-dir", default=None,
                        help="write per-request stats to "
                             "<run-dir>/<request-id>/stats.json")
@@ -298,55 +296,14 @@ def _cmd_reason(args) -> int:
     return 0
 
 
-def _check_cache_dir(cache_dir: str, command: str,
-                     daemon_quarantines: bool = False) -> str | None:
-    """Fail-fast precheck for a persistent cache directory.
-
-    Ownership first (the same rule ``save_result_cache`` enforces — a
-    directory the service would refuse must not even be touched by the
-    writability probe), then an actual write probe, because
-    ``mkdir(exist_ok=True)`` succeeds on an existing read-only dir and
-    the failure must surface before any work runs, not after.  Returns
-    the one-line error already printed to stderr, or ``None`` when the
-    directory is usable.  Shared by ``batch-reason`` and ``serve`` so
-    the two flows can never drift.
-
-    ``daemon_quarantines=True`` (the serve path) lets a directory whose
-    *own marker* is corrupt pass the precheck: ``GamoraDaemon.start``
-    quarantines it — renamed aside, served cold — because a long-running
-    service must degrade on a damaged cache, not refuse to boot.
-    Directories holding foreign, unmarked payloads still fail fast
-    either way; they are never touched.
+def _check_cache_dir(cache_dir: str, command: str) -> str | None:
+    """Fail-fast ``--cache-dir`` precheck shared by ``batch-reason`` and
+    ``serve``: prints the one-line error and returns it, or returns None
+    when the directory is usable (see ``ReasoningService.check_cache_dir``).
     """
     from repro.serve import ReasoningService
 
-    cache_path = Path(cache_dir)
-
-    def _validate(validator, directory, marker_name) -> str | None:
-        try:
-            problem = validator(directory)
-        except Exception as exc:  # unreadable dir: validation itself died
-            problem = f"{type(exc).__name__}: {exc}"
-        if (problem is not None and daemon_quarantines
-                and (Path(directory) / marker_name).is_file()):
-            return None  # our own (corrupt) stamp: the daemon quarantines
-        return problem
-
-    error = _validate(ReasoningService.validate_cache_dir, cache_dir,
-                      ReasoningService._MODEL_MARKER)
-    if error is None:
-        error = _validate(ReasoningService.validate_graph_cache_dir,
-                          cache_path / "graphs",
-                          ReasoningService._GRAPH_MARKER)
-    if error is None:
-        try:
-            cache_path = Path(cache_dir)
-            cache_path.mkdir(parents=True, exist_ok=True)
-            probe = cache_path / f".probe.{os.getpid()}"
-            probe.touch()
-            probe.unlink()
-        except OSError as os_error:
-            error = str(os_error)
+    error = ReasoningService.check_cache_dir(cache_dir)
     if error is not None:
         print(f"{command}: cannot use cache dir {cache_dir}: {error}",
               file=sys.stderr)
@@ -383,9 +340,12 @@ def _cmd_batch_reason(args) -> int:
         print(f"batch-reason: {error}", file=sys.stderr)
         return 2
     if args.cache_dir:
-        loaded = service.load_result_cache(args.cache_dir)
+        loaded, graphs_loaded, quarantined = service.load_caches(
+            args.cache_dir)
+        for moved in quarantined:
+            print(f"batch-reason: quarantined corrupt cache dir: {moved}",
+                  file=sys.stderr)
         print(f"result cache: loaded {loaded} entries from {args.cache_dir}")
-        graphs_loaded = service.load_graph_cache(Path(args.cache_dir) / "graphs")
         print(f"graph cache: loaded {graphs_loaded} entries")
     batch = service.reason_many(aigs)
     for aig, outcome in zip(aigs, batch):
@@ -400,10 +360,7 @@ def _cmd_batch_reason(args) -> int:
               f"{counters['misses']} misses, {counters['evictions']} evictions")
     if args.cache_dir:
         try:
-            saved = service.save_result_cache(args.cache_dir)
-            graphs_saved = service.save_graph_cache(
-                Path(args.cache_dir) / "graphs"
-            )
+            saved, graphs_saved = service.save_caches(args.cache_dir)
         except OSError as error:
             # The batch itself succeeded and was reported above; only the
             # persistence step failed (disk full, permissions changed, ...).
@@ -432,8 +389,8 @@ def _cmd_serve(args) -> int:
     from repro.core import Gamora
     from repro.serve import DaemonServer, FaultPlan, GamoraDaemon
 
-    if args.cache_dir and _check_cache_dir(args.cache_dir, "serve",
-                                           daemon_quarantines=True) is not None:
+    if args.cache_dir and _check_cache_dir(args.cache_dir,
+                                           "serve") is not None:
         return 2
     fault_plan = None
     if args.fault_plan:

@@ -5,11 +5,14 @@ process: a :class:`~repro.serve.service.ReasoningService` whose
 structural-hash LRUs stay warm across requests, fed by a
 :class:`~repro.serve.scheduler.MicroBatchScheduler` that coalesces
 concurrent arrivals into single ``reason_many`` calls.  On :meth:`start`
-the daemon preloads both persistent caches from ``cache_dir`` (results at
-the root, encoded graphs under ``graphs/`` — the ``batch-reason`` CLI
-layout, so the two flows share spill directories); on :meth:`close` it
-drains the queue and spills both caches back, so a restarted daemon picks
-up every result the previous life computed.
+the daemon preloads both persistent caches from ``cache_dir`` with one
+:meth:`~repro.serve.service.ReasoningService.load_caches` call, which
+quarantines a damaged directory; on :meth:`close` it drains the queue and
+spills both caches back with one
+:meth:`~repro.serve.service.ReasoningService.save_caches` call, so a
+restarted daemon picks up every result the previous life computed.  The
+service owns the directory layout, so the daemon and ``batch-reason``
+share cache directories.
 
 Three client surfaces, strictest parity between them:
 
@@ -43,10 +46,11 @@ type (``root_filter`` and ``correct_lsb`` must be JSON booleans,
 ``lsb_outputs`` a non-negative integer) are rejected with a non-retriable
 ``bad_request`` before the request is queued; so is a line that is not
 UTF-8 or not JSON, and the connection keeps serving the lines after it.
-``deadline_ms`` (optional, or the daemon's ``--default-deadline-ms``) is
-the caller's total patience: a request still queued past it is dropped at
-dequeue — its forward pass never runs — and answered with the retriable
-``deadline_exceeded`` error.  :class:`SocketDaemonClient` ships with a
+``deadline_ms`` (optional; absent or ``null`` takes the daemon's
+``--default-deadline-ms``) is the caller's total patience: a request
+still queued past it is dropped at dequeue — its forward pass never runs
+— and answered with the retriable ``deadline_exceeded`` error.
+:class:`SocketDaemonClient` ships with a
 :class:`~repro.serve.resilience.RetryPolicy` that transparently retries
 retriable errors and broken sockets (reconnecting first), so transient
 backpressure and daemon restarts look like latency, not failures.
@@ -60,7 +64,6 @@ import socket
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
 from repro import kernels
@@ -84,11 +87,6 @@ from repro.serve.service import ReasoningService
 
 __all__ = ["DaemonClient", "DaemonServer", "GamoraDaemon",
            "SocketDaemonClient"]
-
-# The subdirectory of cache_dir holding the encoded-graph spill — the same
-# layout ``batch-reason --cache-dir`` uses, so a daemon and the one-shot
-# CLI can share a cache directory.
-GRAPHS_SUBDIR = "graphs"
 
 
 class GamoraDaemon:
@@ -161,89 +159,23 @@ class GamoraDaemon:
         than mid-request.
 
         A cache directory that turns out corrupt or unreadable is
-        *quarantined* — renamed aside, recorded in ``quarantined``, a
-        warning emitted — and the daemon serves cold from a fresh
-        directory.  Losing warmth is a degradation; refusing to boot (or
-        crashing on the close-time spill into a poisoned directory) would
-        be an outage.
+        *quarantined* by the service's ``load_caches`` — renamed aside,
+        recorded in ``quarantined``, a warning emitted — and the daemon
+        serves cold from a fresh directory.  Losing warmth is a
+        degradation; refusing to boot (or crashing on the close-time spill
+        into a poisoned directory) would be an outage.
         """
         if self.fault_plan is not None:
             resilience.install_plan(self.fault_plan)
         self.kernel_warmup = kernels.warmup()
         if self.cache_dir is not None:
-            self.loaded_results = self._load_or_quarantine(
-                self.cache_dir, self.service.validate_cache_dir,
-                self.service.load_result_cache, "result-cache",
-                self.service._MODEL_MARKER,
-            )
-            self.loaded_graphs = self._load_or_quarantine(
-                self.cache_dir / GRAPHS_SUBDIR,
-                self.service.validate_graph_cache_dir,
-                self.service.load_graph_cache, "graph-cache",
-                self.service._GRAPH_MARKER,
-            )
+            (self.loaded_results, self.loaded_graphs,
+             self.quarantined) = self.service.load_caches(self.cache_dir)
         self.scheduler.start()
         if self.watchdog is not None:
             self.watchdog.start()
         self._started_at = time.monotonic()
         return self
-
-    def _load_or_quarantine(self, directory: Path, validate, load,
-                            what: str, marker_name: str) -> int:
-        """Preload one cache dir, renaming it aside if it can't be trusted.
-
-        Quarantined means: our marker file is present but fails validation
-        (a corrupted or mismatched stamp — the directory *was* ours), or
-        loading raises.  The rename keeps the bytes for post-mortem while
-        freeing the path, so the close-time spill recreates a healthy
-        directory in its place.  A directory with foreign payloads and
-        *no* marker of ours is someone else's data: it is never touched —
-        we warn, serve cold, and let the close-time spill record the
-        refusal in ``spill_error``.
-        """
-        if not directory.exists():
-            return 0
-        try:
-            resilience.fire("cache.load")  # chaos: unreadable cache dir
-            error = validate(directory)
-            if error is None:
-                return load(directory)
-            if not (directory / marker_name).is_file():
-                warnings.warn(
-                    f"not loading foreign {what} dir {directory} ({error}); "
-                    "serving cold",
-                    RuntimeWarning, stacklevel=2,
-                )
-                return 0
-        except Exception as exc:  # noqa: BLE001 - any load failure degrades
-            error = f"{type(exc).__name__}: {exc}"
-        quarantine = directory.with_name(
-            f"{directory.name}.quarantined.{int(time.time())}"
-        )
-        suffix = 0
-        while quarantine.exists():
-            suffix += 1
-            quarantine = directory.with_name(f"{quarantine.name}.{suffix}")
-        try:
-            directory.rename(quarantine)
-        except OSError as rename_error:
-            # Can't even rename it: serve cold and leave it untouched —
-            # the spill on close will fail too, recorded in spill_error.
-            warnings.warn(
-                f"corrupt {what} dir {directory} could not be quarantined "
-                f"({rename_error}); serving cold without persistence: "
-                f"{error}",
-                RuntimeWarning, stacklevel=2,
-            )
-            self.quarantined.append(str(directory))
-            return 0
-        warnings.warn(
-            f"quarantined corrupt {what} dir: {directory} -> {quarantine} "
-            f"({error}); serving cold",
-            RuntimeWarning, stacklevel=2,
-        )
-        self.quarantined.append(str(quarantine))
-        return 0
 
     def close(self) -> None:
         """Drain the queue, stop scheduling, spill the caches. Idempotent.
@@ -260,17 +192,8 @@ class GamoraDaemon:
         self.scheduler.stop(drain=True)
         if self.cache_dir is not None:
             try:
-                self.saved_results = self.service.save_result_cache(
-                    self.cache_dir
-                )
-                self.saved_graphs = self.service.save_graph_cache(
-                    self.cache_dir / GRAPHS_SUBDIR
-                )
-                if resilience.fire("cache.spill") == "corrupt":
-                    # Chaos: garbage the ownership stamp so the *next*
-                    # boot faces a corrupt directory (and must quarantine).
-                    marker = self.cache_dir / self.service._MODEL_MARKER
-                    marker.write_text("corrupted-by-fault-injection\n")
+                (self.saved_results,
+                 self.saved_graphs) = self.service.save_caches(self.cache_dir)
             except OSError as error:
                 self.spill_error = str(error)
 
@@ -382,7 +305,9 @@ class GamoraDaemon:
                 f"option 'lsb_outputs' must be a non-negative integer, "
                 f"got {lsb_outputs!r}",
             )
-        deadline_ms = message.get("deadline_ms", self.default_deadline_ms)
+        deadline_ms = message.get("deadline_ms")
+        if deadline_ms is None:  # absent or null: the daemon default
+            deadline_ms = self.default_deadline_ms
         if deadline_ms is not None:
             if (isinstance(deadline_ms, bool)
                     or not isinstance(deadline_ms, (int, float))

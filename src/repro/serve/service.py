@@ -70,13 +70,16 @@ do not depend on weights) but cached results become stale — call
 :meth:`clear_result_cache` (``Gamora.fit`` drops its lazily built service
 automatically).
 
-Both caches persist to disk: :meth:`save_result_cache` /
-:meth:`load_result_cache` spill reasoning outcomes stamped with the model
-fingerprint, and :meth:`save_graph_cache` / :meth:`load_graph_cache` spill
-the encoded graphs stamped with the *encoding* fingerprint only — so a
-retrained model reloads its encodings while a different feature mode or
-direction invalidates them.  ``batch-reason --cache-dir`` wires both up
-(results at the directory root, graphs under ``graphs/``).
+Both caches persist to one cache directory, and this class is the only
+code that knows its layout.  :meth:`save_caches` spills reasoning
+outcomes to the directory root, stamped with the model fingerprint, and
+encoded graphs under ``graphs/``, stamped with the *encoding* fingerprint
+only — so a retrained model reloads its encodings while a different
+feature mode or direction invalidates them.  :meth:`load_caches` reloads
+both and quarantines a damaged directory of ours (renamed aside, served
+cold); :meth:`check_cache_dir` is the fail-fast precheck.  The daemon
+and both ``--cache-dir`` commands (``batch-reason`` and ``serve``) make
+one call per direction.
 
 The invariant that makes all of this safe — planned/batched predictions
 are identical to sequential ones — is enforced by
@@ -86,8 +89,12 @@ are identical to sequential ones — is enforced by
 from __future__ import annotations
 
 import copy
+import os
 import threading
+import time
+import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -234,6 +241,44 @@ def _freeze_arrays(value) -> None:
     elif isinstance(value, AdderTreeArrays):
         for slot in AdderTreeArrays.__slots__:
             _freeze_arrays(getattr(value, slot, None))
+
+
+def _read_stamp(marker: Path) -> str | None:
+    """The stamp ``marker`` holds, or None when it is missing or unreadable."""
+    try:
+        return marker.read_bytes().decode("utf-8", "replace").strip()
+    except OSError:
+        return None
+
+
+def _quarantine(directory: Path, what: str, problem: str) -> str:
+    """Rename a damaged spill directory aside and warn; returns its new path.
+
+    The rename keeps the bytes for post-mortem and frees the path for the
+    next save.  A directory that cannot be renamed stays where it is and
+    its own path is returned: the caller serves cold, and the next save
+    fails too.
+    """
+    base = f"{directory.name}.quarantined.{int(time.time())}"
+    target, suffix = directory.with_name(base), 0
+    while target.exists():
+        suffix += 1
+        target = directory.with_name(f"{base}.{suffix}")
+    try:
+        directory.rename(target)
+    except OSError as error:
+        warnings.warn(
+            f"corrupt {what} dir {directory} could not be quarantined "
+            f"({error}); serving cold without persistence: {problem}",
+            RuntimeWarning, stacklevel=3,
+        )
+        return str(directory)
+    warnings.warn(
+        f"quarantined corrupt {what} dir: {directory} -> {target} "
+        f"({problem}); serving cold",
+        RuntimeWarning, stacklevel=3,
+    )
+    return str(target)
 
 
 class ReasoningService:
@@ -492,15 +537,19 @@ class ReasoningService:
                 )
 
     # ------------------------------------------------------------------
+    # Persistent caches.  This class is the one owner of the cache
+    # directory layout: the result spill sits at the root, stamped by
+    # MODEL.tag, and the encoded-graph spill under graphs/, stamped by
+    # GRAPH.tag.  A stamp is "<format>:<fingerprint>".  A marker starting
+    # with a format family identifies a directory this service family
+    # owns; a directory holding .npz files and no marker is foreign data
+    # and is never touched.
     _MODEL_MARKER = "MODEL.tag"
-    # Stamped alongside the model fingerprint.  Bump the version whenever
-    # the *meaning* of cached results changes — post-processing semantics,
-    # the options key, the outcome payload — so entries computed by older
-    # code are invalidated even though the model weights are unchanged
-    # (``to_dir`` skips existing files by name, so stale entries would
-    # otherwise never be refreshed).  Any marker starting with the family
-    # prefix identifies a directory this service family owns; everything
-    # else is foreign data and is never touched.
+    # Bump the version whenever the *meaning* of cached results changes —
+    # post-processing semantics, the options key, the outcome payload — so
+    # entries computed by older code are invalidated even though the model
+    # weights are unchanged (``to_dir`` skips existing files by name, so
+    # stale entries would otherwise never be refreshed).
     _CACHE_FORMAT_FAMILY = "gamora-result-cache-"
     # v2: the options key gained the post-processing engine field.
     # v3: the extraction payload carries the array-core AdderTree
@@ -516,10 +565,10 @@ class ReasoningService:
     # v7: every payload carries its report (v6 entries could hold None).
     _CACHE_FORMAT = _CACHE_FORMAT_FAMILY + "v7"
 
-    # The encoded-graph cache persists separately: encodings depend only on
-    # the encoding configuration (feature mode / direction), not on the
-    # model weights, so the stamp carries an encoding fingerprint and a
-    # retrained model keeps its graph spill valid.
+    # Encodings depend only on the encoding configuration (feature mode /
+    # direction), not on the model weights, so the graph stamp carries an
+    # encoding fingerprint and a retrained model keeps its graph spill.
+    _GRAPHS_SUBDIR = "graphs"
     _GRAPH_MARKER = "GRAPH.tag"
     _GRAPH_FORMAT_FAMILY = "gamora-graph-cache-"
     # v2: GraphData gained the cached topological-levels array that window
@@ -527,49 +576,66 @@ class ReasoningService:
     _GRAPH_FORMAT = _GRAPH_FORMAT_FAMILY + "v2"
 
     @classmethod
-    def _validate_owned_dir(cls, directory, marker_name: str,
-                            family: str, what: str) -> str | None:
-        """Shared ownership rule for every stamped cache directory.
+    def _layout(cls, cache_dir) -> tuple[tuple[Path, str, str, str], ...]:
+        """``(directory, marker, format family, name)``, root first."""
+        root = Path(cache_dir)
+        return (
+            (root, cls._MODEL_MARKER, cls._CACHE_FORMAT_FAMILY,
+             "result-cache"),
+            (root / cls._GRAPHS_SUBDIR, cls._GRAPH_MARKER,
+             cls._GRAPH_FORMAT_FAMILY, "graph-cache"),
+        )
 
-        A directory is usable when it is fresh (no ``.npz`` payload) or
-        carries a marker this service family wrote; a foreign marker or
-        unstamped ``.npz`` files make it untouchable.
+    @staticmethod
+    def _ownership_problem(directory: Path, marker: str, family: str,
+                           what: str) -> str | None:
+        """Why ``directory`` is not a spill of ours, or None.
+
+        A directory is ours when it is fresh (no ``.npz`` payload) or its
+        marker starts with our format family.  The callers tell the two
+        failures apart by the marker: present means a damaged directory of
+        ours, absent means foreign data.
         """
-        from pathlib import Path
-
-        directory = Path(directory)
-        marker = directory / marker_name
-        if marker.is_file():
-            try:
-                owned = marker.read_text().startswith(family)
-            except OSError:
-                owned = False
-            if owned:
+        marker_path = directory / marker
+        if marker_path.is_file():
+            stamp = _read_stamp(marker_path)
+            if stamp is not None and stamp.startswith(family):
                 return None
-            return (f"{marker} exists but was not written by a reasoning "
-                    "service")
+            return (f"{marker_path} exists but was not written by a "
+                    "reasoning service")
         if any(directory.glob("*.npz")):
-            return (f"{directory} contains .npz files but no {what} stamp")
+            return f"{directory} contains .npz files but no {what} stamp"
         return None
 
     @classmethod
-    def validate_cache_dir(cls, directory) -> str | None:
-        """Why ``directory`` cannot be used as a result-cache dir, or None.
+    def check_cache_dir(cls, cache_dir) -> str | None:
+        """Why ``cache_dir`` cannot hold the persistent caches, or None.
 
-        Single source of truth for cache-directory ownership — used by
-        :meth:`save_result_cache` before writing anything and by the CLI's
-        fail-fast precheck, so the two can never diverge.
+        The fail-fast precheck every ``--cache-dir`` command runs before
+        any work.  Ownership first, for the root and ``graphs/``: a
+        directory with ``.npz`` files and no marker of ours is refused
+        before the write probe can touch it.  A directory carrying our
+        marker passes even when the stamp is damaged, because
+        :meth:`load_caches` quarantines it.  Then a write probe of each
+        directory: ``mkdir(exist_ok=True)`` succeeds on an existing
+        read-only directory, and the failure must surface before the work
+        runs, not at the save after it.
         """
-        return cls._validate_owned_dir(directory, cls._MODEL_MARKER,
-                                       cls._CACHE_FORMAT_FAMILY,
-                                       "result-cache")
-
-    @classmethod
-    def validate_graph_cache_dir(cls, directory) -> str | None:
-        """Why ``directory`` cannot hold the encoded-graph cache, or None."""
-        return cls._validate_owned_dir(directory, cls._GRAPH_MARKER,
-                                       cls._GRAPH_FORMAT_FAMILY,
-                                       "graph-cache")
+        layout = cls._layout(cache_dir)
+        try:
+            for directory, marker, family, what in layout:
+                problem = cls._ownership_problem(directory, marker, family,
+                                                 what)
+                if problem is not None and not (directory / marker).is_file():
+                    return problem
+            for directory, *_ in layout:
+                directory.mkdir(parents=True, exist_ok=True)
+                probe = directory / f".probe.{os.getpid()}"
+                probe.touch()
+                probe.unlink()
+        except OSError as error:
+            return str(error)
+        return None
 
     def _model_fingerprint(self) -> str:
         """Digest of the bound Gamora's configuration and weights.
@@ -620,117 +686,111 @@ class ReasoningService:
         )
         return digest.hexdigest()
 
-    def _spill_cache(self, cache: StructuralHashCache, directory,
-                     marker_name: str, stamp: str, error: str | None,
-                     what: str) -> int:
-        """Stamp-guarded spill shared by the result and graph caches.
+    def _spills(self, cache_dir) -> list[tuple]:
+        """``(cache, stamp, directory, marker, family, name)`` per spill."""
+        stamps = (f"{self._CACHE_FORMAT}:{self._model_fingerprint()}",
+                  f"{self._GRAPH_FORMAT}:{self._encoding_fingerprint()}")
+        return [
+            (cache, stamp, *layout) for cache, stamp, layout in zip(
+                (self.result_cache, self.graph_cache), stamps,
+                self._layout(cache_dir))
+        ]
 
-        The directory is stamped; one this service family stamped under a
-        *different* fingerprint (or format version) is purged first —
-        those entries could never be valid again, and ``to_dir`` skips by
-        file name, so stale files would otherwise shadow recomputed
-        entries forever.  A directory holding foreign data (``.npz``
-        files without our stamp, or someone else's marker) is refused
-        (``OSError``) rather than cleaned out.  Returns the number of
-        entries written; already-present entries are skipped, so repeated
-        saves are cheap and incremental.
+    def load_caches(self, cache_dir) -> tuple[int, int, list[str]]:
+        """Preload both spills from ``cache_dir``.
+
+        Returns ``(results, graphs, quarantined)``: the entries each cache
+        kept (the LRU bound, or a disabled cache, can keep fewer than the
+        directory held) and the paths of the directories renamed aside.  A
+        spill loads only under a matching stamp — the model fingerprint
+        for results, the encoding fingerprint for graphs — so a retrained
+        model keeps its graphs and loses its results.  Reloaded results
+        are frozen again: pickling drops the read-only flag, and hits
+        share their arrays.
+
+        A directory of ours that cannot be trusted (a damaged stamp, or a
+        load that raises) is quarantined: renamed aside and kept for
+        post-mortem, with a ``RuntimeWarning``.  The caller serves cold,
+        and the next :meth:`save_caches` recreates the directory.  A
+        directory with foreign payloads and no marker of ours is never
+        touched: it loads nothing, with a warning.
         """
-        from pathlib import Path
-
-        directory = Path(directory)
-        if error is not None:
-            raise OSError(
-                f"{error}; refusing to use it as a {what} directory"
-            )
-        marker = directory / marker_name
-        stamped = marker.is_file() and marker.read_text().strip() == stamp
-        if not stamped:
-            # Validation above proved the directory is ours or fresh, so
-            # any .npz entries here are a stale model's/format's: purge
-            # and restamp *before* spilling, so a crash mid-spill can
-            # only leave valid entries behind.
-            for stale in directory.glob("*.npz"):
-                stale.unlink()
-            directory.mkdir(parents=True, exist_ok=True)
-            # Atomic stamp (tmp + rename, like the npz entries): a crash
-            # mid-write must not leave a truncated marker that would make
-            # the directory read as foreign — and unusable — forever.
-            import os
-
-            marker_tmp = marker.with_name(f"{marker.name}.{os.getpid()}.tmp")
-            marker_tmp.write_text(stamp + "\n")
-            marker_tmp.replace(marker)
-        # The stamp doubles as the entry namespace: entries written by a
-        # concurrent service under a different model get different file
-        # names and are ignored on load, so a racing save can never
-        # poison this cache with another configuration's artifacts.
-        return cache.to_dir(directory, namespace=stamp)
-
-    @staticmethod
-    def _reload_cache(cache: StructuralHashCache, directory,
-                      marker_name: str, stamp: str) -> int:
-        """Stamp-checked reload shared by the result and graph caches."""
-        from pathlib import Path
-
-        marker = Path(directory) / marker_name
-        if not marker.is_file():
-            return 0
-        if marker.read_text().strip() != stamp:
-            return 0
-        loaded = cache.from_dir(directory, namespace=stamp)
-        # Report what actually survived insertion: the LRU bound (or a
-        # disabled cache) can retain fewer entries than the dir held.
-        return min(loaded, len(cache))
-
-    def save_result_cache(self, directory) -> int:
-        """Spill the result cache to ``directory`` (fingerprint-named npz).
-
-        Stamped with the bound model's weight fingerprint — see
-        :meth:`_spill_cache` for the ownership/purge rules.
-        """
-        return self._spill_cache(
-            self.result_cache, directory, self._MODEL_MARKER,
-            f"{self._CACHE_FORMAT}:{self._model_fingerprint()}",
-            self.validate_cache_dir(directory), "result-cache",
-        )
-
-    def load_result_cache(self, directory) -> int:
-        """Reload a previously saved result cache from ``directory``.
-
-        Loads nothing (returns 0) unless the directory's model stamp
-        matches the bound Gamora — results computed by another model must
-        not be served as hits.  Re-applies the frozen-labels invariant
-        (pickling drops the read-only flag): cached label arrays are
-        shared between hits, so they must reject accidental mutation.
-        Returns the number of entries loaded.
-        """
-        stamp = f"{self._CACHE_FORMAT}:{self._model_fingerprint()}"
-        loaded = self._reload_cache(self.result_cache, directory,
-                                    self._MODEL_MARKER, stamp)
-        if loaded:
+        counts, quarantined = [], []
+        spills = self._spills(cache_dir)
+        for cache, stamp, directory, marker, family, what in spills:
+            counts.append(0)
+            if not directory.exists():
+                continue
+            try:
+                resilience.fire("cache.load")  # chaos: unreadable cache dir
+                problem = self._ownership_problem(directory, marker, family,
+                                                  what)
+                if problem is None:
+                    if _read_stamp(directory / marker) == stamp:
+                        loaded = cache.from_dir(directory, namespace=stamp)
+                        counts[-1] = min(loaded, len(cache))
+                    continue
+                if not (directory / marker).is_file():
+                    warnings.warn(
+                        f"not loading foreign {what} dir {directory} "
+                        f"({problem}); serving cold",
+                        RuntimeWarning, stacklevel=2,
+                    )
+                    continue
+            except Exception as exc:  # noqa: BLE001 - any failure degrades
+                problem = f"{type(exc).__name__}: {exc}"
+            quarantined.append(_quarantine(directory, what, problem))
+        if counts[0]:
             for _, _, value in self.result_cache.items():
                 _freeze_arrays(value)
-        return loaded
+        return counts[0], counts[1], quarantined
 
-    def save_graph_cache(self, directory) -> int:
-        """Spill the encoded-graph cache (mirrors :meth:`save_result_cache`).
+    def save_caches(self, cache_dir) -> tuple[int, int]:
+        """Spill both caches to ``cache_dir``; returns the entries written.
 
-        Entries are :class:`GraphData` encodings keyed by structural hash;
-        the stamp carries the encoding fingerprint, so a service with a
-        different ``feature_mode``/``direction`` purges them while a
-        merely retrained model keeps them.
+        Both directories are checked, and created, before either is
+        written, so a refused save leaves no half-written spill.  A
+        directory holding foreign data (``.npz`` files without our stamp,
+        or a marker we did not write) raises ``OSError`` and is never
+        cleaned out.  A spill of ours under another stamp is purged and
+        restamped first: its entries can never be valid again, and
+        ``to_dir`` skips by file name, so stale files would otherwise
+        shadow recomputed entries forever.  Entries already on disk are
+        skipped, so a repeated save writes 0.
         """
-        return self._spill_cache(
-            self.graph_cache, directory, self._GRAPH_MARKER,
-            f"{self._GRAPH_FORMAT}:{self._encoding_fingerprint()}",
-            self.validate_graph_cache_dir(directory), "graph-cache",
-        )
-
-    def load_graph_cache(self, directory) -> int:
-        """Reload a spilled encoded-graph cache (0 on a stamp mismatch)."""
-        stamp = f"{self._GRAPH_FORMAT}:{self._encoding_fingerprint()}"
-        return self._reload_cache(self.graph_cache, directory,
-                                  self._GRAPH_MARKER, stamp)
+        spills = self._spills(cache_dir)
+        for _, _, directory, marker, family, what in spills:
+            problem = self._ownership_problem(directory, marker, family, what)
+            if problem is not None:
+                raise OSError(
+                    f"{problem}; refusing to use it as a {what} directory"
+                )
+        for _, _, directory, *_ in spills:
+            directory.mkdir(parents=True, exist_ok=True)
+        written = []
+        for cache, stamp, directory, marker, *_ in spills:
+            marker_path = directory / marker
+            if _read_stamp(marker_path) != stamp:
+                # Purge and restamp *before* spilling, so a crash mid-spill
+                # can only leave valid entries behind.  The stamp is
+                # written atomically (tmp + rename, like the entries): a
+                # truncated marker would read as foreign forever.
+                for stale in directory.glob("*.npz"):
+                    stale.unlink()
+                tmp = marker_path.with_name(
+                    f"{marker_path.name}.{os.getpid()}.tmp")
+                tmp.write_text(stamp + "\n")
+                tmp.replace(marker_path)
+            # The stamp doubles as the entry namespace: entries a concurrent
+            # service writes under another stamp get other file names and
+            # are ignored on load.
+            written.append(cache.to_dir(directory, namespace=stamp))
+        if resilience.fire("cache.spill") == "corrupt":
+            # Chaos: garble the result stamp, so the next load faces a
+            # damaged directory (and must quarantine it).
+            (Path(cache_dir) / self._MODEL_MARKER).write_text(
+                "corrupted-by-fault-injection\n")
+        return written[0], written[1]
 
     # ------------------------------------------------------------------
     def clear_result_cache(self) -> None:

@@ -194,6 +194,53 @@ class TestBatchReason:
         assert "FA" not in captured.out  # refused before reasoning anything
         assert (foreign / "data.npz").read_bytes() == b"user data"
 
+    @pytest.mark.parametrize("command", ["batch-reason", "serve"])
+    def test_graphs_file_fails_the_precheck(self, trained_model, tmp_path,
+                                            capsys, command):
+        """The precheck covers graphs/ too: a regular file there stops
+        both commands before they reason anything or write a spill."""
+        netlist = tmp_path / "m4.aag"
+        assert main(["gen", str(netlist), "--width", "4"]) == 0
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "graphs").write_text("not a directory")
+        capsys.readouterr()
+        # An unparsable fault plan: were the precheck to pass, serve would
+        # exit at the plan instead of serving forever.
+        args = ([str(netlist)] if command == "batch-reason"
+                else ["--socket", str(tmp_path / "s.sock"),
+                      "--fault-plan", "{"])
+        assert main([command, str(trained_model), *args,
+                     "--cache-dir", str(cache_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{command}: cannot use cache dir")
+        assert "FA" not in captured.out
+        assert sorted(cache_dir.iterdir()) == [cache_dir / "graphs"]
+
+    def test_batch_reason_quarantines_damaged_stamp(self, trained_model,
+                                                    tmp_path, capsys):
+        """A garbage stamp of ours is quarantined, as under serve: the
+        batch runs cold and respills a healthy directory in its place."""
+        netlist = tmp_path / "m4.aag"
+        assert main(["gen", str(netlist), "--width", "4"]) == 0
+        cache_dir = tmp_path / "cache"
+        run = ["batch-reason", str(trained_model), str(netlist),
+               "--cache-dir", str(cache_dir)]
+        assert main(run) == 0
+        (cache_dir / "MODEL.tag").write_text("garbage\n")
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert main(run) == 0
+        captured = capsys.readouterr()
+        assert "batch-reason: quarantined corrupt cache dir" in captured.err
+        assert "result_hits=0" in captured.out
+        assert "saved 1 new entries" in captured.out
+        wrecks = list(tmp_path.glob("cache.quarantined.*"))
+        assert len(wrecks) == 1
+        assert (wrecks[0] / "MODEL.tag").read_text() == "garbage\n"
+        assert main(run) == 0
+        assert "result_hits=1" in capsys.readouterr().out
+
     def test_batch_reason_no_netlists_is_clean_error(self, trained_model,
                                                      capsys):
         assert main(["batch-reason", str(trained_model)]) == 2

@@ -441,6 +441,19 @@ class TestDeadlines:
             assert response["error"]["type"] == "deadline_exceeded"
             assert daemon.stats()["default_deadline_ms"] == 5
 
+    def test_null_deadline_takes_the_default(self, gamora, circuits):
+        """An explicit ``"deadline_ms": null`` means "no deadline of my
+        own", exactly like an absent key: the daemon default applies."""
+        with GamoraDaemon(gamora, batch_window_ms=1,
+                          default_deadline_ms=120_000) as daemon:
+            for message in ({}, {"deadline_ms": None}):
+                response = daemon.handle({
+                    "op": "reason", "netlist": dumps_aag(circuits[0]),
+                    **message,
+                })
+                assert response["ok"], response
+                assert response["stats"]["deadline_ms"] == 120_000
+
 
 # ======================================================================
 class TestFaultPointScheduler:
@@ -614,7 +627,7 @@ class TestFaultPointCache:
                           fault_plan=plan) as first:
             first.submit(circuits[0])
         resilience.install_plan(None)
-        marker = cache_dir / first.service._MODEL_MARKER
+        marker = cache_dir / "MODEL.tag"
         assert marker.read_text().startswith("corrupted")
 
         with pytest.warns(RuntimeWarning, match="quarantined"):

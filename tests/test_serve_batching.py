@@ -328,9 +328,9 @@ def _route_persistent_round_trip(gamora, tmp_path):
     circuit = dot_product(3, 2)
     writer = ReasoningService(gamora)
     writer.reason_many([circuit])
-    assert writer.save_result_cache(tmp_path / "results") == 1
+    assert writer.save_caches(tmp_path / "cache") == (1, 1)
     reader = ReasoningService(gamora)
-    assert reader.load_result_cache(tmp_path / "results") == 1
+    assert reader.load_caches(tmp_path / "cache") == (1, 1, [])
     batch = reader.reason_many([dot_product(3, 2)])
     assert batch.stats.result_hits == 1
     return [(circuit.aig, batch[0])]
@@ -391,7 +391,7 @@ class TestReportOnEveryRoute:
         with monkeypatch.context() as patch:
             patch.setattr(ReasoningService, "_CACHE_FORMAT",
                           ReasoningService._CACHE_FORMAT_FAMILY + "v6")
-            assert old.save_result_cache(spill) == 1
+            assert old.save_caches(spill) == (1, 1)
         assert (spill / "MODEL.tag").read_text().startswith(
             "gamora-result-cache-v6:")
         v6_entries = sorted(spill.glob("*.npz"))
@@ -399,14 +399,15 @@ class TestReportOnEveryRoute:
 
         service = ReasoningService(gamora)
         assert ReasoningService._CACHE_FORMAT.endswith("v7")
-        assert service.load_result_cache(spill) == 0
+        # The graph format did not change: only the results are refused.
+        assert service.load_caches(spill) == (0, 1, [])
         fresh = service.reason_many([circuit])
         assert fresh.stats.result_hits == 0
         assert fresh[0].report == analyze_adder_tree(circuit.aig,
                                                      fresh[0].tree)
-        assert service.save_result_cache(spill) == 1
+        assert service.save_caches(spill) == (1, 0)
         assert not any(path.exists() for path in v6_entries)
-        assert ReasoningService(gamora).load_result_cache(spill) == 1
+        assert ReasoningService(gamora).load_caches(spill) == (1, 1, [])
 
 
 class TestUnbatchPredictions:

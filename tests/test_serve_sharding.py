@@ -7,6 +7,8 @@ and extractions identical to sequential ``Gamora.reason``.  The planner itself i
 function: budget respected, exact partition, deterministic.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,28 +281,31 @@ class TestShardedEquivalence:
 
 class TestPersistentResultCache:
     def test_rejects_other_models(self, gamora, tmp_path):
-        """A cache dir written under one model must never serve another."""
+        """A cache dir written under one model must never serve another
+        its results; the encodings stay valid for a retrained model."""
         service = ReasoningService(gamora)
         service.reason_many([ZOO[0]()])
-        spill = tmp_path / "results"
-        assert service.save_result_cache(spill) == 1
+        spill = tmp_path / "cache"
+        assert service.save_caches(spill) == (1, 1)
         # Same model: a fresh service reloads and serves hits.
         twin = ReasoningService(gamora)
-        assert twin.load_result_cache(spill) == 1
+        assert twin.load_caches(spill) == (1, 1, [])
         reloaded = twin.reason_many([ZOO[0]()])
         assert reloaded.stats.result_hits == 1
         # Disk-reloaded payloads re-acquire the frozen invariant for the
         # array-core tree, not just the labels (pickling drops the flag).
         with pytest.raises(ValueError):
             reloaded[0].extraction.tree.arrays().sum_var[0] = 5
-        # Different weights (fresh untrained net): refuse to load...
+        # Different weights, same encoding (a retrained model): the results
+        # are refused while the graph spill still loads...
         other = ReasoningService(Gamora(model="shallow"))
-        assert other.load_result_cache(spill) == 0
+        assert other.load_caches(spill) == (0, 1, [])
         assert len(other.result_cache) == 0
-        # ...and saving under the other model purges the stale entries.
+        # ...and saving under the other model purges the stale results.
         other.reason_many([ZOO[1]()])
-        assert other.save_result_cache(spill) == 1
-        assert twin.load_result_cache(spill) == 0  # stamp changed hands
+        assert other.save_caches(spill) == (1, 1)
+        assert len(list(spill.glob("*.npz"))) == 1
+        assert twin.load_caches(spill)[0] == 0  # stamp changed hands
 
     def test_never_touches_foreign_directories(self, gamora, tmp_path):
         """Unstamped dirs holding npz files are refused, not cleaned out."""
@@ -309,7 +314,10 @@ class TestPersistentResultCache:
         # Stamp-less entries (written via the raw cache API) never load...
         bare = tmp_path / "bare"
         service.result_cache.to_dir(bare)
-        assert ReasoningService(gamora).load_result_cache(bare) == 0
+        with pytest.warns(RuntimeWarning, match="foreign"):
+            assert ReasoningService(gamora).load_caches(bare) == (0, 0, [])
+        problem = ReasoningService.check_cache_dir(bare)
+        assert "no result-cache stamp" in problem
         # ...and saving into a dir with foreign npz data refuses loudly
         # instead of deleting files the service never wrote.
         foreign = tmp_path / "datasets"
@@ -317,48 +325,74 @@ class TestPersistentResultCache:
         keep = foreign / "irreplaceable.npz"
         keep.write_bytes(b"user data, not ours")
         with pytest.raises(OSError, match="refusing"):
-            service.save_result_cache(foreign)
+            service.save_caches(foreign)
         assert keep.read_bytes() == b"user data, not ours"
+        assert sorted(foreign.iterdir()) == [keep]
         # A user's own file that merely *shares the marker name* does not
-        # make the dir service-owned: content is checked, nothing deleted.
+        # make the dir service-owned for a save: nothing is deleted.
         noted = tmp_path / "my-notes"
         noted.mkdir()
         (noted / "MODEL.tag").write_text("my experiment notes\n")
         (noted / "precious.npz").write_bytes(b"experiment data")
         with pytest.raises(OSError, match="refusing"):
-            service.save_result_cache(noted)
+            service.save_caches(noted)
         assert (noted / "precious.npz").read_bytes() == b"experiment data"
         assert (noted / "MODEL.tag").read_text() == "my experiment notes\n"
-        assert ReasoningService.validate_cache_dir(noted) is not None
+
+    def test_damaged_stamp_is_quarantined(self, gamora, tmp_path):
+        """Our marker with garbage in it passes the precheck; the load
+        renames the directory aside intact, and the next save recreates it."""
+        service = ReasoningService(gamora)
+        service.reason_many([ZOO[0]()])
+        spill = tmp_path / "cache"
+        service.save_caches(spill)
+        (spill / "MODEL.tag").write_text("garbage\n")
+        assert ReasoningService.check_cache_dir(spill) is None
+        twin = ReasoningService(gamora)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            results, graphs, quarantined = twin.load_caches(spill)
+        assert (results, graphs) == (0, 0)
+        assert len(quarantined) == 1
+        wreck = Path(quarantined[0])
+        assert (wreck / "MODEL.tag").read_text() == "garbage\n"
+        assert len(list(wreck.glob("*.npz"))) == 1  # kept for post-mortem
+        assert not spill.exists()  # path freed for the respill
+        twin.reason_many([ZOO[0]()])
+        assert twin.save_caches(spill) == (1, 1)
+        assert ReasoningService(gamora).load_caches(spill) == (1, 1, [])
 
 
 class TestPersistentGraphCache:
     def test_round_trip_restores_hit_rate(self, gamora, tmp_path):
         service = ReasoningService(gamora)
         service.reason_many([ZOO[0](), ZOO[1]()])
-        spill = tmp_path / "graphs"
-        assert service.save_graph_cache(spill) == 2
-        # A fresh service preloads the encodings: the batch re-encodes
-        # nothing (graph hits for every unique circuit).
-        twin = ReasoningService(gamora)
-        assert twin.load_graph_cache(spill) == 2
+        spill = tmp_path / "cache"
+        assert service.save_caches(spill) == (2, 2)
+        # A fresh service without a result cache preloads the encodings:
+        # the batch re-encodes nothing (graph hits for every circuit).
+        twin = ReasoningService(gamora, result_cache_size=0)
+        assert twin.load_caches(spill) == (0, 2, [])
         stats = twin.reason_many([ZOO[0](), ZOO[1]()]).stats
         assert stats.graph_hits == 2
         assert stats.graph_misses == 0
+        # The reload count is what the LRU kept, not what the dir held.
+        small = ReasoningService(gamora, graph_cache_size=1)
+        assert small.load_caches(spill) == (2, 1, [])
         # Repeated saves are incremental: nothing new to write.
-        assert service.save_graph_cache(spill) == 0
+        assert service.save_caches(spill) == (0, 0)
 
     def test_loaded_encodings_serve_identical_outcomes(self, gamora,
                                                        sequential_memo,
                                                        tmp_path):
         service = ReasoningService(gamora)
         service.reason_many([ZOO[2]()])
-        spill = tmp_path / "graphs"
-        service.save_graph_cache(spill)
-        twin = ReasoningService(gamora)
-        twin.load_graph_cache(spill)
-        assert_outcome_equal(twin.reason_many([ZOO[2]()])[0],
-                             sequential_memo(2))
+        spill = tmp_path / "cache"
+        service.save_caches(spill)
+        twin = ReasoningService(gamora, result_cache_size=0)
+        assert twin.load_caches(spill) == (0, 1, [])
+        batch = twin.reason_many([ZOO[2]()])
+        assert batch.stats.graph_hits == 1
+        assert_outcome_equal(batch[0], sequential_memo(2))
 
     def test_rejects_other_encodings(self, gamora, tmp_path):
         """Encodings depend on feature_mode/direction — a spill written
@@ -366,24 +400,39 @@ class TestPersistentGraphCache:
         with the same encoding must still load it."""
         service = ReasoningService(gamora)
         service.reason_many([ZOO[0]()])
-        spill = tmp_path / "graphs"
-        assert service.save_graph_cache(spill) == 1
+        spill = tmp_path / "cache"
+        assert service.save_caches(spill) == (1, 1)
         other = ReasoningService(
             Gamora(model="shallow", feature_mode="structural"))
-        assert other.load_graph_cache(spill) == 0
+        assert other.load_caches(spill) == (0, 0, [])
         assert len(other.graph_cache) == 0
         # Same encoding, different (untrained) weights: graphs stay valid.
         retrained = ReasoningService(Gamora(model="shallow"))
-        assert retrained.load_graph_cache(spill) == 1
+        assert retrained.load_caches(spill) == (0, 1, [])
 
     def test_never_touches_foreign_directories(self, gamora, tmp_path):
+        """A foreign graphs/ refuses the whole save before anything lands:
+        the root gets no entry and no stamp."""
         service = ReasoningService(gamora)
         service.reason_many([ZOO[0]()])
-        foreign = tmp_path / "datasets"
-        foreign.mkdir()
+        root = tmp_path / "cache"
+        foreign = root / "graphs"
+        foreign.mkdir(parents=True)
         keep = foreign / "irreplaceable.npz"
         keep.write_bytes(b"user data, not ours")
+        assert "no graph-cache stamp" in ReasoningService.check_cache_dir(root)
         with pytest.raises(OSError, match="refusing"):
-            service.save_graph_cache(foreign)
+            service.save_caches(root)
         assert keep.read_bytes() == b"user data, not ours"
-        assert ReasoningService.validate_graph_cache_dir(foreign) is not None
+        assert sorted(root.iterdir()) == [foreign]
+        with pytest.warns(RuntimeWarning, match="foreign"):
+            assert ReasoningService(gamora).load_caches(root) == (0, 0, [])
+        # A graphs/ that is a regular file fails the same way: before the
+        # result side is written, and already at the precheck.
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "graphs").write_text("not a directory")
+        assert ReasoningService.check_cache_dir(blocked) is not None
+        with pytest.raises(OSError):
+            service.save_caches(blocked)
+        assert sorted(blocked.iterdir()) == [blocked / "graphs"]
