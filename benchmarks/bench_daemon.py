@@ -14,10 +14,17 @@ stream actually cost.  Asserted: every response matches the sequential
 path, micro-batching genuinely happened (batches < requests), and dedup
 kept forward passes strictly below the request count.  The JSON record
 lands in ``benchmarks/results/BENCH_daemon.json`` for trajectory plots.
+
+The smoke test (``-k smoke``, run in CI) guards early dispatch over a
+real socket: two closed-loop :class:`SocketDaemonClient` threads against
+a :class:`DaemonServer` with a 200 ms window must still ride in batches
+of 2, with a median queue wait under 50 ms, because the scheduler
+dispatches once both open connections have a request queued.
 """
 
 from __future__ import annotations
 
+import statistics
 import threading
 
 import pytest
@@ -31,7 +38,7 @@ from common import (
     keep_under_benchmark_only,
     trained_gamora,
 )
-from repro.serve import GamoraDaemon
+from repro.serve import DaemonServer, GamoraDaemon, SocketDaemonClient
 from repro.utils.timing import format_seconds
 
 CLIENTS = 4
@@ -39,6 +46,9 @@ REQUESTS_PER_CLIENT = 16 if FULL else 6
 # Small pool, heavy repetition: the regime micro-batching is built for.
 POOL_WIDTHS = (8, 10, 12)
 WINDOW_MS = 25.0
+SMOKE_WINDOW_MS = 200.0
+SMOKE_ROUNDS = 8  # requests per closed-loop connection
+SMOKE_MAX_MEDIAN_WAIT_S = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +163,71 @@ def test_daemon_kernel(benchmark):
             return [ticket.result(120) for ticket in tickets]
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def test_daemon_early_dispatch_smoke(benchmark, tmp_path):
+    """CI guard: two closed-loop socket clients pair up without waiting
+    out a 200 ms window."""
+    keep_under_benchmark_only(benchmark)
+    gamora = trained_gamora(train_widths=(8,))
+    pool = [bench_multiplier(width).aig for width in POOL_WIDTHS]
+    records: list[list[dict]] = [[], []]
+    barrier = threading.Barrier(2)
+
+    with GamoraDaemon(gamora, batch_window_ms=SMOKE_WINDOW_MS) as daemon, \
+            DaemonServer(daemon, tmp_path / "gamora.sock") as server:
+        clients = [SocketDaemonClient(server.socket_path) for _ in range(2)]
+
+        def closed_loop(index: int) -> None:
+            barrier.wait()
+            for round_ in range(SMOKE_ROUNDS):
+                response = clients[index].reason(
+                    pool[(index + round_) % len(pool)])
+                assert response["ok"], response
+                records[index].append(response["stats"])
+
+        try:
+            # A ping is answered only once the server counts the
+            # connection, so both are open before the first request.
+            for client in clients:
+                assert client.ping()["ok"]
+            threads = [threading.Thread(target=closed_loop, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            for client in clients:
+                client.close()
+
+    per_request = records[0] + records[1]
+    assert len(per_request) == 2 * SMOKE_ROUNDS
+    waits = [record["queue_wait_seconds"] for record in per_request]
+    sizes = [record["batch_size"] for record in per_request]
+    median_wait = statistics.median(waits)
+    emit(
+        "daemon_early_dispatch_smoke",
+        format_table(
+            f"Daemon early dispatch (2 closed-loop socket clients x "
+            f"{SMOKE_ROUNDS} requests, window {SMOKE_WINDOW_MS:.0f}ms)",
+            ["metric", "value"],
+            [
+                ["median queue wait", format_seconds(median_wait)],
+                ["max queue wait", format_seconds(max(waits))],
+                ["requests per batch", f"{statistics.mean(sizes):.2f}"],
+            ],
+        ),
+    )
+    emit_json("BENCH_daemon", {
+        "benchmark": "daemon_early_dispatch", "smoke": True,
+        "window_ms": SMOKE_WINDOW_MS, "requests": len(per_request),
+        "median_queue_wait_seconds": median_wait,
+        "max_queue_wait_seconds": max(waits),
+        "requests_per_batch": statistics.mean(sizes),
+    })
+    assert median_wait < SMOKE_MAX_MEDIAN_WAIT_S, (
+        f"median queue wait {median_wait * 1e3:.1f}ms under a "
+        f"{SMOKE_WINDOW_MS:.0f}ms window (need < "
+        f"{SMOKE_MAX_MEDIAN_WAIT_S * 1e3:.0f}ms)")
+    assert sizes == [2] * len(sizes), sizes

@@ -20,7 +20,9 @@ Subcommands cover the release's day-to-day flows:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import warnings
 
 from repro.aig import read_aiger, write_aag, write_aig
 from repro.generators import make_multiplier
@@ -121,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-window-ms", type=float, default=5.0,
                        help="how long the scheduler waits after the first "
                             "queued request to coalesce concurrent arrivals "
-                            "into one micro-batch")
+                            "into one micro-batch; it dispatches sooner once "
+                            "every open connection has a request queued, so "
+                            "a connection left open but idle makes every "
+                            "batch wait the full window")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="largest micro-batch (dispatches early when hit)")
     serve.add_argument("--max-queue-depth", type=int, default=128,
@@ -296,6 +301,20 @@ def _cmd_reason(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _warnings_as_lines(command: str):
+    """Print each warning raised inside as one ``<command>: ...`` line.
+
+    Cache loading warns (a quarantined or foreign cache dir) for API
+    callers; on the command line the same message is the one line.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        yield
+    for warning in caught:
+        print(f"{command}: {warning.message}", file=sys.stderr)
+
+
 def _check_cache_dir(cache_dir: str, command: str) -> str | None:
     """Fail-fast ``--cache-dir`` precheck shared by ``batch-reason`` and
     ``serve``: prints the one-line error and returns it, or returns None
@@ -340,11 +359,8 @@ def _cmd_batch_reason(args) -> int:
         print(f"batch-reason: {error}", file=sys.stderr)
         return 2
     if args.cache_dir:
-        loaded, graphs_loaded, quarantined = service.load_caches(
-            args.cache_dir)
-        for moved in quarantined:
-            print(f"batch-reason: quarantined corrupt cache dir: {moved}",
-                  file=sys.stderr)
+        with _warnings_as_lines("batch-reason"):
+            loaded, graphs_loaded, _ = service.load_caches(args.cache_dir)
         print(f"result cache: loaded {loaded} entries from {args.cache_dir}")
         print(f"graph cache: loaded {graphs_loaded} entries")
     batch = service.reason_many(aigs)
@@ -419,16 +435,14 @@ def _cmd_serve(args) -> int:
     except ValueError as error:  # out-of-range batching/budget/deadline
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    daemon.start()
+    with _warnings_as_lines("serve"):
+        daemon.start()
     warm = daemon.kernel_warmup
     print(f"kernel backend: {warm['backend']} "
           f"(warmed up in {warm['seconds'] * 1e3:.0f}ms)")
     if args.cache_dir:
         print(f"warm caches: {daemon.loaded_results} results, "
               f"{daemon.loaded_graphs} graphs from {args.cache_dir}")
-        for moved in daemon.quarantined:
-            print(f"serve: quarantined corrupt cache dir: {moved}",
-                  file=sys.stderr)
     if fault_plan is not None:
         print(f"fault injection armed: {fault_plan!r}", file=sys.stderr)
     server = DaemonServer(daemon, args.socket)

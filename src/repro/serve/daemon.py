@@ -24,7 +24,8 @@ Three client surfaces, strictest parity between them:
 * :class:`DaemonServer` — a Unix-domain-socket front end speaking
   line-delimited JSON: one request object per line in, one response
   object per line out.  Connections are handled on their own threads, so
-  concurrent clients coalesce into shared micro-batches.
+  concurrent clients coalesce into shared micro-batches; a batch
+  dispatches as soon as every open connection has its request queued.
 * :class:`SocketDaemonClient` — the matching Python client.
 
 Wire protocol (one JSON object per ``\\n``-terminated line)::
@@ -135,7 +136,7 @@ class GamoraDaemon:
         self.saved_results = 0
         self.saved_graphs = 0
         self.spill_error: str | None = None
-        self.quarantined: list[str] = []  # cache dirs renamed aside on start
+        self.quarantined: list[str] = []  # damaged spills moved aside on start
         self.dropped_responses = 0  # computed answers the client never read
         self.kernel_warmup: dict | None = None
         self._started_at: float | None = None
@@ -158,12 +159,13 @@ class GamoraDaemon:
         ``REPRO_KERNEL`` value raises ``ValueError`` here, at boot, rather
         than mid-request.
 
-        A cache directory that turns out corrupt or unreadable is
-        *quarantined* by the service's ``load_caches`` — renamed aside,
+        A cache spill that turns out corrupt or unreadable is
+        *quarantined* by the service's ``load_caches`` — moved aside,
         recorded in ``quarantined``, a warning emitted — and the daemon
-        serves cold from a fresh directory.  Losing warmth is a
-        degradation; refusing to boot (or crashing on the close-time spill
-        into a poisoned directory) would be an outage.
+        serves that cache cold until the close-time spill restores it.
+        Losing warmth is a degradation; refusing to boot (or crashing on
+        the close-time spill into a poisoned directory) would be an
+        outage.
         """
         if self.fault_plan is not None:
             resilience.install_plan(self.fault_plan)
@@ -242,8 +244,13 @@ class GamoraDaemon:
     # ------------------------------------------------------------------
     # Protocol dispatch — shared verbatim by DaemonClient and DaemonServer
     # so the in-process surface can never drift from the wire.
-    def handle(self, message: dict) -> dict:
-        """Dispatch one protocol message dict to one response dict."""
+    def handle(self, message: dict, *, from_connection: bool = False) -> dict:
+        """Dispatch one protocol message dict to one response dict.
+
+        ``from_connection`` marks a message read from a connection that
+        :class:`DaemonServer` registered with the scheduler, so its
+        request counts toward early dispatch.
+        """
         if not isinstance(message, dict):
             return _error_response(None, "bad_request",
                                    "message must be a JSON object")
@@ -257,11 +264,12 @@ class GamoraDaemon:
         if op == "shutdown":
             return {"ok": True, "id": request_id, "stats": self.stats()}
         if op == "reason":
-            return self._handle_reason(message, request_id)
+            return self._handle_reason(message, request_id, from_connection)
         return _error_response(request_id, "bad_request",
                                f"unknown op {op!r}")
 
-    def _handle_reason(self, message: dict, request_id) -> dict:
+    def _handle_reason(self, message: dict, request_id,
+                       from_connection: bool) -> dict:
         netlist = message.get("netlist")
         if not isinstance(netlist, str) or not netlist:
             return _error_response(request_id, "bad_request",
@@ -322,7 +330,8 @@ class GamoraDaemon:
         try:
             outcome, stats = self.submit(
                 aig, str(request_id) if request_id is not None else None,
-                deadline_ms=deadline_ms, **options,
+                deadline_ms=deadline_ms, from_connection=from_connection,
+                **options,
             )
         except QueueFullError as error:
             return _error_response(request_id, "queue_full", str(error),
@@ -449,6 +458,14 @@ class DaemonServer:
     ``shutdown`` op answers, then releases :meth:`serve_forever`; closing
     the server does *not* close the daemon — the caller owns that, so it
     can spill caches exactly once.
+
+    A connection answers a line before it reads the next, so it has at
+    most one request in flight.  The server registers every open
+    connection with the scheduler, which dispatches a micro-batch as soon
+    as each open connection has its request queued instead of waiting out
+    ``batch_window_ms``.  A connection that is open but idle (between
+    requests, or sending only ``stats``/``ping``) restores the full window
+    for everyone.
     """
 
     def __init__(self, daemon: GamoraDaemon,
@@ -526,12 +543,21 @@ class DaemonServer:
                 connection, _ = listener.accept()
             except OSError:
                 return  # listener closed
+            # Counted before its thread starts, so no batch dispatches
+            # early while this connection's first request is on its way.
+            self.daemon.scheduler.connection_opened()
             threading.Thread(
                 target=self._serve_connection, args=(connection,),
                 name="gamora-conn", daemon=True,
             ).start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
+        try:
+            self._answer_lines(connection)
+        finally:
+            self.daemon.scheduler.connection_closed()
+
+    def _answer_lines(self, connection: socket.socket) -> None:
         with connection:
             # Bytes in, decoded one line at a time: a line that is not
             # UTF-8 gets its own error instead of killing the connection.
@@ -550,7 +576,8 @@ class DaemonServer:
                     response = _error_response(None, "bad_request",
                                                f"invalid JSON: {error}")
                 else:
-                    response = self.daemon.handle(message)
+                    response = self.daemon.handle(message,
+                                                  from_connection=True)
                 try:
                     # Chaos: a "drop" rule models the connection dying
                     # between computation and delivery — close without

@@ -4,12 +4,25 @@
 (socket connections, in-process clients, test threads) and one
 :class:`~repro.serve.service.ReasoningService`.  Producers enqueue single
 circuits; a dedicated scheduler thread coalesces everything that arrived
-within a small window (measured from the *first* waiting request, so an
-idle daemon answers a lone request after at most one window) into one
-``reason_many`` call.  That is where the batching machinery pays off
+within a small window (measured from the *first* waiting request) into
+one ``reason_many`` call.  That is where the batching machinery pays off
 across users: structurally identical circuits from different clients
 dedup to one forward pass, the shard planner packs the distinct ones
 block-diagonally, and the warm result LRU serves repeats outright.
+
+The window closes early once no one else can join the batch.  A daemon
+socket connection holds at most one request in flight, so the scheduler
+counts open connections (:meth:`~MicroBatchScheduler.connection_opened`
+/ :meth:`~MicroBatchScheduler.connection_closed`) and the queued requests
+that came over one (``submit_async(..., from_connection=True)``): once at
+least one connection is open and every open connection has its request
+queued, the batch dispatches at once.  A lone client is answered without
+waiting out the window, and two closed-loop clients still ride in pairs.
+One idle open connection restores the full window for everyone, since
+its next request could still arrive in time.  Requests submitted
+in-process never count toward the rule, and with no connection open the
+scheduler waits exactly one window (or until ``max_batch`` requests are
+queued).
 
 Admission control is depth-based and fail-fast: once ``max_queue_depth``
 requests are waiting, :meth:`~MicroBatchScheduler.submit` raises
@@ -167,10 +180,11 @@ class RequestTicket:
 
 class _Request:
     __slots__ = ("request_id", "aig", "options", "enqueued", "ticket",
-                 "deadline", "deadline_ms")
+                 "deadline", "deadline_ms", "from_connection")
 
     def __init__(self, request_id, aig, options, enqueued, ticket,
-                 deadline=None, deadline_ms=None) -> None:
+                 deadline=None, deadline_ms=None,
+                 from_connection=False) -> None:
         self.request_id = request_id
         self.aig = aig
         self.options = options
@@ -178,6 +192,7 @@ class _Request:
         self.ticket = ticket
         self.deadline = deadline  # absolute monotonic, None = no deadline
         self.deadline_ms = deadline_ms  # the caller's original budget
+        self.from_connection = from_connection  # counts toward early dispatch
 
 
 def _safe_component(request_id: str) -> str:
@@ -191,8 +206,10 @@ class MicroBatchScheduler:
 
     ``batch_window_ms`` is how long the scheduler waits after the first
     queued request for company before dispatching (0 dispatches whatever
-    is queued immediately); ``max_batch`` caps a micro-batch's size and
-    dispatches early when reached; ``max_queue_depth`` is the admission
+    is queued immediately), unless every open connection already has its
+    request queued (see the module docstring); ``max_batch`` caps a
+    micro-batch's size and dispatches early when reached;
+    ``max_queue_depth`` is the admission
     limit beyond which ``submit`` fast-fails with :class:`QueueFullError`.
     Every resolved outcome carries its word-level report (the service
     builds one per computed circuit).  ``run_dir`` enables per-request
@@ -224,6 +241,10 @@ class MicroBatchScheduler:
         self._thread: threading.Thread | None = None
         self._stopping = False
         self._counter = 0
+        # The early-dispatch rule: open socket connections, and the queued
+        # requests that came over one.
+        self._open_connections = 0
+        self._queued_from_connections = 0
         # Stamped by the loop thread each iteration and after each batch;
         # the Watchdog reads it through heartbeat_age().
         self._heartbeat = time.monotonic()
@@ -270,6 +291,7 @@ class MicroBatchScheduler:
             dropped = [] if drain else list(self._queue)
             if not drain:
                 self._queue.clear()
+                self._queued_from_connections = 0
             self.failed += len(dropped)
             self._cond.notify_all()
             thread = self._thread
@@ -284,6 +306,7 @@ class MicroBatchScheduler:
         with self._cond:
             leftovers = list(self._queue)
             self._queue.clear()
+            self._queued_from_connections = 0
             self.failed += len(leftovers)
         for request in leftovers:
             request.ticket._fail(
@@ -302,10 +325,32 @@ class MicroBatchScheduler:
         with self._cond:
             return len(self._queue)
 
+    def connection_opened(self) -> None:
+        """Count one open connection that submits with ``from_connection``.
+
+        The connection must submit at most one request at a time and call
+        :meth:`connection_closed` exactly once when it ends.
+        """
+        with self._cond:
+            self._open_connections += 1
+
+    def connection_closed(self) -> None:
+        """Uncount a connection; the rest may now all have requests queued."""
+        with self._cond:
+            self._open_connections -= 1
+            self._cond.notify_all()
+
+    def _every_connection_queued(self) -> bool:
+        """No one can join the batch: each open connection has a request
+        queued (called under ``_cond``)."""
+        return (self._open_connections > 0
+                and self._queued_from_connections >= self._open_connections)
+
     def submit_async(self, circuit, request_id: str | None = None, *,
                      root_filter: bool = False, correct_lsb: bool = True,
                      lsb_outputs: int = 4,
-                     deadline_ms: float | None = None) -> RequestTicket:
+                     deadline_ms: float | None = None,
+                     from_connection: bool = False) -> RequestTicket:
         """Enqueue one circuit; returns a :class:`RequestTicket` at once.
 
         ``deadline_ms`` is the caller's total patience, counted from now:
@@ -313,10 +358,12 @@ class MicroBatchScheduler:
         that point, it fails with a retriable
         :class:`~repro.serve.resilience.DeadlineExceededError` *without*
         dispatching a forward pass — a caller that gave up never burns
-        compute.  Raises :class:`QueueFullError` (retriable) when the
-        queue is at ``max_queue_depth``, :class:`SchedulerClosedError`
-        after :meth:`stop`, and ``ValueError`` for a deadline that is not
-        a finite number > 0.
+        compute.  ``from_connection`` marks a request sent over a
+        connection registered with :meth:`connection_opened`, for the
+        early-dispatch rule.  Raises :class:`QueueFullError` (retriable)
+        when the queue is at ``max_queue_depth``,
+        :class:`SchedulerClosedError` after :meth:`stop`, and
+        ``ValueError`` for a deadline that is not a finite number > 0.
         """
         aig = _as_aig(circuit)
         if deadline_ms is not None:
@@ -343,8 +390,9 @@ class MicroBatchScheduler:
                         if deadline_ms is not None else None)
             self._queue.append(
                 _Request(rid, aig, options, now, ticket, deadline,
-                         deadline_ms)
+                         deadline_ms, from_connection)
             )
+            self._queued_from_connections += from_connection
             self.accepted += 1
             self._cond.notify_all()
         return ticket
@@ -372,13 +420,16 @@ class MicroBatchScheduler:
                     deadline = (self._queue[0].enqueued
                                 + self.batch_window_seconds)
                     while (len(self._queue) < self.max_batch
-                           and not self._stopping):
+                           and not self._stopping
+                           and not self._every_connection_queued()):
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break
                         self._cond.wait(timeout=remaining)
                 take = min(len(self._queue), self.max_batch)
                 batch = [self._queue.popleft() for _ in range(take)]
+                self._queued_from_connections -= sum(
+                    request.from_connection for request in batch)
             self._execute(batch)
             with self._cond:
                 self._heartbeat = time.monotonic()
@@ -399,6 +450,7 @@ class MicroBatchScheduler:
         with self._cond:
             drained = list(self._queue)
             self._queue.clear()
+            self._queued_from_connections = 0
             self.failed += len(drained)
         for request in drained:
             request.ticket._fail(error)
@@ -512,6 +564,8 @@ class MicroBatchScheduler:
         with self._cond:
             return {
                 "queue_depth": len(self._queue),
+                "open_connections": self._open_connections,
+                "queued_from_connections": self._queued_from_connections,
                 "accepted": self.accepted,
                 "rejected": self.rejected,
                 "completed": self.completed,

@@ -76,7 +76,7 @@ outcomes to the directory root, stamped with the model fingerprint, and
 encoded graphs under ``graphs/``, stamped with the *encoding* fingerprint
 only — so a retrained model reloads its encodings while a different
 feature mode or direction invalidates them.  :meth:`load_caches` reloads
-both and quarantines a damaged directory of ours (renamed aside, served
+both and quarantines a damaged spill of ours (moved aside, served
 cold); :meth:`check_cache_dir` is the fail-fast precheck.  The daemon
 and both ``--cache-dir`` commands (``batch-reason`` and ``serve``) make
 one call per direction.
@@ -251,13 +251,20 @@ def _read_stamp(marker: Path) -> str | None:
         return None
 
 
-def _quarantine(directory: Path, what: str, problem: str) -> str:
-    """Rename a damaged spill directory aside and warn; returns its new path.
+def _quarantine(directory: Path, what: str, problem: str,
+                files: list[Path] | None = None) -> str:
+    """Move a damaged spill aside and warn; returns where it went.
 
-    The rename keeps the bytes for post-mortem and frees the path for the
-    next save.  A directory that cannot be renamed stays where it is and
-    its own path is returned: the caller serves cold, and the next save
-    fails too.
+    Without ``files`` the whole directory is renamed aside.  ``files``
+    names a spill's own entries when it shares its directory with another
+    spill (the result cache's marker and ``.npz`` files at the root, above
+    ``graphs/``): only those move, into a fresh sibling directory, and
+    everything else stays.  Either way the bytes are kept for post-mortem
+    and the spill's path is freed for the next save.  What cannot be
+    moved stays where it is and the spill's own path is returned: the
+    caller serves cold, and the next save fails too.  The marker goes
+    last in ``files``, so a partial move leaves a marked (still ours,
+    still damaged) spill that the next load quarantines again.
     """
     base = f"{directory.name}.quarantined.{int(time.time())}"
     target, suffix = directory.with_name(base), 0
@@ -265,16 +272,21 @@ def _quarantine(directory: Path, what: str, problem: str) -> str:
         suffix += 1
         target = directory.with_name(f"{base}.{suffix}")
     try:
-        directory.rename(target)
+        if files is None:
+            directory.rename(target)
+        else:
+            target.mkdir()
+            for path in files:
+                path.rename(target / path.name)
     except OSError as error:
         warnings.warn(
-            f"corrupt {what} dir {directory} could not be quarantined "
+            f"corrupt {what} in {directory} could not be quarantined "
             f"({error}); serving cold without persistence: {problem}",
             RuntimeWarning, stacklevel=3,
         )
         return str(directory)
     warnings.warn(
-        f"quarantined corrupt {what} dir: {directory} -> {target} "
+        f"quarantined corrupt {what} in {directory} -> {target} "
         f"({problem}); serving cold",
         RuntimeWarning, stacklevel=3,
     )
@@ -701,19 +713,23 @@ class ReasoningService:
 
         Returns ``(results, graphs, quarantined)``: the entries each cache
         kept (the LRU bound, or a disabled cache, can keep fewer than the
-        directory held) and the paths of the directories renamed aside.  A
+        directory held) and the paths the damaged spills were moved to.  A
         spill loads only under a matching stamp — the model fingerprint
         for results, the encoding fingerprint for graphs — so a retrained
         model keeps its graphs and loses its results.  Reloaded results
         are frozen again: pickling drops the read-only flag, and hits
         share their arrays.
 
-        A directory of ours that cannot be trusted (a damaged stamp, or a
-        load that raises) is quarantined: renamed aside and kept for
-        post-mortem, with a ``RuntimeWarning``.  The caller serves cold,
-        and the next :meth:`save_caches` recreates the directory.  A
-        directory with foreign payloads and no marker of ours is never
-        touched: it loads nothing, with a warning.
+        A spill of ours that cannot be trusted (a damaged stamp, or a load
+        that raises) is quarantined: moved aside and kept for post-mortem,
+        with a ``RuntimeWarning``.  The result spill's quarantine moves
+        only its own files (``MODEL.tag`` and the root's ``.npz``) into a
+        sibling ``<root>.quarantined.<time>`` directory, so ``graphs/``
+        stays and loads under its own stamp; a damaged graph spill is
+        renamed aside as a whole.  The caller serves that cache cold, and
+        the next :meth:`save_caches` restores it.  A directory with
+        foreign payloads and no marker of ours is never touched: it loads
+        nothing, with a warning.
         """
         counts, quarantined = [], []
         spills = self._spills(cache_dir)
@@ -739,7 +755,13 @@ class ReasoningService:
                     continue
             except Exception as exc:  # noqa: BLE001 - any failure degrades
                 problem = f"{type(exc).__name__}: {exc}"
-            quarantined.append(_quarantine(directory, what, problem))
+            # The root also holds graphs/: move only the result spill.
+            files = None
+            if directory == Path(cache_dir):
+                files = sorted(directory.glob("*.npz"))
+                if (directory / marker).is_file():
+                    files.append(directory / marker)  # last: see _quarantine
+            quarantined.append(_quarantine(directory, what, problem, files))
         if counts[0]:
             for _, _, value in self.result_cache.items():
                 _freeze_arrays(value)

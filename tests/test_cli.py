@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import threading
+import time
+
 import pytest
 
 from repro.cli import main
+from repro.serve import SocketDaemonClient
 
 
 @pytest.fixture()
@@ -220,7 +224,8 @@ class TestBatchReason:
     def test_batch_reason_quarantines_damaged_stamp(self, trained_model,
                                                     tmp_path, capsys):
         """A garbage stamp of ours is quarantined, as under serve: the
-        batch runs cold and respills a healthy directory in its place."""
+        result cache runs cold and respills in its place, the graph spill
+        still loads, and stderr carries exactly one line about it."""
         netlist = tmp_path / "m4.aag"
         assert main(["gen", str(netlist), "--width", "4"]) == 0
         cache_dir = tmp_path / "cache"
@@ -229,17 +234,57 @@ class TestBatchReason:
         assert main(run) == 0
         (cache_dir / "MODEL.tag").write_text("garbage\n")
         capsys.readouterr()
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert main(run) == 0
+        assert main(run) == 0
         captured = capsys.readouterr()
-        assert "batch-reason: quarantined corrupt cache dir" in captured.err
-        assert "result_hits=0" in captured.out
-        assert "saved 1 new entries" in captured.out
         wrecks = list(tmp_path.glob("cache.quarantined.*"))
         assert len(wrecks) == 1
+        assert captured.err.splitlines() == [
+            f"batch-reason: quarantined corrupt result-cache in {cache_dir} "
+            f"-> {wrecks[0]} ({cache_dir / 'MODEL.tag'} exists but was not "
+            "written by a reasoning service); serving cold"
+        ]
+        assert "result_hits=0" in captured.out
+        assert "saved 1 new entries" in captured.out
+        assert "graph cache: loaded 1 entries" in captured.out
         assert (wrecks[0] / "MODEL.tag").read_text() == "garbage\n"
+        assert len(list(wrecks[0].glob("*.npz"))) == 1
         assert main(run) == 0
         assert "result_hits=1" in capsys.readouterr().out
+
+    def test_serve_reports_a_quarantine_once(self, trained_model, tmp_path,
+                                             capsys):
+        """Under serve, too, a quarantine is one stderr line naming the
+        moved directory and the problem (no separate warning)."""
+        netlist = tmp_path / "m4.aag"
+        assert main(["gen", str(netlist), "--width", "4"]) == 0
+        cache_dir = tmp_path / "cache"
+        assert main(["batch-reason", str(trained_model), str(netlist),
+                     "--cache-dir", str(cache_dir)]) == 0
+        (cache_dir / "MODEL.tag").write_text("garbage\n")
+        socket_path = tmp_path / "gamora.sock"
+        capsys.readouterr()
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main([
+            "serve", str(trained_model), "--socket", str(socket_path),
+            "--cache-dir", str(cache_dir)])))
+        thread.start()
+        deadline = time.monotonic() + 60
+        while not socket_path.exists():
+            assert time.monotonic() < deadline, "daemon never bound"
+            time.sleep(0.02)
+        with SocketDaemonClient(socket_path) as client:
+            assert client.shutdown()["ok"]
+        thread.join(timeout=60)
+        assert codes == [0]
+        captured = capsys.readouterr()
+        wrecks = list(tmp_path.glob("cache.quarantined.*"))
+        assert len(wrecks) == 1
+        assert captured.err.splitlines() == [
+            f"serve: quarantined corrupt result-cache in {cache_dir} "
+            f"-> {wrecks[0]} ({cache_dir / 'MODEL.tag'} exists but was not "
+            "written by a reasoning service); serving cold"
+        ]
+        assert "warm caches: 0 results, 1 graphs" in captured.out
 
     def test_batch_reason_no_netlists_is_clean_error(self, trained_model,
                                                      capsys):

@@ -637,7 +637,9 @@ class TestFaultPointCache:
             assert second.loaded_results == 0
             assert len(second.quarantined) == 1
             assert Path(second.quarantined[0]).exists()  # kept for post-mortem
-            assert not cache_dir.exists()  # path freed for the respill
+            # Only the result spill moved: graphs/ stays and loads.
+            assert sorted(cache_dir.iterdir()) == [cache_dir / "graphs"]
+            assert second.loaded_graphs == 1
             outcome, stats = second.submit(circuits[0])
             assert not stats.result_hit  # served cold, not from the wreck
             assert_outcome_equal(outcome, sequential[0])
@@ -664,7 +666,7 @@ class TestFaultPointCache:
         resilience.install_plan(None)
         try:
             assert daemon.loaded_results == 0
-            assert daemon.quarantined  # the wreck was renamed aside
+            assert daemon.quarantined  # the wreck was moved aside
             outcome, _ = daemon.submit(circuits[0])
             assert_outcome_equal(outcome, sequential[0])
         finally:

@@ -578,6 +578,147 @@ class TestSocketProtocol:
         daemon.close()
 
 
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestEarlyDispatch:
+    """The window closes once every open connection has a request queued.
+
+    Windows are long (0.5-2 s), so "early" and "full window" are told
+    apart by a wide margin.  Every client pings before it reasons: a
+    ping is answered only after the server registered its connection.
+    """
+
+    @contextlib.contextmanager
+    def served(self, gamora, tmp_path, window_ms, start=True):
+        daemon = GamoraDaemon(gamora, batch_window_ms=window_ms)
+        if start:
+            daemon.start()
+        server = DaemonServer(daemon, tmp_path / "gamora.sock").start()
+        try:
+            yield daemon, server
+        finally:
+            server.close()
+            daemon.close()
+
+    def test_lone_connection_skips_the_window(self, gamora, circuits,
+                                              tmp_path):
+        with self.served(gamora, tmp_path, 2000) as (daemon, server):
+            with SocketDaemonClient(server.socket_path) as client:
+                assert client.ping()["ok"]
+                for circuit in circuits:
+                    response = client.reason(circuit)
+                    assert response["ok"], response
+                    assert response["stats"]["queue_wait_seconds"] < 0.5
+                scheduler = client.stats()["stats"]["scheduler"]
+                assert scheduler["open_connections"] == 1
+                assert scheduler["queued_from_connections"] == 0
+
+    def test_closed_loop_pair_rides_in_shared_batches(self, gamora, circuits,
+                                                      tmp_path):
+        with self.served(gamora, tmp_path, 2000) as (daemon, server):
+            clients = [SocketDaemonClient(server.socket_path)
+                       for _ in range(2)]
+            stats = [[], []]
+            barrier = threading.Barrier(2)
+
+            def loop(index):
+                barrier.wait()
+                for round_ in range(4):
+                    response = clients[index].reason(
+                        circuits[(index + round_) % len(circuits)])
+                    assert response["ok"], response
+                    stats[index].append(response["stats"])
+
+            try:
+                for client in clients:
+                    assert client.ping()["ok"]
+                run_threads(2, loop)
+            finally:
+                for client in clients:
+                    client.close()
+        records = stats[0] + stats[1]
+        assert len(records) == 8
+        assert all(record["batch_size"] == 2 for record in records), records
+        assert all(record["queue_wait_seconds"] < 0.5 for record in records)
+        assert len({record["batch_id"] for record in records}) == 4
+
+    def test_idle_open_connection_restores_the_window(self, gamora,
+                                                      circuits, tmp_path):
+        with self.served(gamora, tmp_path, 500) as (daemon, server):
+            with SocketDaemonClient(server.socket_path) as idle, \
+                    SocketDaemonClient(server.socket_path) as client:
+                assert idle.ping()["ok"] and client.ping()["ok"]
+                response = client.reason(circuits[0])
+                assert response["ok"], response
+                assert response["stats"]["queue_wait_seconds"] >= 0.5
+                assert response["stats"]["batch_size"] == 1
+                scheduler = idle.stats()["stats"]["scheduler"]
+                assert scheduler["open_connections"] == 2
+
+    def test_in_process_submit_waits_the_window(self, gamora, circuits,
+                                                tmp_path):
+        with self.served(gamora, tmp_path, 500) as (daemon, server):
+            _, stats = daemon.submit(circuits[0], timeout=60)
+            assert stats.queue_wait_seconds >= 0.5
+            assert daemon.scheduler.stats()["open_connections"] == 0
+
+    def test_fail_pending_resets_the_queued_count(self, gamora, circuits,
+                                                  tmp_path):
+        # The scheduler thread is not running yet, so the first request
+        # stays queued until fail_pending answers it.
+        with self.served(gamora, tmp_path, 500, start=False) as (
+                daemon, server):
+            with SocketDaemonClient(server.socket_path, retry=None) as idle, \
+                    SocketDaemonClient(server.socket_path,
+                                       retry=None) as client:
+                assert idle.ping()["ok"] and client.ping()["ok"]
+                answer = {}
+                thread = threading.Thread(target=lambda: answer.update(
+                    client.reason(circuits[0])))
+                thread.start()
+                wait_until(lambda: daemon.scheduler.queue_depth == 1)
+                assert daemon.scheduler.fail_pending(
+                    RuntimeError("abandoned")) == 1
+                thread.join(timeout=30)
+                assert answer["error"]["type"] == "internal", answer
+                scheduler = daemon.scheduler.stats()
+                assert scheduler["queued_from_connections"] == 0
+                # A stale count of 1 would now read as "both connections
+                # queued" and dispatch this lone request early.
+                daemon.start()
+                response = client.reason(circuits[0])
+                assert response["ok"], response
+                assert response["stats"]["queue_wait_seconds"] >= 0.5
+
+    def test_stop_without_drain_resets_the_queued_count(self, gamora,
+                                                        circuits, tmp_path):
+        with self.served(gamora, tmp_path, 500, start=False) as (
+                daemon, server):
+            with SocketDaemonClient(server.socket_path, retry=None) as client:
+                assert client.ping()["ok"]
+                answer = {}
+                thread = threading.Thread(target=lambda: answer.update(
+                    client.reason(circuits[0])))
+                thread.start()
+                wait_until(lambda: daemon.scheduler.queue_depth == 1)
+                assert daemon.scheduler.stats()[
+                    "queued_from_connections"] == 1
+                daemon.scheduler.stop(drain=False)
+                thread.join(timeout=30)
+                assert answer["error"]["type"] == "shutting_down", answer
+                scheduler = daemon.scheduler.stats()
+                assert scheduler["queue_depth"] == 0
+                assert scheduler["queued_from_connections"] == 0
+                assert scheduler["open_connections"] == 1
+            wait_until(
+                lambda: daemon.scheduler.stats()["open_connections"] == 0)
+
+
 class TestServeCli:
     @pytest.mark.slow
     def test_serve_boot_reason_shutdown(self, gamora, circuits, tmp_path,

@@ -341,7 +341,8 @@ class TestPersistentResultCache:
 
     def test_damaged_stamp_is_quarantined(self, gamora, tmp_path):
         """Our marker with garbage in it passes the precheck; the load
-        renames the directory aside intact, and the next save recreates it."""
+        moves the result spill aside intact, keeps loading the graph spill
+        under its own stamp, and the next save restores the results."""
         service = ReasoningService(gamora)
         service.reason_many([ZOO[0]()])
         spill = tmp_path / "cache"
@@ -351,14 +352,18 @@ class TestPersistentResultCache:
         twin = ReasoningService(gamora)
         with pytest.warns(RuntimeWarning, match="quarantined"):
             results, graphs, quarantined = twin.load_caches(spill)
-        assert (results, graphs) == (0, 0)
+        assert (results, graphs) == (0, 1)
         assert len(quarantined) == 1
         wreck = Path(quarantined[0])
+        assert wreck.parent == spill.parent
         assert (wreck / "MODEL.tag").read_text() == "garbage\n"
         assert len(list(wreck.glob("*.npz"))) == 1  # kept for post-mortem
-        assert not spill.exists()  # path freed for the respill
+        assert sorted(wreck.iterdir()) == sorted(
+            [wreck / "MODEL.tag", *wreck.glob("*.npz")])
+        # The root keeps graphs/ only: the result spill's path is free.
+        assert sorted(spill.iterdir()) == [spill / "graphs"]
         twin.reason_many([ZOO[0]()])
-        assert twin.save_caches(spill) == (1, 1)
+        assert twin.save_caches(spill) == (1, 0)  # the graph is on disk
         assert ReasoningService(gamora).load_caches(spill) == (1, 1, [])
 
 
