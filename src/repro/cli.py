@@ -303,16 +303,29 @@ def _cmd_reason(args) -> int:
 
 @contextlib.contextmanager
 def _warnings_as_lines(command: str):
-    """Print each warning raised inside as one ``<command>: ...`` line.
+    """Print each ``RuntimeWarning`` raised inside as one ``<command>: ...``
+    line.
 
     Cache loading warns (a quarantined or foreign cache dir) for API
-    callers; on the command line the same message is the one line.
+    callers; on the command line the same message is the one line.  The
+    lines print even when the body raises, and a warning of any other
+    category is passed on as it was raised.  The warning filters are
+    process-wide, so a thread the body starts is covered too until the
+    body returns; nothing it warns is lost either way.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        yield
-    for warning in caught:
-        print(f"{command}: {warning.message}", file=sys.stderr)
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            yield
+    finally:
+        for warning in caught:
+            if issubclass(warning.category, RuntimeWarning):
+                print(f"{command}: {warning.message}", file=sys.stderr)
+            else:
+                warnings.warn_explicit(warning.message, warning.category,
+                                       warning.filename, warning.lineno,
+                                       source=warning.source)
 
 
 def _check_cache_dir(cache_dir: str, command: str) -> str | None:

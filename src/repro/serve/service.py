@@ -251,19 +251,18 @@ def _read_stamp(marker: Path) -> str | None:
         return None
 
 
-def _quarantine(directory: Path, what: str, problem: str,
-                files: list[Path] | None = None) -> str:
-    """Move a damaged spill aside and warn; returns where it went.
+def _quarantine(directory: Path, marker: str, what: str,
+                problem: str) -> str:
+    """Move a damaged spill's files aside and warn; returns where they went.
 
-    Without ``files`` the whole directory is renamed aside.  ``files``
-    names a spill's own entries when it shares its directory with another
-    spill (the result cache's marker and ``.npz`` files at the root, above
-    ``graphs/``): only those move, into a fresh sibling directory, and
-    everything else stays.  Either way the bytes are kept for post-mortem
-    and the spill's path is freed for the next save.  What cannot be
-    moved stays where it is and the spill's own path is returned: the
-    caller serves cold, and the next save fails too.  The marker goes
-    last in ``files``, so a partial move leaves a marked (still ours,
+    A spill is its ``.npz`` files and its marker.  Only those move, into
+    a fresh sibling ``<dir>.quarantined.<time>`` directory, so whatever
+    else the directory holds stays: ``graphs/`` under the result spill's
+    root keeps loading under its own stamp.  The bytes are kept for
+    post-mortem and the spill's path is freed for the next save.  What
+    cannot be moved stays where it is and the spill's own path is
+    returned: the caller serves cold, and the next save fails too.  The
+    marker moves last, so a partial move leaves a marked (still ours,
     still damaged) spill that the next load quarantines again.
     """
     base = f"{directory.name}.quarantined.{int(time.time())}"
@@ -272,12 +271,12 @@ def _quarantine(directory: Path, what: str, problem: str,
         suffix += 1
         target = directory.with_name(f"{base}.{suffix}")
     try:
-        if files is None:
-            directory.rename(target)
-        else:
-            target.mkdir()
-            for path in files:
-                path.rename(target / path.name)
+        files = sorted(directory.glob("*.npz"))
+        if (directory / marker).is_file():
+            files.append(directory / marker)
+        target.mkdir()
+        for path in files:
+            path.rename(target / path.name)
     except OSError as error:
         warnings.warn(
             f"corrupt {what} in {directory} could not be quarantined "
@@ -722,14 +721,13 @@ class ReasoningService:
 
         A spill of ours that cannot be trusted (a damaged stamp, or a load
         that raises) is quarantined: moved aside and kept for post-mortem,
-        with a ``RuntimeWarning``.  The result spill's quarantine moves
-        only its own files (``MODEL.tag`` and the root's ``.npz``) into a
-        sibling ``<root>.quarantined.<time>`` directory, so ``graphs/``
-        stays and loads under its own stamp; a damaged graph spill is
-        renamed aside as a whole.  The caller serves that cache cold, and
-        the next :meth:`save_caches` restores it.  A directory with
-        foreign payloads and no marker of ours is never touched: it loads
-        nothing, with a warning.
+        with a ``RuntimeWarning``.  A quarantine moves only the spill's
+        own files (its marker and ``.npz`` files) into a sibling
+        ``<dir>.quarantined.<time>`` directory, so a damaged result spill
+        leaves ``graphs/`` to load under its own stamp.  The caller
+        serves that cache cold, and the next :meth:`save_caches` restores
+        it.  A directory with foreign payloads and no marker of ours is
+        never touched: it loads nothing, with a warning.
         """
         counts, quarantined = [], []
         spills = self._spills(cache_dir)
@@ -755,13 +753,7 @@ class ReasoningService:
                     continue
             except Exception as exc:  # noqa: BLE001 - any failure degrades
                 problem = f"{type(exc).__name__}: {exc}"
-            # The root also holds graphs/: move only the result spill.
-            files = None
-            if directory == Path(cache_dir):
-                files = sorted(directory.glob("*.npz"))
-                if (directory / marker).is_file():
-                    files.append(directory / marker)  # last: see _quarantine
-            quarantined.append(_quarantine(directory, what, problem, files))
+            quarantined.append(_quarantine(directory, marker, what, problem))
         if counts[0]:
             for _, _, value in self.result_cache.items():
                 _freeze_arrays(value)

@@ -2,10 +2,11 @@
 
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _warnings_as_lines, main
 from repro.serve import SocketDaemonClient
 
 
@@ -285,6 +286,19 @@ class TestBatchReason:
             "written by a reasoning service); serving cold"
         ]
         assert "warm caches: 0 results, 1 graphs" in captured.out
+
+    def test_warning_lines_survive_a_raise_and_pass_other_categories(
+            self, capsys):
+        """A load that warns and then raises still prints its line; a
+        warning of another category is passed on, not printed."""
+        with pytest.warns(UserWarning, match="not a cache message"):
+            with pytest.raises(OSError, match="disk gone"):
+                with _warnings_as_lines("serve"):
+                    warnings.warn("quarantined a -> b", RuntimeWarning)
+                    warnings.warn("not a cache message", UserWarning)
+                    raise OSError("disk gone")
+        assert capsys.readouterr().err.splitlines() == [
+            "serve: quarantined a -> b"]
 
     def test_batch_reason_no_netlists_is_clean_error(self, trained_model,
                                                      capsys):

@@ -666,7 +666,16 @@ class TestFaultPointCache:
         resilience.install_plan(None)
         try:
             assert daemon.loaded_results == 0
-            assert daemon.quarantined  # the wreck was moved aside
+            assert daemon.loaded_graphs == 0
+            # Each spill's own files were moved aside, kept for post-mortem;
+            # graphs/ itself stays, empty, for the closing spill.
+            result_wreck, graph_wreck = map(Path, daemon.quarantined)
+            assert (result_wreck / "MODEL.tag").is_file()
+            assert not (result_wreck / "graphs").exists()
+            assert graph_wreck.parent == cache_dir
+            assert (graph_wreck / "GRAPH.tag").is_file()
+            assert any(graph_wreck.glob("*.npz"))
+            assert list((cache_dir / "graphs").iterdir()) == []
             outcome, _ = daemon.submit(circuits[0])
             assert_outcome_equal(outcome, sequential[0])
         finally:
