@@ -18,6 +18,7 @@ pair is created only once, and trivial ANDs fold to existing literals.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 
 from repro.kernels.registry import LEVELS_SCALAR_CUTOFF, get_kernel
@@ -56,6 +57,14 @@ def lit_not(lit: int) -> int:
     return lit ^ 1
 
 
+def _int64_column(values) -> array:
+    """A growable int64 column holding a copy of a C-contiguous 1-D
+    int64 array (one buffer copy, no per-element Python ints)."""
+    column = array("q")
+    column.frombytes(memoryview(values).cast("B"))
+    return column
+
+
 class AIG:
     """A combinational And-Inverter Graph with structural hashing.
 
@@ -73,20 +82,21 @@ class AIG:
 
     def __init__(self, name: str = "aig") -> None:
         self.name = name
-        # Parallel arrays indexed by variable; entry 0 is the constant node.
-        # For PIs and the constant, fan-in literals are stored as -1.
-        self._fanin0: list[int] = [-1]
-        self._fanin1: list[int] = [-1]
+        # The fan-in columns: one growable int64 array per fan-in, indexed
+        # by variable; entry 0 is the constant node.  For PIs and the
+        # constant, fan-in literals are stored as -1.  Indexing yields
+        # Python ints; fanin_arrays() is a cached NumPy copy of them.
+        self._fanin0 = array("q", [-1])
+        self._fanin1 = array("q", [-1])
         self._num_inputs = 0
         self._input_names: list[str] = []
-        self._outputs: list[int] = []  # literals
+        self._outputs = array("q")  # literals
         self._output_names: list[str] = []
-        # Lazy: built from the fan-in lists by the first add_and/find_and,
+        # Lazy: built from the fan-in columns by the first add_and/find_and,
         # so a graph that is only read (a parsed netlist) never pays for it.
         self._strash: dict[tuple[int, int], int] | None = None
-        self._levels: list[int] | None = None  # lazy cache
-        self._levels_arr = None  # lazy np.int64 twin of _levels
-        self._fanin_arrays = None  # lazy np.int64 twins of _fanin0/_fanin1
+        self._levels_arr = None  # lazy np.int64 level per variable
+        self._fanin_arrays = None  # lazy np.int64 copies of the columns
         self._pair_groups = None  # lazy fan-in pair index (array form)
         self._pair_index: dict | None = None  # lazy fan-in pair index (dict)
         self._shash: tuple[tuple[int, int], str] | None = None  # lazy cache
@@ -100,16 +110,17 @@ class AIG:
         constant and the inputs) and must be exactly what ``add_and``
         would have built: every AND's fan-ins normalized ``f0 < f1``,
         non-constant, on distinct earlier variables, with no repeated
-        pair.  The caller checks that; nothing is re-checked here.  The
-        arrays become the :meth:`fanin_arrays` cache (read-only); ports
-        get the default names.
+        pair.  The caller checks that; nothing is re-checked here.  Each
+        array is copied once into the matching column and also becomes
+        the :meth:`fanin_arrays` cache (read-only); ports get the default
+        names.
         """
         aig = cls(name=name)
-        aig._fanin0 = fanin0.tolist()
-        aig._fanin1 = fanin1.tolist()
+        aig._fanin0 = _int64_column(fanin0)
+        aig._fanin1 = _int64_column(fanin1)
         aig._num_inputs = num_inputs
         aig._input_names = [f"i{k}" for k in range(num_inputs)]
-        aig._outputs = outputs.tolist()
+        aig._outputs = _int64_column(outputs)
         aig._output_names = [f"o{k}" for k in range(len(aig._outputs))]
         fanin0.flags.writeable = False
         fanin1.flags.writeable = False
@@ -137,7 +148,6 @@ class AIG:
 
     def _invalidate_structure_caches(self) -> None:
         """Drop every derived-structure cache after a node is appended."""
-        self._levels = None
         self._levels_arr = None
         self._fanin_arrays = None
         self._pair_groups = None
@@ -275,9 +285,6 @@ class AIG:
         """Variable indices of AND nodes, in topological order."""
         return range(1 + self._num_inputs, self.num_vars)
 
-    def is_const(self, var: int) -> bool:
-        return var == 0
-
     def is_input(self, var: int) -> bool:
         return 1 <= var <= self._num_inputs
 
@@ -354,7 +361,6 @@ class AIG:
             fanin0, fanin1 = self._fanin0, self._fanin1
             for var in range(first, num):
                 lev[var] = 1 + max(lev[fanin0[var] >> 1], lev[fanin1[var] >> 1])
-            self._levels = lev
             self._levels_arr = np.asarray(lev, dtype=np.int64)
             return self._levels_arr
         fanin0, fanin1 = self.fanin_arrays()
@@ -377,18 +383,12 @@ class AIG:
         self._levels_arr = lev
         return lev
 
-    def levels(self) -> list[int]:
-        """Topological level of every variable (PIs and constant are 0)."""
-        if self._levels is None:
-            self._levels = self.levels_array().tolist()
-        return self._levels
-
     def depth(self) -> int:
         """Maximum level over the output cones (0 for constant outputs)."""
         if not self._outputs:
             return 0
-        lev = self.levels()
-        return max(lev[lit_var(o)] for o in self._outputs)
+        lev = self.levels_array()
+        return max(int(lev[lit_var(o)]) for o in self._outputs)
 
     def fanout_counts(self) -> list[int]:
         """Number of AND fan-outs per variable (output edges not counted)."""
@@ -462,14 +462,6 @@ class AIG:
             ]
         self._pair_index = index
         return index
-
-    def fanouts(self) -> list[list[int]]:
-        """Adjacency list: for each variable, the AND variables that read it."""
-        outs: list[list[int]] = [[] for _ in range(self.num_vars)]
-        for var in self.and_vars():
-            outs[self._fanin0[var] >> 1].append(var)
-            outs[self._fanin1[var] >> 1].append(var)
-        return outs
 
     def transitive_fanin(self, roots: Iterable[int]) -> set[int]:
         """Set of variables in the transitive fan-in cone of ``roots`` (vars)."""
@@ -553,15 +545,16 @@ class AIG:
 
         Entries for the constant node and PIs are ``-1``.  Used by the
         vectorized simulator, the feature encoder, the pairing engine and
-        every array-form structure query here.  Cached (the list→array
-        conversion is a measurable per-call cost on big graphs) until a
-        node is appended; the arrays are read-only.
+        every array-form structure query here.  Cached until a node is
+        appended; the arrays are read-only copies of the fan-in columns,
+        never views: a view would pin the column's buffer, and the next
+        append would raise ``BufferError``.
         """
         import numpy as np
 
         if self._fanin_arrays is None:
-            fanin0 = np.asarray(self._fanin0, dtype=np.int64)
-            fanin1 = np.asarray(self._fanin1, dtype=np.int64)
+            fanin0 = np.array(self._fanin0, dtype=np.int64)
+            fanin1 = np.array(self._fanin1, dtype=np.int64)
             fanin0.flags.writeable = False
             fanin1.flags.writeable = False
             self._fanin_arrays = (fanin0, fanin1)
@@ -629,7 +622,7 @@ class AIG:
             b"aig-shash-v2:%d:%d:" % (self._num_inputs, len(self._outputs))
         )
         if self._outputs:
-            out = np.asarray(self._outputs, dtype=np.int64)
+            out = np.array(self._outputs, dtype=np.int64)
             out_mix = (node[out >> 1]
                        ^ (out & 1).astype(np.uint64) * SHASH_FLIP)
             digest.update(out_mix.astype("<u8").tobytes())

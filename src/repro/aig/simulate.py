@@ -28,15 +28,6 @@ __all__ = [
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _level_schedule(aig: AIG) -> list[np.ndarray]:
-    """AND variables grouped by topological level, each as an int64 array."""
-    levels = aig.levels()
-    buckets: dict[int, list[int]] = {}
-    for var in aig.and_vars():
-        buckets.setdefault(levels[var], []).append(var)
-    return [np.asarray(buckets[lev], dtype=np.int64) for lev in sorted(buckets)]
-
-
 def simulate(aig: AIG, input_words: np.ndarray) -> np.ndarray:
     """Simulate with explicit input words.
 
@@ -63,7 +54,7 @@ def simulate(aig: AIG, input_words: np.ndarray) -> np.ndarray:
         values[1:1 + aig.num_inputs] = input_words
 
     fanin0, fanin1 = aig.fanin_arrays()
-    for batch in _level_schedule(aig):
+    for batch in aig.and_level_batches():
         f0 = fanin0[batch]
         f1 = fanin1[batch]
         lhs = values[f0 >> 1]

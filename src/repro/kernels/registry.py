@@ -77,7 +77,7 @@ _BACKEND_MODULES = {
 KERNEL_NAMES = ("merge_level", "shash_sweep", "cone_sweep", "fa_join",
                 "kahn_propagate", "halo_prefix_counts")
 
-# Below this many AND nodes, AIG.levels() keeps its per-node Python
+# Below this many AND nodes, AIG.levels_array() keeps its per-node Python
 # recurrence: the wavefront kernel's per-round call overhead (a few µs per
 # topological level, regardless of backend) only amortizes once levels are
 # wide enough.  One tunable constant — `AIG._LEVELS_VECTOR_MIN` is
@@ -256,7 +256,7 @@ def warmup(backend: str | None = None) -> dict:
     consumption, word-level ranks — over a small CSA multiplier so every
     registered kernel executes at least once (the C backend was already built when it
     resolved; this pays its first-call costs).  Small graphs take the
-    scalar ``levels()`` fallback and the pipeline plans no streaming
+    scalar ``levels_array()`` fallback and the pipeline plans no streaming
     windows, so the Kahn and halo-count kernels are additionally driven
     directly on a hand-built CSR.  Dispatch counters are reset
     afterwards: serving stats start at zero, first-call cost is paid

@@ -161,7 +161,7 @@ class TestStructure:
         x = aig.add_and(a, b)
         y = aig.add_and(x, c)
         aig.add_output(y)
-        levels = aig.levels()
+        levels = aig.levels_array()
         assert levels[lit_var(a)] == 0
         assert levels[lit_var(x)] == 1
         assert levels[lit_var(y)] == 2
@@ -201,8 +201,9 @@ class TestStructure:
 
 
 class TestVectorizedStructure:
-    """The wavefront ``levels()`` / bincount ``fanout_counts()`` paths must
-    agree with the scalar per-node recurrence on every graph shape."""
+    """The wavefront ``levels_array()`` / bincount ``fanout_counts()``
+    paths must agree with the scalar per-node recurrence on every graph
+    shape."""
 
     @staticmethod
     def _reference_levels(aig: AIG) -> list[int]:
@@ -218,8 +219,7 @@ class TestVectorizedStructure:
 
         monkeypatch.setattr(AIG, "_LEVELS_VECTOR_MIN", 0)  # force vector path
         aig = random_aig(num_inputs=5, num_ands=40, num_outputs=3, seed=seed)
-        assert aig.levels() == self._reference_levels(aig)
-        assert aig.levels_array().tolist() == aig.levels()
+        assert aig.levels_array().tolist() == self._reference_levels(aig)
 
     def test_wavefront_levels_deep_chain(self, monkeypatch):
         monkeypatch.setattr(AIG, "_LEVELS_VECTOR_MIN", 0)
@@ -230,16 +230,16 @@ class TestVectorizedStructure:
             lit = aig.add_and(lit, b)
             b = lit_not(b)  # avoid strash collapsing the chain
         aig.add_output(lit)
-        assert aig.levels() == self._reference_levels(aig)
+        assert aig.levels_array().tolist() == self._reference_levels(aig)
         assert aig.depth() == 50
 
     def test_levels_cache_invalidated_on_append(self):
         aig = AIG()
         a, b = aig.add_inputs(2)
         x = aig.add_and(a, b)
-        assert aig.levels()[lit_var(x)] == 1
+        assert aig.levels_array()[lit_var(x)] == 1
         y = aig.add_and(x, lit_not(b))
-        assert aig.levels()[lit_var(y)] == 2
+        assert aig.levels_array()[lit_var(y)] == 2
 
     def test_fanout_counts_empty_and_reference(self, csa4):
         assert AIG().fanout_counts() == [0]
@@ -265,9 +265,23 @@ class TestVectorizedStructure:
     def test_and_pair_groups_invalidated_on_append(self):
         aig = AIG()
         a, b, c = aig.add_inputs(3)
-        aig.add_and(a, b)
+        x = aig.add_and(a, b)
         keys_before, _, _ = aig.and_pair_groups()
-        aig.add_and(b, c)
+        fanin0_before, fanin1_before = aig.fanin_arrays()
+        levels_before = aig.levels_array()
+        # Arrays handed out before an append are copies, not views of the
+        # fan-in columns, so they neither block the append nor change.
+        y = aig.add_and(b, c)
+        assert fanin0_before.tolist() == [-1, -1, -1, -1, a]
+        assert fanin1_before.tolist() == [-1, -1, -1, -1, b]
+        assert not fanin0_before.flags.writeable
+        assert not fanin1_before.flags.writeable
         keys_after, _, members_after = aig.and_pair_groups()
         assert len(keys_after) == len(keys_before) + 1
         assert len(members_after) == 2
+        fanin0, fanin1 = aig.fanin_arrays()
+        assert fanin0.tolist() == [-1, -1, -1, -1, a, b]
+        assert fanin1.tolist() == [-1, -1, -1, -1, b, c]
+        assert levels_before.tolist() == [0, 0, 0, 0, 1]
+        assert aig.levels_array().tolist() == [0, 0, 0, 0, 1, 1]
+        assert lit_var(x) == 4 and lit_var(y) == 5

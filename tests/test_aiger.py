@@ -164,9 +164,11 @@ def reference_parse(text: str, name: str = "aig") -> AIG:
 def assert_same_aig(got: AIG, want: AIG) -> None:
     assert got.name == want.name
     assert got.num_inputs == want.num_inputs
-    assert got._fanin0 == want._fanin0
-    assert got._fanin1 == want._fanin1
+    assert got.num_vars == want.num_vars
+    assert ([got.fanins(var) for var in got.and_vars()]
+            == [want.fanins(var) for var in want.and_vars()])
     for got_arr, want_arr in zip(got.fanin_arrays(), want.fanin_arrays()):
+        assert got_arr.dtype == want_arr.dtype == np.int64
         np.testing.assert_array_equal(got_arr, want_arr)
     assert got.outputs == want.outputs
     assert got.input_names == want.input_names

@@ -289,13 +289,13 @@ class TestLevelsCutoff:
         set_backend("numpy")
         reset_dispatch_counts()
         aig = csa_multiplier(4).aig
-        lev = aig.levels()
+        lev = aig.levels_array()
         assert dispatch_counts()["kahn_propagate"]["numpy"] == 1
         scalar = [0] * aig.num_vars
         f0, f1 = aig.fanin_arrays()
         for var in range(1 + aig.num_inputs, aig.num_vars):
             scalar[var] = 1 + max(scalar[f0[var] >> 1], scalar[f1[var] >> 1])
-        assert lev == scalar
+        assert lev.tolist() == scalar
 
 
 # ---------------------------------------------------------------------------

@@ -900,12 +900,10 @@ class TestServeCli:
         assert fires["scheduler.execute"] == 1, stats["faults"]
         assert fires["infer.forward"] == 1, stats["faults"]
         # The unbudgeted step that ran out of memory was re-planned
-        # windowed and rerun.
-        degraded = [
-            json.loads(path.read_text())["batch_stats"]["degraded_shards"]
-            for path in run_dir.glob("*/stats.json")
-        ]
-        assert max(degraded) >= 1, degraded
+        # windowed and rerun.  Read the daemon's counter, not the run
+        # dir: a retried request whose response was dropped is a result
+        # cache hit, and its stats.json replaces the degraded record.
+        assert stats["scheduler"]["degraded_requests"] >= 1, stats["scheduler"]
         assert stats["dropped_responses"] == 1, stats
         assert stats["scheduler"]["failed"] == 0, stats["scheduler"]
         assert stats["scheduler"]["completed"] >= 5, stats["scheduler"]
