@@ -72,12 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="memory budget per training window: epochs run "
                             "level-windowed with gradient accumulation under "
                             "this budget (default: one full-batch window)")
-    train.add_argument("--seed", type=int, default=None,
-                       help="window-order shuffle seed (default: the repo-wide "
-                            "deterministic seed)")
     train.add_argument("--checkpoint-every", type=int, default=0,
                        help="save a resumable checkpoint (weights + Adam "
-                            "moments + shuffle RNG) every N epochs; an "
+                            "moments) every N epochs; an "
                             "existing checkpoint resumes the run "
                             "bit-identically (0 disables)")
     train.add_argument("--checkpoint", default=None,
@@ -157,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-plan", default=None,
                        help="fault-injection plan for chaos testing: inline "
                             "JSON or a path to a JSON file (see "
-                            "repro.serve.resilience.FaultPlan); also "
-                            "settable via REPRO_FAULT_PLAN")
+                            "repro.serve.resilience.FaultPlan)")
     serve.add_argument("--watchdog-timeout-s", type=float, default=300.0,
                        help="fail queued requests (retriable) when the "
                             "scheduler loop's heartbeat is older than this "
@@ -262,7 +258,6 @@ def _cmd_train(args) -> int:
                     train_config=TrainConfig(
                         epochs=args.epochs,
                         max_window_bytes=args.max_window_bytes,
-                        seed=args.seed,
                         checkpoint_every=args.checkpoint_every,
                         checkpoint_path=checkpoint,
                     ))

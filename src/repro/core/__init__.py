@@ -5,7 +5,6 @@ from repro.core.postprocess import (
     PredictedExtraction,
     correct_lsb_region,
     extract_from_predictions,
-    predictions_to_detection,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "PredictedExtraction",
     "correct_lsb_region",
     "extract_from_predictions",
-    "predictions_to_detection",
 ]

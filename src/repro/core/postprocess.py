@@ -53,7 +53,6 @@ from repro.utils.arrays import in_sorted
 
 __all__ = [
     "PredictedExtraction",
-    "predictions_to_detection",
     "extract_from_predictions",
     "correct_lsb_region",
 ]
@@ -175,32 +174,6 @@ def _verify_candidates(
     filtered = cands.select_roots(xor_candidates[xor_verified],
                                   maj_candidates[maj_verified])
     return filtered, rejected_xor, rejected_maj
-
-
-def predictions_to_detection(
-    aig: AIG,
-    labels: dict[str, np.ndarray],
-    root_filter: bool = True,
-    max_cuts: int = 10,
-) -> tuple[XorMajDetection, list[int], list[int]]:
-    """Turn predicted labels into a cut-verified :class:`XorMajDetection`.
-
-    Sweeps only the flagged candidates' fan-in cones (bit-identical cuts
-    there), so with sparse predictions the cost stays proportional to the
-    flagged cones, not the whole graph.  Returns the detection and the
-    lists of flagged-but-unverifiable nodes.
-    """
-    is_root = _root_flags(labels)
-    flags = (np.asarray(labels["xor"]) == 1) | (np.asarray(labels["maj"]) == 1)
-    if root_filter:
-        flags &= is_root
-    flagged = np.flatnonzero(flags)
-    flagged = flagged[flagged > aig.num_inputs].tolist()
-    cands = _sweep_candidates(aig, max_cuts, restrict_to=flagged)
-    filtered, rejected_xor, rejected_maj = _verify_candidates(
-        aig, cands, labels, root_filter,
-    )
-    return filtered.to_detection(), rejected_xor, rejected_maj
 
 
 def correct_lsb_region(

@@ -55,20 +55,12 @@ class Window:
     ``block_sizes[-1] == len(targets)``).  Only the *sizes* are stored —
     the executor recomputes the block index arrays per window, so a plan
     over a multi-million-node graph stays small.
-
-    Training plans additionally carry the window's share of the graph's
-    supervision: ``labels``/``mask`` are the per-target slices the trainer
-    feeds the loss, aligned row-for-row with ``targets`` (their combined
-    size across a plan equals the graph's, so this costs nothing extra).
-    Inference plans leave both ``None``.
     """
 
     targets: np.ndarray  # sorted node ids whose outputs this window owns
     block_sizes: list[int]  # |B_0| .. |B_K|, outermost first
     block_edges: list[int]  # sub-CSR nnz per conv layer (rows = B_{j+1})
     estimated_bytes: int  # analytic peak for this window
-    labels: dict[str, np.ndarray] | None = None  # task -> per-target labels
-    mask: np.ndarray | None = None  # per-target supervision mask
 
     @property
     def num_targets(self) -> int:
@@ -211,16 +203,6 @@ class GraphData:
             return self.levels
         return np.zeros(self.num_nodes, dtype=np.int64)
 
-    def _attach_training_slices(self, window: Window) -> Window:
-        """Fill a window's label/mask slices from this graph's supervision."""
-        if self.labels is not None:
-            window.labels = {
-                task: np.ascontiguousarray(array[window.targets])
-                for task, array in self.labels.items()
-            }
-        window.mask = np.ascontiguousarray(self.node_mask()[window.targets])
-        return window
-
     def window_plan(self, max_window_bytes: int | None, model,
                     training: bool = False) -> WindowPlan:
         """Slice this graph into memory-bounded streaming windows.
@@ -245,9 +227,8 @@ class GraphData:
 
         ``training=True`` prices each window with the backward-pass cost
         model (tape activations + gradients + optimizer slots) instead of
-        the forward-only one, and attaches the per-window label/mask slices
-        the trainer's loss consumes — the same plan shape otherwise, so
-        trainer and streamed inference share one execution-plan machinery.
+        the forward-only one — the same plan shape otherwise, so trainer
+        and streamed inference share one execution-plan machinery.
 
         Every window keeps at least two targets (a lone trailing node is
         folded into its neighbor): single-row float32 matmuls take BLAS's
@@ -260,11 +241,8 @@ class GraphData:
         from repro.learn.infer import estimate_window_memory
 
         if max_window_bytes is None:
-            plan = WindowPlan.one_window(model, self.num_nodes,
+            return WindowPlan.one_window(model, self.num_nodes,
                                          self.num_edges, training=training)
-            if training:
-                self._attach_training_slices(plan.windows[0])
-            return plan
         if max_window_bytes <= 0:
             raise ValueError(f"max_window_bytes must be a positive byte "
                              f"count, got {max_window_bytes}")
@@ -304,13 +282,10 @@ class GraphData:
                 size = size - 1 if size >= 3 else remaining
             if size > length:
                 sizes, edges, costs = price(pos, size)
-            window = Window(np.sort(order[pos:pos + size]),
-                            sizes[size - 1].tolist(),
-                            edges[size - 1].tolist(),
-                            int(costs[size - 1]))
-            if training:
-                self._attach_training_slices(window)
-            windows.append(window)
+            windows.append(Window(np.sort(order[pos:pos + size]),
+                                  sizes[size - 1].tolist(),
+                                  edges[size - 1].tolist(),
+                                  int(costs[size - 1])))
             pos += size
             chunk = 2 * size
         return WindowPlan(total, num_hops, int(max_window_bytes), windows)

@@ -1,30 +1,28 @@
 """Level-windowed multi-task training loop (paper Eq. 2).
 
 Training follows the paper's protocol — small multipliers as training
-graphs, Adam, and the weighted multi-task NLL ``L = alpha*l1 + beta*l2 +
-gamma*l3`` with ``alpha = 0.8``, ``beta = gamma = 1`` — but runs it over
-the same level-windowed execution plan streamed inference uses:
+graphs, full-batch Adam, and the weighted multi-task NLL ``L = alpha*l1 +
+beta*l2 + gamma*l3`` with ``alpha = 0.8``, ``beta = gamma = 1`` — but runs
+it over the same level-windowed execution plan streamed inference uses:
 
 * Every epoch iterates one plan,
   :meth:`~repro.learn.data.GraphData.window_plan` at
   ``TrainConfig.max_window_bytes`` in training mode (which prices the
-  backward tape and carries per-window label/mask slices).
+  backward tape).
 * With no byte budget (``None``) that is the degenerate one-window plan —
   the classic full-batch loop, same numerics, same code path.
 * With a budget the plan covers the node set with memory-bounded windows;
-  each epoch shuffles the window order (seeded), computes the loss on every
-  window's targets with gradients flowing through its K-hop halo, and
-  accumulates gradients across windows.  Because each window's NLL is
-  normalized by the *whole-graph* mask total, the accumulate-all-then-step
-  schedule (the ``step_every=0`` default) reproduces the full-batch
-  gradient to float tolerance — peak memory becomes a budget knob without
-  changing what is learned.  ``step_every=k`` instead steps every ``k``
-  windows with per-window normalization (classic minibatch SGD).
+  each epoch computes the loss on every window's targets, in plan order,
+  with gradients flowing through its K-hop halo, accumulates the gradients
+  across windows and takes one optimizer step.  Because each window's NLL
+  is normalized by the *whole-graph* mask total, the accumulated gradient
+  is the full-batch gradient to float tolerance — peak memory becomes a
+  budget knob without changing what is learned.
 
 ``TrainConfig.checkpoint_every``/``checkpoint_path`` make long windowed
-runs preemption-safe: checkpoints capture the model, the Adam moments, and
-the shuffle RNG state, and a run restarted on an existing checkpoint
-continues bit-identically to one that was never interrupted.
+runs preemption-safe: checkpoints capture the model and the Adam moments,
+and a run restarted on an existing checkpoint continues bit-identically to
+one that was never interrupted.
 """
 
 from __future__ import annotations
@@ -36,16 +34,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.learn.data import (
-    GraphData,
-    WindowPlan,
-    batch_graphs,
-)
+from repro.learn.data import GraphData, WindowPlan, batch_graphs
+from repro.learn.fast import compile_inference
 from repro.learn.metrics import multitask_accuracy
 from repro.learn.model import GamoraNet, ModelConfig, encode_single_task
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.tensor import Tensor
-from repro.utils.rng import seeded_rng
 
 __all__ = [
     "TrainConfig",
@@ -57,7 +51,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -74,26 +68,18 @@ class TrainConfig:
     history: bool = True
     # --- windowed execution plan ---------------------------------------
     max_window_bytes: int | None = None  # None = the one-window full batch
-    seed: int | None = None  # window-order shuffle seed (None = repo default)
-    shuffle: bool = True  # shuffle window order each epoch (seeded)
-    step_every: int = 0  # 0 = accumulate all windows, one step per epoch;
-    #                      k>0 = optimizer step every k windows (minibatch)
     # --- checkpoint/resume ---------------------------------------------
     checkpoint_every: int = 0  # epochs between checkpoints (0 = off)
     checkpoint_path: str | None = None  # resumed from when it exists
 
 
 def _window_labels(data: GraphData, window) -> dict[str, np.ndarray]:
-    if window.labels is not None:
-        return window.labels
     assert data.labels is not None, "training requires labels"
     return {task: array[window.targets] for task, array in data.labels.items()}
 
 
 def _window_mask(data: GraphData, window) -> np.ndarray:
-    mask = window.mask if window.mask is not None \
-        else data.node_mask()[window.targets]
-    return mask.astype(np.float64)
+    return data.node_mask()[window.targets].astype(np.float64)
 
 
 def _window_loss(model: GamoraNet, data: GraphData, window,
@@ -121,30 +107,41 @@ def _window_loss(model: GamoraNet, data: GraphData, window,
     return total
 
 
-def epoch_gradients(model: GamoraNet, data: GraphData,
-                    train_config: TrainConfig | None = None,
-                    plan: WindowPlan | None = None) -> dict[str, np.ndarray]:
-    """Accumulated parameter gradients of one epoch, without stepping.
+def _accumulate_epoch(model: GamoraNet, data: GraphData, plan: WindowPlan,
+                      config: TrainConfig) -> float:
+    """Backpropagate every window of ``plan`` into fresh gradients.
 
-    Iterates the plan's windows in order (no shuffle — gradient addition is
-    order-independent up to float rounding anyway), backpropagating each
-    window's globally-normalized loss so the accumulated result equals the
-    full-batch gradient to float tolerance.  The equivalence test pins this
-    against the degenerate one-window plan.
+    Each window's loss is normalized by the whole-graph mask total, so the
+    accumulated gradients equal the full-batch gradient to float tolerance
+    and the returned window losses sum to the full-batch loss.
     """
-    config = train_config or TrainConfig()
-    if plan is None:
-        plan = data.window_plan(config.max_window_bytes, model, training=True)
     total_weight = float(data.node_mask().astype(np.float64).sum())
     model.zero_grad()
+    epoch_loss = 0.0
     for window in plan.windows:
         if float(_window_mask(data, window).sum()) == 0.0:
             continue  # zero-weight rows contribute nothing in full batch
         loss = _window_loss(model, data, window, config, total_weight)
         loss.backward()
-        # Drop the tape before the next window's forward pass — otherwise
-        # two windows' activations coexist and the peak doubles.
+        epoch_loss += float(loss.data)
+        # Drop the tape before the next window's forward pass — the window
+        # budget prices one window's activations, not two.
         del loss
+    return epoch_loss
+
+
+def epoch_gradients(model: GamoraNet, data: GraphData,
+                    train_config: TrainConfig | None = None,
+                    plan: WindowPlan | None = None) -> dict[str, np.ndarray]:
+    """Accumulated parameter gradients of one epoch, without stepping.
+
+    The same window loop :func:`train_model` runs each epoch; the
+    equivalence test pins it against the degenerate one-window plan.
+    """
+    config = train_config or TrainConfig()
+    if plan is None:
+        plan = data.window_plan(config.max_window_bytes, model, training=True)
+    _accumulate_epoch(model, data, plan, config)
     return {
         name: (param.grad.copy() if param.grad is not None
                else np.zeros_like(param.data))
@@ -156,14 +153,13 @@ def epoch_gradients(model: GamoraNet, data: GraphData,
 # Checkpointing
 # ----------------------------------------------------------------------
 def save_checkpoint(path: str | Path, model: GamoraNet, optimizer: Optimizer,
-                    rng: np.random.Generator, next_epoch: int,
-                    history: list[dict]) -> None:
+                    next_epoch: int, history: list[dict]) -> None:
     """Atomically persist everything a bit-identical resume needs.
 
     Model weights, optimizer slots (Adam moments + step count, or SGD
-    velocity), the window-shuffle RNG state, the epoch cursor, and the
-    history so far.  Written to a temp file and renamed, so a run preempted
-    mid-save leaves the previous checkpoint intact.
+    velocity), the epoch cursor, and the history so far.  Written to a temp
+    file and renamed, so a run preempted mid-save leaves the previous
+    checkpoint intact.
     """
     path = Path(path)
     payload: dict[str, np.ndarray] = {
@@ -181,7 +177,6 @@ def save_checkpoint(path: str | Path, model: GamoraNet, optimizer: Optimizer,
         "version": CHECKPOINT_VERSION,
         "next_epoch": int(next_epoch),
         "optimizer": {**opt_state, "slots": sorted(slots)},
-        "rng_state": rng.bit_generator.state,
         "history": history,
         "model_config": model.config.to_dict(),
     }
@@ -195,15 +190,13 @@ def save_checkpoint(path: str | Path, model: GamoraNet, optimizer: Optimizer,
 
 
 def load_checkpoint(path: str | Path, model: GamoraNet,
-                    optimizer: Optimizer,
-                    rng: np.random.Generator | None = None
-                    ) -> tuple[int, list[dict]]:
+                    optimizer: Optimizer) -> tuple[int, list[dict]]:
     """Restore a :func:`save_checkpoint` archive into live objects.
 
-    Validates the model configuration (a checkpoint written for a different
-    architecture must fail loudly, not load garbage), then restores weights,
-    optimizer slots, and — when ``rng`` is given — the shuffle RNG state.
-    Returns ``(next_epoch, history)``.
+    Validates the format version and the model configuration (a checkpoint
+    written for a different architecture must fail loudly, not load
+    garbage), then restores weights and optimizer slots.  Returns
+    ``(next_epoch, history)``.
     """
     path = Path(path)
     archive = np.load(path, allow_pickle=False)
@@ -229,8 +222,6 @@ def load_checkpoint(path: str | Path, model: GamoraNet,
             for index in range(len(optimizer.parameters))
         ]
     optimizer.load_state_dict(opt_state)
-    if rng is not None:
-        rng.bit_generator.state = meta["rng_state"]
     return int(meta["next_epoch"]), list(meta["history"])
 
 
@@ -263,48 +254,22 @@ def train_model(train_graphs: list[GraphData] | GraphData,
     model.train()
     optimizer = Adam(model.parameters(), lr=config.lr,
                      weight_decay=config.weight_decay)
-    rng = seeded_rng(config.seed)
     if plan is None:
         plan = data.window_plan(config.max_window_bytes, model, training=True)
     plan_record = {
         "num_windows": plan.num_windows,
         "peak_window_bytes": plan.peak_window_bytes,
     }
-    total_weight = float(data.node_mask().astype(np.float64).sum())
     history: list[dict] = []
     start_epoch = 0
     checkpoint = (
         Path(config.checkpoint_path) if config.checkpoint_path else None
     )
     if checkpoint is not None and checkpoint.exists():
-        start_epoch, history = load_checkpoint(checkpoint, model, optimizer,
-                                               rng)
+        start_epoch, history = load_checkpoint(checkpoint, model, optimizer)
     for epoch in range(start_epoch, config.epochs):
-        order = np.arange(plan.num_windows)
-        if config.shuffle and plan.num_windows > 1:
-            order = rng.permutation(plan.num_windows)
-        optimizer.zero_grad()
-        epoch_loss = 0.0
-        pending = 0
-        for index in order:
-            window = plan.windows[int(index)]
-            window_weight = float(_window_mask(data, window).sum())
-            if window_weight == 0.0:
-                continue  # all rows masked: contributes nothing to the loss
-            normalizer = window_weight if config.step_every else total_weight
-            loss = _window_loss(model, data, window, config, normalizer)
-            loss.backward()
-            epoch_loss += float(loss.data) * (normalizer / total_weight)
-            # Drop the tape before the next window's forward pass — the
-            # window budget prices one window's activations, not two.
-            del loss
-            pending += 1
-            if config.step_every and pending >= config.step_every:
-                optimizer.step()
-                optimizer.zero_grad()
-                pending = 0
-        if not config.step_every or pending:
-            optimizer.step()
+        epoch_loss = _accumulate_epoch(model, data, plan, config)
+        optimizer.step()
         if config.history and (
             config.log_every and epoch % config.log_every == 0
             or epoch == config.epochs - 1
@@ -324,8 +289,7 @@ def train_model(train_graphs: list[GraphData] | GraphData,
             and ((epoch + 1) % config.checkpoint_every == 0
                  or epoch == config.epochs - 1)
         ):
-            save_checkpoint(checkpoint, model, optimizer, rng, epoch + 1,
-                            history)
+            save_checkpoint(checkpoint, model, optimizer, epoch + 1, history)
     model.eval()
     return model, history
 
@@ -334,28 +298,18 @@ def evaluate_model(model: GamoraNet, data: GraphData,
                    max_window_bytes: int | None = None) -> dict[str, float]:
     """Per-task / mean / joint accuracy against the graph's labels.
 
-    With ``max_window_bytes`` set and the full-graph inference footprint
-    above it, predictions run through the compiled kernel's streamed pass
-    (:meth:`~repro.learn.fast.FastInference.predict_streamed`) — so
-    in-training evaluation of a windowed run never reintroduces the
-    full-graph memory peak the trainer just avoided.  Small graphs keep the
-    exact float64 forward pass.
+    Predictions run through the compiled float32 kernel that serving runs
+    (:meth:`~repro.learn.fast.FastInference.predict_streamed`): the
+    one-window plan, or the plan at ``max_window_bytes`` when the
+    full-graph inference footprint exceeds it — so in-training evaluation
+    of a windowed run never reintroduces the full-graph memory peak the
+    trainer just avoided.
     """
     if data.labels is None:
         raise ValueError("evaluation requires ground-truth labels")
-    if max_window_bytes is not None:
-        from repro.learn.fast import compile_inference
-        from repro.learn.infer import estimate_inference_memory
-
-        kernel = compile_inference(model)
-        if estimate_inference_memory(
-            kernel, data.num_nodes, data.num_edges
-        ) > max_window_bytes:
-            window_plan = data.window_plan(max_window_bytes, kernel)
-            predictions = kernel.predict_streamed(
-                data.features, data.adjacency, window_plan
-            )
-            return multitask_accuracy(predictions, data.labels,
-                                      data.node_mask())
-    predictions = model.predict(data.features, data.adjacency)
+    kernel = compile_inference(model)
+    plan = data.window_plan(None, kernel)
+    if max_window_bytes is not None and plan.peak_window_bytes > max_window_bytes:
+        plan = data.window_plan(max_window_bytes, kernel)
+    predictions = kernel.predict_streamed(data.features, data.adjacency, plan)
     return multitask_accuracy(predictions, data.labels, data.node_mask())

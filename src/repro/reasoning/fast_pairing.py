@@ -74,12 +74,6 @@ __all__ = [
     "pair_candidates",
 ]
 
-# Shared sorted-key helpers live in repro.utils.arrays now; the old private
-# names are kept as aliases for the call sites below.
-_in_sorted = in_sorted
-_sorted_unique = sorted_unique
-
-
 def _flatten_leaf_sets(
     leaf_sets_by_var: dict[int, list[tuple[int, ...]]],
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -315,7 +309,7 @@ def _full_adder_edges(cands: PairingCandidates
     lut = None
     ml, xl = cands.maj_leaves, cands.xor3_leaves
     if cands.num_vars ** 3 >= np.iinfo(np.int64).max:  # Python ints: exact
-        lut = _sorted_unique(np.concatenate([ml.ravel(), xl.ravel()]))
+        lut = sorted_unique(np.concatenate([ml.ravel(), xl.ravel()]))
         assert len(lut) ** 3 < np.iinfo(np.int64).max, "leaf universe too large"
         ml = np.searchsorted(lut, ml)
         xl = np.searchsorted(lut, xl)
@@ -489,7 +483,7 @@ def _emit_half_adders(aig: AIG, consumed: np.ndarray,
     flat = ragged_gather(slice_start, slice_end)
     carry = pool_members[flat]
     carry_owner = np.repeat(owner, slice_end - slice_start)
-    outside = ~_in_sorted(carry_owner * stride + carry, interior_keys)
+    outside = ~in_sorted(carry_owner * stride + carry, interior_keys)
     carry = carry[outside]
     carry_owner = carry_owner[outside]
     carry_starts = np.searchsorted(

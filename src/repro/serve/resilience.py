@@ -10,9 +10,9 @@ them end to end:
   fault-injection framework.  Production code calls ``faults.fire(point)``
   at named fault points (``"infer.forward"``, ``"server.send"``, ...);
   with no plan armed that is a dict lookup and a ``None`` check, nothing
-  more.  A plan — installed programmatically, via
-  the ``REPRO_FAULT_PLAN`` environment variable (inline JSON or a path to
-  a JSON file), or through ``serve --fault-plan`` — arms rules that
+  more.  A plan — installed programmatically with :func:`install_plan`,
+  which ``GamoraDaemon(fault_plan=)`` and ``serve --fault-plan`` (inline
+  JSON or a path to a JSON file) both use — arms rules that
   trigger deterministically by per-point hit counts (explicit ``at``
   indices, ``every`` N-th, or a seeded Bernoulli ``rate``) and act by
   raising, sleeping, or signaling the call site
@@ -34,7 +34,6 @@ seed) and the per-point hit counter, so a chaos run replays exactly.
 from __future__ import annotations
 
 import json
-import os
 import random
 import threading
 import time
@@ -51,12 +50,8 @@ __all__ = [
     "Watchdog",
     "fire",
     "install_plan",
-    "plan_from_env",
     "fault_stats",
 ]
-
-# Inline JSON (starts with "{") or a path to a JSON file.
-PLAN_ENV = "REPRO_FAULT_PLAN"
 
 # The named fault points production code consults.  Not enforced (a plan
 # may name new points a branch adds), but rules whose point matches
@@ -297,39 +292,19 @@ class FaultPlan:
 
 # ----------------------------------------------------------------------
 # Process-global plan registry.  `fire(point)` is what production code
-# calls; with nothing armed it costs one attribute read and a None check
-# (plus, when no plan was ever installed, one os.environ lookup whose
-# parse result is cached on the raw string).
+# calls; with nothing armed it costs one attribute read and a None check.
 _installed: FaultPlan | None = None
-_env_cache: tuple[str | None, FaultPlan | None] = (None, None)
 
 
 def install_plan(plan: FaultPlan | None) -> None:
-    """Arm ``plan`` process-wide (``None`` disarms and re-enables env)."""
-    global _installed, _env_cache
+    """Arm ``plan`` process-wide (``None`` disarms)."""
+    global _installed
     _installed = plan
-    _env_cache = (None, None)  # forget any parsed env plan
-
-
-def plan_from_env() -> FaultPlan | None:
-    """The env-configured plan, parsed once per distinct env value."""
-    global _env_cache
-    raw = os.environ.get(PLAN_ENV) or None
-    if raw != _env_cache[0]:
-        _env_cache = (raw, FaultPlan.from_json(raw) if raw else None)
-    return _env_cache[1]
-
-
-def active_plan() -> FaultPlan | None:
-    """The armed plan: explicitly installed, else from the environment."""
-    if _installed is not None:
-        return _installed
-    return plan_from_env()
 
 
 def fire(point: str) -> str | None:
     """Hit the named fault point (no-op unless a plan is armed)."""
-    plan = active_plan()
+    plan = _installed
     if plan is None:
         return None
     return plan.fire(point)
@@ -337,7 +312,7 @@ def fire(point: str) -> str | None:
 
 def fault_stats() -> list[dict]:
     """Per-rule hit/fire counters of the armed plan ([] when unarmed)."""
-    plan = active_plan()
+    plan = _installed
     return plan.stats() if plan is not None else []
 
 

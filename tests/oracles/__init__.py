@@ -14,9 +14,10 @@ options the product no longer has:
 
 * :func:`detect_xor_maj` — exact detection over ``enumerate_cuts``;
 * :func:`extract_adder_tree` — the per-root FA/HA pairing loop;
-* :func:`predictions_to_detection`, :func:`correct_lsb_region`,
-  :func:`extract_from_predictions` — per-node verification and LSB repair
-  over depth-bounded local cones (:func:`repro.aig.cuts.node_cuts`);
+* :func:`correct_lsb_region`, :func:`extract_from_predictions` — per-node
+  verification and LSB repair over depth-bounded local cones
+  (:func:`repro.aig.cuts.node_cuts`); their verification step,
+  :func:`predictions_to_detection`, has no product counterpart;
 * :func:`analyze_adder_tree` — the per-adder word-level walk;
 * :func:`resolve_relations` / :func:`verify_multiplier` — per-adder SCA
   polarity resolution;

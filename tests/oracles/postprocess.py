@@ -38,7 +38,11 @@ def predictions_to_detection(
     root_filter: bool = True,
     max_cuts: int = 10,
 ) -> tuple[XorMajDetection, list[int], list[int]]:
-    """Oracle of :func:`repro.core.postprocess.predictions_to_detection`."""
+    """Turn predicted labels into a cut-verified :class:`XorMajDetection`.
+
+    Each flagged node is verified against its own local cuts.  Returns the
+    detection and the lists of flagged-but-unverifiable nodes.
+    """
     root = np.asarray(labels["root"])
     is_root = (root == TASK1_ROOT) | (root == TASK1_ROOT_LEAF)
     xor_flags = np.asarray(labels["xor"]) == 1

@@ -99,8 +99,6 @@ def window_plan_bisect(data, max_window_bytes: int, model,
             # shrink to leave a 2-node tail, or absorb the straggler.
             size = size - 1 if size >= 3 else remaining
             window = evaluate(pos, size)
-        if training:
-            data._attach_training_slices(window)
         windows.append(window)
         pos += size
     return WindowPlan(total, num_hops, int(max_window_bytes), windows)

@@ -72,6 +72,27 @@ class TestTrainReason:
         assert captured.out == ""  # refused before training started
         assert not model.exists()
 
+    def test_train_under_window_budget_prints_the_plan(self, tmp_path,
+                                                       capsys):
+        model = tmp_path / "model.npz"
+        assert main(["train", str(model), "--width", "4", "--epochs", "2",
+                     "--max-window-bytes", "1000000"]) == 0
+        out = capsys.readouterr().out
+        plan = [line for line in out.splitlines()
+                if line.startswith("window plan: ")]
+        assert len(plan) == 1 and "OVER BUDGET" not in plan[0]
+        # "window plan: <N> window(s), peak ..."
+        assert int(plan[0].split()[2]) > 1
+        assert model.exists()
+
+    def test_train_has_no_seed_option(self, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", str(model), "--epochs", "1", "--seed", "7"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not model.exists()
+
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "{out}", "--epochs", "0"],

@@ -214,34 +214,17 @@ class TestFaultPlanTriggers:
 
 @pytest.mark.filterwarnings("ignore:fault plan names unknown point 'p'")
 class TestPlanRegistry:
-    def test_fire_is_noop_when_unarmed(self, monkeypatch):
-        monkeypatch.delenv(resilience.PLAN_ENV, raising=False)
+    def test_fire_is_noop_when_unarmed(self):
         resilience.install_plan(None)
         assert resilience.fire("infer.forward") is None
         assert resilience.fault_stats() == []
 
-    def test_env_plan_parsed_once_and_armed(self, monkeypatch):
-        resilience.install_plan(None)
-        monkeypatch.setenv(
-            resilience.PLAN_ENV,
-            '{"faults": [{"point": "p", "kind": "drop", "at": [1]}]}',
-        )
+    def test_installed_plan_fires_until_disarmed(self):
+        resilience.install_plan(plan_of({"point": "p", "kind": "drop"}))
         assert resilience.fire("p") == "drop"
-        assert resilience.fire("p") is None  # same cached plan keeps counting
-        assert resilience.fault_stats()[0]["hits"] == 2
-
-    def test_installed_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(
-            resilience.PLAN_ENV,
-            '{"faults": [{"point": "p", "kind": "raise"}]}',
-        )
-        resilience.install_plan(
-            plan_of({"point": "p", "kind": "drop"})
-        )
-        assert resilience.fire("p") == "drop"  # not the env's raise
+        assert resilience.fault_stats()[0]["hits"] == 1
         resilience.install_plan(None)
-        with pytest.raises(InjectedFaultError):
-            resilience.fire("p")  # disarming re-enables the env plan
+        assert resilience.fire("p") is None
 
 
 # ======================================================================

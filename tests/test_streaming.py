@@ -126,15 +126,6 @@ def assert_plan_matches_oracle(data, budget: int, model,
         assert got.block_sizes == want.block_sizes, index
         assert got.block_edges == want.block_edges, index
         assert got.estimated_bytes == want.estimated_bytes, index
-        assert (got.labels is None) == (want.labels is None), index
-        if want.labels is not None:
-            assert got.labels.keys() == want.labels.keys()
-            for task in want.labels:
-                np.testing.assert_array_equal(got.labels[task],
-                                              want.labels[task])
-        assert (got.mask is None) == (want.mask is None), index
-        if want.mask is not None:
-            np.testing.assert_array_equal(got.mask, want.mask)
 
 
 GENERATOR_FIXTURES = [

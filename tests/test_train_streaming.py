@@ -3,12 +3,14 @@
 The windowed trainer's contract is that the execution plan is a *memory*
 knob, not a *semantics* knob: accumulate-all-then-step over any window
 cover reproduces the full-batch gradient to float tolerance, the one-window
-plan IS the full-batch loop (bit-identical), shuffling is seeded and
+plan IS the full-batch loop (bit-identical), a budgeted run is
 deterministic, and a checkpointed run resumed mid-way lands on exactly the
 parameters of an uninterrupted one.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.learn import (
     train_model,
 )
 from repro.learn.infer import estimate_training_memory
+from repro.learn.trainer import _window_labels, _window_mask
 from repro.nn.optim import Adam, SGD
 from repro.utils.rng import seeded_rng
 
@@ -74,7 +77,7 @@ class TestGradientEquivalence:
         noise, so the tolerance is looser than the single-epoch gradient
         check — but the trajectories must stay locked together.
         """
-        config = dict(epochs=4, shuffle=False)
+        config = dict(epochs=4)
         model_full, _ = train_model(csa6_data, SMALL, TrainConfig(**config))
         model_win, _ = train_model(
             csa6_data, SMALL,
@@ -114,44 +117,36 @@ class TestDegeneratePlan:
         for name, reference in _params(model_none).items():
             assert np.array_equal(_params(model_huge)[name], reference), name
 
-    def test_single_window_carries_training_slices(self, csa6_data):
+    def test_single_window_slices_graph_supervision(self, csa6_data):
+        """The one window's labels and mask are the whole graph's."""
         model = GamoraNet(SMALL)
         plan = csa6_data.window_plan(None, model, training=True)
         window = plan.windows[0]
-        assert window.labels is not None and window.mask is not None
-        assert window.mask.shape == (csa6_data.num_nodes,)
-        for task, sliced in window.labels.items():
+        labels = _window_labels(csa6_data, window)
+        assert labels.keys() == csa6_data.labels.keys()
+        for task, sliced in labels.items():
             np.testing.assert_array_equal(sliced, csa6_data.labels[task])
+        np.testing.assert_array_equal(_window_mask(csa6_data, window),
+                                      csa6_data.node_mask())
 
 
-class TestShuffleDeterminism:
-    def test_same_seed_same_parameters(self, csa6_data, tight_budget):
-        """Seeded shuffle + per-window stepping is bitwise reproducible."""
-        config = dict(epochs=3, max_window_bytes=tight_budget, seed=11,
-                      step_every=1)
+class TestDeterminism:
+    def test_budgeted_runs_are_bitwise_equal(self, csa6_data, tight_budget):
+        """Two budgeted runs land on the same parameters, bit for bit."""
+        config = dict(epochs=3, max_window_bytes=tight_budget)
         model_a, hist_a = train_model(csa6_data, SMALL, TrainConfig(**config))
         model_b, hist_b = train_model(csa6_data, SMALL, TrainConfig(**config))
+        assert hist_a[-1]["num_windows"] > 1
         for name, reference in _params(model_a).items():
             assert np.array_equal(_params(model_b)[name], reference), name
         assert hist_a == hist_b
-
-    def test_different_seed_different_order(self, csa6_data, tight_budget):
-        """Different seeds visit windows in different orders (step_every=1
-        makes the order observable in the final parameters)."""
-        base = dict(epochs=2, max_window_bytes=tight_budget, step_every=1)
-        model_a, _ = train_model(csa6_data, SMALL, TrainConfig(seed=1, **base))
-        model_b, _ = train_model(csa6_data, SMALL, TrainConfig(seed=2, **base))
-        assert any(
-            not np.array_equal(_params(model_a)[name], _params(model_b)[name])
-            for name in _params(model_a)
-        )
 
 
 class TestCheckpointResume:
     def test_resume_is_bit_identical(self, csa6_data, tight_budget, tmp_path):
         """3 epochs + resume to 6 == 6 straight epochs, bit for bit."""
         ck = tmp_path / "run.ckpt"
-        shared = dict(max_window_bytes=tight_budget, seed=11)
+        shared = dict(max_window_bytes=tight_budget)
         model_straight, hist_straight = train_model(
             csa6_data, SMALL, TrainConfig(epochs=6, **shared)
         )
@@ -169,26 +164,23 @@ class TestCheckpointResume:
         # be bit-identical.
         assert hist_resumed[-1] == hist_straight[-1]
 
-    def test_checkpoint_roundtrips_optimizer_and_rng(self, csa6_data, tmp_path):
+    def test_checkpoint_roundtrips_optimizer(self, csa6_data, tmp_path):
         ck = tmp_path / "state.ckpt"
         model = GamoraNet(SMALL)
         optimizer = Adam(model.parameters(), lr=0.01)
-        rng = seeded_rng(5)
-        # Advance all three kinds of state past their initial values.
+        # Advance both kinds of state past their initial values.
         grads = epoch_gradients(model, csa6_data)
         for param, grad in zip(model.parameters(),
                                [grads[n] for n, _ in model.named_parameters()]):
             param.grad = grad
         optimizer.step()
-        rng.permutation(100)
-        save_checkpoint(ck, model, optimizer, rng, next_epoch=7,
+        save_checkpoint(ck, model, optimizer, next_epoch=7,
                         history=[{"epoch": 0, "loss": 1.5}])
 
         restored_model = GamoraNet(SMALL)
         restored_opt = Adam(restored_model.parameters(), lr=0.01)
-        restored_rng = seeded_rng(5)
         next_epoch, history = load_checkpoint(ck, restored_model,
-                                              restored_opt, restored_rng)
+                                              restored_opt)
         assert next_epoch == 7
         assert history == [{"epoch": 0, "loss": 1.5}]
         assert restored_opt._step_count == optimizer._step_count
@@ -196,7 +188,6 @@ class TestCheckpointResume:
             assert np.array_equal(a, b)
         for a, b in zip(optimizer._v, restored_opt._v):
             assert np.array_equal(a, b)
-        assert restored_rng.bit_generator.state == rng.bit_generator.state
         for name, reference in _params(model).items():
             assert np.array_equal(_params(restored_model)[name], reference)
 
@@ -204,10 +195,27 @@ class TestCheckpointResume:
         ck = tmp_path / "mismatch.ckpt"
         model = GamoraNet(SMALL)
         optimizer = Adam(model.parameters())
-        save_checkpoint(ck, model, optimizer, seeded_rng(0), 1, [])
+        save_checkpoint(ck, model, optimizer, 1, [])
         other = GamoraNet(ModelConfig(num_layers=2, hidden=8, shared=8))
         with pytest.raises(ValueError, match="different model config"):
             load_checkpoint(ck, other, Adam(other.parameters()))
+
+    def test_checkpoint_rejects_version_1(self, tmp_path):
+        """A v1 checkpoint (with the shuffle RNG state of the old trainer)
+        is refused, never resumed under the one-schedule trainer."""
+        ck = tmp_path / "v1.ckpt"
+        model = GamoraNet(SMALL)
+        save_checkpoint(ck, model, Adam(model.parameters()), 1, [])
+        with np.load(ck) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        meta = json.loads(payload["meta_json"].tobytes().decode("utf-8"))
+        meta.update(version=1, rng_state={})
+        payload["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                             dtype=np.uint8)
+        with open(ck, "wb") as stream:
+            np.savez(stream, **payload)
+        with pytest.raises(ValueError, match="version 1 != 2"):
+            load_checkpoint(ck, model, Adam(model.parameters()))
 
     def test_sgd_state_roundtrip(self):
         """The optimizer state protocol also covers SGD momentum."""
@@ -232,7 +240,7 @@ class TestWindowedTrainingEndToEnd:
         """Windowed training reaches full-batch-grade accuracy on csa6."""
         model, history = train_model(
             csa6_data, SMALL,
-            TrainConfig(epochs=120, max_window_bytes=tight_budget, seed=7),
+            TrainConfig(epochs=120, max_window_bytes=tight_budget),
         )
         final = history[-1]
         assert final["num_windows"] > 1
@@ -248,18 +256,9 @@ class TestWindowedTrainingEndToEnd:
         assert record["num_windows"] > 1
         assert 0 < record["peak_window_bytes"] <= tight_budget
 
-    def test_minibatch_stepping_learns(self, csa6_data, tight_budget):
-        """step_every=1 (true minibatch SGD over windows) still trains."""
-        _, history = train_model(
-            csa6_data, SMALL,
-            TrainConfig(epochs=30, max_window_bytes=tight_budget,
-                        step_every=1, seed=3),
-        )
-        assert history[-1]["mean"] > 0.7
-
     def test_evaluate_model_streams_under_budget(self, csa6_data):
-        """evaluate_model with a budget routes through the streamed kernel
-        and returns the same accuracies as the unbounded float64 path."""
+        """evaluate_model with a budget streams the float32 kernel over a
+        multi-window plan and reports exactly the one-window accuracies."""
         from repro.learn import compile_inference, estimate_inference_memory
         from repro.learn.trainer import evaluate_model
 
@@ -268,11 +267,9 @@ class TestWindowedTrainingEndToEnd:
         full_bytes = estimate_inference_memory(
             kernel, csa6_data.num_nodes, csa6_data.num_edges
         )
-        exact = evaluate_model(model, csa6_data)
+        assert csa6_data.window_plan(full_bytes // 4, kernel).num_windows > 1
+        one_window = evaluate_model(model, csa6_data)
         streamed = evaluate_model(model, csa6_data,
                                   max_window_bytes=full_bytes // 4)
-        assert set(streamed) == set(exact)
-        # float32 kernel vs float64 forward: labels can flip only where the
-        # two dtypes argmax differently; accuracies must agree closely.
-        for key in exact:
-            assert streamed[key] == pytest.approx(exact[key], abs=0.02)
+        # The streamed pass is bit-identical to the one-window pass.
+        assert streamed == one_window
